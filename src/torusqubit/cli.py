@@ -1,9 +1,10 @@
 """Command-line front end: config handling, subcommands, reproducible artifacts.
 
-Each subcommand writes one machine-readable data file (CSV or JSON) plus a
-sidecar manifest recording the resolved configuration, software version,
-unit scales, and any warnings.  Identical config and seed give byte-identical
-data files; timestamps live only in the manifest.
+Each subcommand computes its machine-readable data files (CSV or JSON) and
+returns them; `main` alone writes them, each with a sidecar manifest
+recording the resolved configuration, software version, unit scales, and
+every warning raised during the run.  Identical config and seed give
+byte-identical data files; timestamps live only in the manifest.
 
 Presets name the geometries and operating point used throughout:
 fig3a (r=350 A, R=900 A), fig3b (r=350 A, R=3600 A), and fig5
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,26 +46,20 @@ from .dynamics import (
     ladder_trajectory,
     leakage_probe,
 )
-from .errors import (
-    ErrorModel,
-    average_gate_infidelity,
-    mitigation_sweep,
-    reference_field_sweep,
-)
+from .errors import ErrorModel, average_gate_infidelity, field_error_sweep
 from .model import HBAR, FieldConfig, TorusGeometry, UnitSystem
 from .potential import PotentialParams, sample_profile
 from .reduction import (
     NUMERICAL_TAYLOR,
     CLOSED_FORM,
-    coefficients_numerical,
-    coefficients_closed_form,
-    qubit_parameters,
+    QubitParameters,
+    coefficients_for,
+    qubit_for,
     rabi_frequency,
 )
 from .spectral import (
     Discretization,
     DEFAULT_LOC_THRESHOLD,
-    WindowNotFoundError,
     initialization_window,
     solve_sector,
     sweep_field,
@@ -112,35 +108,16 @@ class RunConfig:
     source: str = NUMERICAL_TAYLOR
     loc_threshold: float = DEFAULT_LOC_THRESHOLD
 
-    def violations(self) -> list[str]:
-        problems = []
-        if not (math.isfinite(self.r_minor) and self.r_minor > 0):
-            problems.append("r_minor must be finite and positive")
-        if not (math.isfinite(self.R_major) and self.R_major > 0):
-            problems.append("R_major must be finite and positive")
-        if self.r_minor >= self.R_major:
-            problems.append("torus must satisfy r_minor < R_major (non-self-intersecting)")
-        if self.mass_ratio <= 0:
-            problems.append("mass_ratio must be positive")
-        if self.B < 0:
-            problems.append("B must be non-negative")
-        if self.E0 < 0:
-            problems.append("E0 must be non-negative")
-        if self.n_points < 64:
-            problems.append("n_points must be >= 64")
-        if self.stencil_order not in (2, 4):
-            problems.append("stencil_order must be 2 or 4")
-        if self.source not in (NUMERICAL_TAYLOR, CLOSED_FORM):
-            problems.append(f"source must be {NUMERICAL_TAYLOR!r} or {CLOSED_FORM!r}")
-        if not 0.0 < self.loc_threshold < 1.0:
-            problems.append("loc_threshold must lie in (0, 1)")
-        return problems
-
     def geometry(self) -> TorusGeometry:
         return TorusGeometry(self.r_minor, self.R_major, self.mass_ratio)
 
     def discretization(self) -> Discretization:
         return Discretization(self.n_points, self.stencil_order)
+
+    def qubit(self, B: float, E0: float | None = None) -> QubitParameters:
+        """Two-level parameters at field B from the configured coefficient
+        route; E0 is unused and present so this is an errors.QubitFactory."""
+        return qubit_for(self.geometry(), B, self.source)
 
 
 class ConfigError(ValueError):
@@ -183,29 +160,62 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
 
     config = RunConfig(**merged)
-    problems = config.violations()
+    problems = []
+    for build in (config.geometry, config.discretization,
+                  lambda: FieldConfig(B=config.B, E0=config.E0)):
+        try:
+            build()
+        except (TypeError, ValueError) as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
     return config
 
 
-def parse_range(spec: str) -> np.ndarray:
-    """Parse "a:b:n" into n linearly spaced values."""
+def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.ndarray:
+    """Parse "a:b:n" into n values, linearly or (spacing "log") geometrically
+    spaced; arg names the option in error messages."""
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
-        raise ConfigError(f"range must look like a:b:n, got {spec!r}") from exc
+        raise ConfigError(f"{arg} must look like a:b:n, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{arg} endpoints must be finite, got {spec!r}")
     if n < 2:
-        raise ConfigError("range needs at least 2 points")
+        raise ConfigError(f"{arg} needs at least 2 points, got {spec!r}")
+    if spacing == "log":
+        if lo <= 0 or hi <= 0:
+            raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
+        return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
 
-def write_manifest(
-    path: Path, command: str, config: RunConfig, warnings: list[str], results: dict | None = None
+@dataclass(frozen=True)
+class Output:
+    """What a subcommand produced: data files (name -> text) and the results
+    recorded in their manifests."""
+
+    files: dict[str, str]
+    results: dict = dataclasses.field(default_factory=dict)
+
+
+def _json_dumps(payload: dict) -> str:
+    """The one serializer for JSON data files and manifests.  NaN and
+    infinities raise ValueError: strict JSON has no spelling for them."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_artifacts(
+    out_dir: Path, command: str, config: RunConfig, output: Output, raised: list[str]
 ) -> None:
+    """Write every data file with its sidecar manifest.
+
+    The manifest is serialized before the first write, so a value JSON
+    cannot hold leaves no artifact behind.
+    """
     units = UnitSystem.for_geometry(config.geometry())
-    manifest = {
+    manifest = _json_dumps({
         "command": command,
         "config": dataclasses.asdict(config),
         "software_version": __version__,
@@ -215,87 +225,67 @@ def write_manifest(
             "length_m": units.length_scale,
             "time_s": units.time_scale,
         },
-        "warnings": warnings,
-        "results": results or {},
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_output(
-    out_dir: Path, name: str, text: str, command: str, config: RunConfig,
-    warnings: list[str], results: dict | None = None,
-) -> Path:
+        "warnings": raised,
+        "results": output.results,
+    })
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_path = out_dir / name
-    data_path.write_text(text, encoding="utf-8")
-    write_manifest(
-        data_path.with_suffix(data_path.suffix + ".manifest.json"),
-        command, config, warnings, results,
-    )
-    return data_path
+    for name, text in output.files.items():
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
+        path.with_name(name + ".manifest.json").write_text(manifest, encoding="utf-8")
+        print(f"wrote {path}")
 
 
-def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _out_dir(args) -> Path:
-    return Path(getattr(args, "output_dir", "."))
-
-
-def _qubit_factory(config: RunConfig):
-    geom = config.geometry()
-    source = config.source
-
-    def factory(B: float, E0: float):
-        coeffs = coefficients_closed_form(geom, B) if source == CLOSED_FORM else coefficients_numerical(geom, B)
-        return qubit_parameters(coeffs, geom, B)
-
-    return factory
+_GATE_ARITY = {"hadamard": 0, "phase": 1, "prep": 2}
 
 
 def _synthesize(gate_arg: str, qubit, E0: float) -> tuple[PulseSequence, GateSpec | None, QuantumState | None]:
     """Map a --gate argument to (sequence, ideal gate, ideal prepared state)."""
-    if gate_arg == "hadamard":
+    kind, _, spec = gate_arg.partition(":")
+    try:
+        values = [float(v) for v in spec.split(",")] if spec else []
+    except ValueError:
+        values = None
+    if (kind not in _GATE_ARITY or values is None or len(values) != _GATE_ARITY[kind]
+            or not all(map(math.isfinite, values))):
+        raise ConfigError(f"--gate must be hadamard, phase:ETA or prep:THETA,ETA, got {gate_arg!r}")
+    if kind == "hadamard":
         return hadamard_sequence(qubit, E0), GateSpec.hadamard(), None
-    if gate_arg.startswith("phase:"):
-        eta = float(gate_arg.split(":", 1)[1])
+    if kind == "phase":
+        (eta,) = values
         return phase_gate_sequence(eta, qubit), GateSpec.phase_gate(eta), None
-    if gate_arg.startswith("prep:"):
-        theta_s, eta_s = gate_arg.split(":", 1)[1].split(",")
-        theta, eta = float(theta_s), float(eta_s)
-        return prepare_state(theta, eta, qubit, E0), None, target_state(theta, eta)
-    raise ConfigError(f"unknown gate {gate_arg!r}; use hadamard, phase:ETA, or prep:THETA,ETA")
+    theta, eta = values
+    return prepare_state(theta, eta, qubit, E0), None, target_state(theta, eta)
+
+
+def _levels_csv(spectra, units: UnitSystem) -> str:
+    lines = ["# B in T, energy in J", "B,m,n,energy,bound,localization"]
+    for spec in spectra:
+        for state in spec.states:
+            energy_j = units.from_internal(state.energy, "energy")
+            lines.append(
+                f"{spec.params.B!r},{state.m_orbital},{state.level_index},{energy_j!r},"
+                f"{str(state.bound).lower()},{state.localization!r}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_potential(args, config: RunConfig) -> int:
+def cmd_potential(args, config: RunConfig) -> Output:
     params = PotentialParams(
         geom=config.geometry(), B=config.B, E_static=args.E_static, m_orbital=args.m
     )
-    profile = sample_profile(params, config.n_points)
-    _write_output(
-        _out_dir(args), "potential.csv", profile.to_csv(), "potential", config, []
-    )
-    print(f"wrote {_out_dir(args) / 'potential.csv'}")
-    return 0
+    return Output({"potential.csv": sample_profile(params, config.n_points).to_csv()})
 
 
-def cmd_spectrum(args, config: RunConfig) -> int:
+def cmd_spectrum(args, config: RunConfig) -> Output:
     units = UnitSystem.for_geometry(config.geometry())
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
     spec = solve_sector(params, config.discretization(), k=args.levels,
                         loc_threshold=config.loc_threshold)
-    lines = ["# B in T, energy in J", "B,m,n,energy,bound,localization"]
-    for state in spec.states:
-        energy_j = units.from_internal(state.energy, "energy")
-        lines.append(
-            f"{config.B!r},{state.m_orbital},{state.level_index},{energy_j!r},"
-            f"{str(state.bound).lower()},{state.localization!r}"
-        )
-    results = {"barrier_energy_J": units.from_internal(spec.barrier_energy, "energy")}
+    files = {"spectrum.csv": _levels_csv([spec], units)}
     if args.dump_wavefunctions:
         payload = {
             "theta": list(map(float, config.discretization().theta)),
@@ -311,18 +301,18 @@ def cmd_spectrum(args, config: RunConfig) -> int:
                 for s in spec.states
             ],
         }
-        _write_output(_out_dir(args), "spectrum_states.json", _json_dumps(payload),
-                      "spectrum", config, [])
-    _write_output(_out_dir(args), "spectrum.csv", "\n".join(lines) + "\n",
-                  "spectrum", config, [], results)
-    print(f"wrote {_out_dir(args) / 'spectrum.csv'}")
-    return 0
+        files["spectrum_states.json"] = _json_dumps(payload)
+    return Output(files, {"barrier_energy_J": units.from_internal(spec.barrier_energy, "energy")})
 
 
-def cmd_sweep_b(args, config: RunConfig) -> int:
-    units = UnitSystem.for_geometry(config.geometry())
-    values = parse_range(args.b_range)
-    m_list = [int(m) for m in args.m_list.split(",")]
+def cmd_sweep_b(args, config: RunConfig) -> Output:
+    values = parse_range(args.b_range, arg="--b-range")
+    try:
+        m_list = [int(m) for m in args.m_list.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--m-list must be comma-separated integers, got {args.m_list!r}"
+        ) from None
     workers = int(os.environ.get("TORUSQUBIT_WORKERS", "1"))
     disc = config.discretization()
 
@@ -339,19 +329,7 @@ def cmd_sweep_b(args, config: RunConfig) -> int:
     else:
         spectra = sweep_field(config.geometry(), m_list, values, disc,
                               k=args.levels, loc_threshold=config.loc_threshold)
-
-    lines = ["# B in T, energy in J", "B,m,n,energy,bound,localization"]
-    for spec in spectra:
-        for state in spec.states:
-            energy_j = units.from_internal(state.energy, "energy")
-            lines.append(
-                f"{spec.params.B!r},{state.m_orbital},{state.level_index},{energy_j!r},"
-                f"{str(state.bound).lower()},{state.localization!r}"
-            )
-    _write_output(_out_dir(args), "sweep_b.csv", "\n".join(lines) + "\n",
-                  "sweep-b", config, [])
-    print(f"wrote {_out_dir(args) / 'sweep_b.csv'}")
-    return 0
+    return Output({"sweep_b.csv": _levels_csv(spectra, UnitSystem.for_geometry(config.geometry()))})
 
 
 def _sweep_single(packed):
@@ -364,28 +342,22 @@ def _sweep_single(packed):
     return out
 
 
-def cmd_window(args, config: RunConfig) -> int:
-    try:
-        b_min, b_max = initialization_window(
-            config.geometry(), config.discretization(),
-            B_scan_max=args.scan_max, loc_threshold=config.loc_threshold,
-        )
-    except WindowNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_window(args, config: RunConfig) -> Output:
+    b_min, b_max = initialization_window(
+        config.geometry(), config.discretization(),
+        B_scan_max=args.scan_max, loc_threshold=config.loc_threshold,
+    )
     payload = {"B_min_T": b_min, "B_max_T": b_max}
-    _write_output(_out_dir(args), "window.json", _json_dumps(payload),
-                  "window", config, [], payload)
     print(f"window: [{b_min:.4f}, {b_max:.4f}] T")
-    return 0
+    return Output({"window.json": _json_dumps(payload)}, payload)
 
 
-def cmd_qubit_params(args, config: RunConfig) -> int:
+def cmd_qubit_params(args, config: RunConfig) -> Output:
     geom = config.geometry()
-    numeric = coefficients_numerical(geom, config.B)
-    closed = coefficients_closed_form(geom, config.B)
-    coeffs = closed if config.source == CLOSED_FORM else numeric
-    qubit = qubit_parameters(coeffs, geom, config.B)
+    qubit = config.qubit(config.B)
+    routes = {source: coefficients_for(geom, config.B, source)
+              for source in (NUMERICAL_TAYLOR, CLOSED_FORM)}
+    coeffs = routes[qubit.source]
     omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
     payload = {
         "B_T": config.B,
@@ -401,27 +373,16 @@ def cmd_qubit_params(args, config: RunConfig) -> int:
         "zero_point_spread": qubit.zero_point_spread,
         "default_source": coeffs.source,
         "sources": {
-            "numerical_taylor": {
-                "beta_sq": numeric.beta_sq,
-                "delta": numeric.delta_anh,
-                "epsilon": numeric.epsilon_const,
-            },
-            "closed_form": {
-                "beta_sq": closed.beta_sq,
-                "delta": closed.delta_anh,
-                "epsilon": closed.epsilon_const,
-            },
+            source: {"beta_sq": c.beta_sq, "delta": c.delta_anh, "epsilon": c.epsilon_const}
+            for source, c in routes.items()
         },
     }
-    _write_output(_out_dir(args), "qubit_params.json", _json_dumps(payload),
-                  "qubit-params", config, [])
     print(f"omega = {qubit.omega:.6e} rad/s, Omega(E0) = {omega_rabi:.6e} rad/s")
-    return 0
+    return Output({"qubit_params.json": _json_dumps(payload)})
 
 
-def cmd_evolve(args, config: RunConfig) -> int:
-    factory = _qubit_factory(config)
-    qubit = factory(config.B, config.E0)
+def cmd_evolve(args, config: RunConfig) -> Output:
+    qubit = config.qubit(config.B)
     omega_rabi = args.rabi if args.rabi is not None else rabi_frequency(qubit.mu_dipole, config.E0)
     duration = args.duration if args.duration is not None else math.pi / (2.0 * omega_rabi)
     pulse = PulseSpec(
@@ -430,7 +391,6 @@ def cmd_evolve(args, config: RunConfig) -> int:
         phase_phi=args.phase,
         duration=duration,
     )
-    results = {"pulse": dataclasses.asdict(pulse)}
     if args.three_level:
         # full lab-frame ladder: Bloch coordinates of the qubit-subspace
         # projection plus the raw three populations
@@ -458,18 +418,14 @@ def cmd_evolve(args, config: RunConfig) -> int:
             point = bloch(evolved)
             p0, p1 = (float(p) for p in evolved.populations())
             lines.append(f"{float(time)!r},{point.x!r},{point.y!r},{point.z!r},{p0!r},{p1!r}")
-    _write_output(_out_dir(args), "trajectory.csv", "\n".join(lines) + "\n",
-                  "evolve", config, [], results)
-    print(f"wrote {_out_dir(args) / 'trajectory.csv'}")
-    return 0
+    return Output({"trajectory.csv": "\n".join(lines) + "\n"},
+                  {"pulse": dataclasses.asdict(pulse)})
 
 
-def cmd_gate(args, config: RunConfig) -> int:
-    factory = _qubit_factory(config)
-    qubit = factory(config.B, config.E0)
+def cmd_gate(args, config: RunConfig) -> Output:
+    qubit = config.qubit(config.B)
     seq, ideal, target = _synthesize(args.gate, qubit, config.E0)
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
-    warnings: list[str] = []
     if ideal is not None:
         fidelity = phase_insensitive_fidelity(ideal.ideal_matrix, unitary)
     else:
@@ -495,82 +451,57 @@ def cmd_gate(args, config: RunConfig) -> int:
     }
     if leakage is not None:
         payload["max_leakage"] = leakage
-    _write_output(_out_dir(args), "gate.json", _json_dumps(payload),
-                  "gate", config, warnings)
     print(f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
-    return 0
+    return Output({"gate.json": _json_dumps(payload)})
 
 
-def cmd_fidelity(args, config: RunConfig) -> int:
-    factory = _qubit_factory(config)
+def cmd_fidelity(args, config: RunConfig) -> Output:
+    deltas = parse_range(args.range, arg="--range")
     b0 = args.B0 if args.B0 is not None else config.B
     e0 = args.E0_ref if args.E0_ref is not None else config.E0
     if b0 <= 0:
         raise ConfigError("fidelity scan needs a positive reference B0 (set --B0 or preset fig5)")
-    qubit = factory(b0, e0)
-    seq, _, _ = _synthesize(args.gate, qubit, e0)
+    seq, _, _ = _synthesize(args.gate, config.qubit(b0, e0), e0)
     window = None
     if args.check_window:
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
-    deltas = parse_range(args.range)
     lines = ["delta,mean_infidelity,max_infidelity"]
-    all_warnings: list[str] = []
     for delta in deltas:
         db = float(delta) if args.scan == "dB" else 0.0
         de = float(delta) if args.scan == "dE" else 0.0
         model = ErrorModel(delta_B_rel=db, delta_E_rel=de, B0=b0, E0=e0)
         report = average_gate_infidelity(
-            seq, factory, model, args.samples, config.seed, mode=args.mode, window=window
+            seq, config.qubit, model, args.samples, config.seed, mode=args.mode, window=window
         )
-        all_warnings.extend(report.warnings)
+        for flag in report.warnings:
+            warnings.warn(flag)
         lines.append(f"{float(delta)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
-    _write_output(_out_dir(args), "fidelity.csv", "\n".join(lines) + "\n",
-                  "fidelity", config, sorted(set(all_warnings)))
-    print(f"wrote {_out_dir(args) / 'fidelity.csv'}")
-    return 0
+    return Output({"fidelity.csv": "\n".join(lines) + "\n"})
 
 
-def cmd_mitigate(args, config: RunConfig) -> int:
-    factory = _qubit_factory(config)
-    b0 = args.B0 if args.B0 is not None else config.B
-    if b0 <= 0:
-        raise ConfigError("mitigation sweep needs a positive reference B0")
-
-    def synth(qubit, e0):
-        seq, _, _ = _synthesize(args.gate, qubit, e0)
-        return seq
-
+def cmd_mitigate(args, config: RunConfig) -> Output:
     if args.sweep == "E0":
-        lo, hi, n = args.e0_range.split(":")
-        if args.spacing == "log":
-            grid = np.geomspace(float(lo), float(hi), int(n))
-        else:
-            grid = np.linspace(float(lo), float(hi), int(n))
-        rows = mitigation_sweep(
-            synth, factory, b0, [float(v) for v in grid],
-            delta_B_rel=args.delta_b, delta_E_rel=args.delta_e,
-            n_samples=args.samples, seed=config.seed, mode=args.mode,
-        )
-        key = "E0"
+        grid = parse_range(args.e0_range, args.spacing, arg="--e0-range")
     else:
-        grid = parse_range(args.b0_range)
-        rows = reference_field_sweep(
-            synth, factory, [float(v) for v in grid], E0=config.E0,
-            delta_B_rel=args.delta_b, delta_E_rel=args.delta_e,
-            n_samples=args.samples, seed=config.seed, mode=args.mode,
-        )
-        key = "B0"
-
+        grid = parse_range(args.b0_range, arg="--b0-range")
+    b0 = args.B0 if args.B0 is not None else config.B
+    if args.sweep == "E0" and b0 <= 0:
+        raise ConfigError("mitigation sweep needs a positive reference B0")
+    key = args.sweep
+    rows = field_error_sweep(
+        lambda qubit, e0: _synthesize(args.gate, qubit, e0)[0], config.qubit,
+        B0=b0, E0=config.E0, axis=key, grid=grid,
+        delta_B_rel=args.delta_b, delta_E_rel=args.delta_e,
+        n_samples=args.samples, seed=config.seed, mode=args.mode,
+    )
     lines = [f"{key},mean_infidelity,max_infidelity"]
     for row in rows:
         lines.append(f"{row[key]!r},{row['mean_infidelity']!r},{row['max_infidelity']!r}")
     best = next(r for r in rows if r["is_argmin"])
-    results = {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"]}
-    _write_output(_out_dir(args), "mitigate.csv", "\n".join(lines) + "\n",
-                  "mitigate", config, [], results)
     print(f"argmin: {key} = {best[key]:.6g}, mean infidelity = {best['mean_infidelity']:.3e}")
-    return 0
+    return Output({"mitigate.csv": "\n".join(lines) + "\n"},
+                  {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"]})
 
 
 # ----------------------------------------------------------------- arg parsing
@@ -674,22 +605,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct(caught: list[warnings.WarningMessage]) -> dict[str, warnings.WarningMessage]:
+    """First occurrence of each distinct warning message, in the order raised."""
+    first: dict[str, warnings.WarningMessage] = {}
+    for w in caught:
+        first.setdefault(str(w.message), w)
+    return first
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = load_config(args)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Run one subcommand; 0 on success, 2 on a config error, 1 on a runtime error.
+
+    Warnings raised anywhere in the run are recorded in every manifest and
+    echoed to stderr in the standard "file:line: Category: message" form.
+    """
+    args = build_parser().parse_args(argv)
+    code, error = 0, None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            config = load_config(args)
+            output = args.func(args, config)
+            out_dir = Path(getattr(args, "output_dir", "."))
+            write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)))
+        except (ConfigError, json.JSONDecodeError, OSError) as exc:
+            code, error = 2, exc
+        except (ValueError, RuntimeError) as exc:
+            code, error = 1, exc
+    for w in _distinct(caught).values():
+        sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Systematic-error study: perturbed gates, Bures infidelity, mitigation sweeps.
+"""Systematic-error study: perturbed gates, Bures infidelity, mitigation sweep.
 
 Error semantics: the calibration (segment durations, drive frequencies,
 phases, frame phases) is frozen at the reference point (B0, E0); only the
@@ -167,80 +167,46 @@ def average_gate_infidelity(
     )
 
 
-def mitigation_sweep(
+def field_error_sweep(
     synthesize: Callable[[QubitParameters, float], PulseSequence],
     qubit_fn: QubitFactory,
     B0: float,
-    E0_grid: Sequence[float],
-    delta_B_rel: float,
-    delta_E_rel: float,
-    n_samples: int,
-    seed: int,
-    mode: str = "rwa",
-) -> list[dict]:
-    """Mean infidelity per drive amplitude at fixed relative field errors.
-
-    The gate is re-synthesized at every grid point (stronger drive means a
-    shorter gate), then subjected to the same relative errors.  Returns one
-    record per grid point plus the argmin; grids over B0 work the same way
-    by fixing E0_grid to one value and passing B0 per call.
-    """
-    grid = [float(v) for v in E0_grid]
-    if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("E0_grid must be non-empty and strictly increasing")
-    rows = []
-    for e0 in grid:
-        qubit = qubit_fn(B0, e0)
-        seq = synthesize(qubit, e0)
-        model = ErrorModel(delta_B_rel=delta_B_rel, delta_E_rel=delta_E_rel, B0=B0, E0=e0)
-        report = average_gate_infidelity(seq, qubit_fn, model, n_samples, seed, mode=mode)
-        rows.append(
-            {
-                "E0": e0,
-                "mean_infidelity": report.mean_infidelity,
-                "max_infidelity": report.max_infidelity,
-                "warnings": list(report.warnings),
-            }
-        )
-    best = min(range(len(rows)), key=lambda i: rows[i]["mean_infidelity"])
-    for i, row in enumerate(rows):
-        row["is_argmin"] = i == best
-    return rows
-
-
-def reference_field_sweep(
-    synthesize: Callable[[QubitParameters, float], PulseSequence],
-    qubit_fn: QubitFactory,
-    B0_grid: Sequence[float],
     E0: float,
+    axis: str,
+    grid: Sequence[float],
     delta_B_rel: float,
     delta_E_rel: float,
     n_samples: int,
     seed: int,
     mode: str = "rwa",
 ) -> list[dict]:
-    """Mean infidelity per reference magnetic field at fixed relative errors.
+    """Mean infidelity along one reference-field axis at fixed relative errors.
 
-    The counterpart of mitigation_sweep for scanning B0 at fixed drive: it
-    probes whether any operating field reduces the error floor (for pure
-    drive-amplitude errors it cannot, since the relative Rabi error is
-    field-independent under frozen calibration).
+    Each grid value replaces the reference coordinate named by axis ("E0"
+    for the drive amplitude, "B0" for the magnetic field) in (B0, E0).  The
+    gate is re-synthesized at every point (a stronger drive means a shorter
+    gate), then subjected to the same relative errors.  Returns one record
+    per grid point, keyed by axis, with the argmin flagged.  Scanning B0
+    probes whether any operating field lowers the error floor; for pure
+    drive-amplitude errors none can, since the relative Rabi error is
+    field-independent under frozen calibration.
     """
-    grid = [float(v) for v in B0_grid]
-    if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("B0_grid must be non-empty and strictly increasing")
+    if axis not in ("B0", "E0"):
+        raise ValueError(f"axis must be 'B0' or 'E0', got {axis!r}")
+    values = [float(v) for v in grid]
+    if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{axis} grid must be non-empty and strictly increasing")
     rows = []
-    for b0 in grid:
-        qubit = qubit_fn(b0, E0)
-        seq = synthesize(qubit, E0)
-        model = ErrorModel(delta_B_rel=delta_B_rel, delta_E_rel=delta_E_rel, B0=b0, E0=E0)
+    for value in values:
+        point = {"B0": B0, "E0": E0, axis: value}
+        seq = synthesize(qubit_fn(point["B0"], point["E0"]), point["E0"])
+        model = ErrorModel(delta_B_rel=delta_B_rel, delta_E_rel=delta_E_rel, **point)
         report = average_gate_infidelity(seq, qubit_fn, model, n_samples, seed, mode=mode)
         rows.append(
             {
-                "B0": b0,
+                axis: value,
                 "mean_infidelity": report.mean_infidelity,
                 "max_infidelity": report.max_infidelity,
-                "warnings": list(report.warnings),
             }
         )
     best = min(range(len(rows)), key=lambda i: rows[i]["mean_infidelity"])

@@ -231,10 +231,7 @@ def effective_dipole(
     the trapped state, so mu is the transition matrix element of the drive
     coupling -e E r sin(theta) in the two-level truncation.
     """
-    coeffs = (
-        coefficients_closed_form(geom, B) if source == CLOSED_FORM else coefficients_numerical(geom, B)
-    )
-    return qubit_parameters(coeffs, geom, B).mu_dipole
+    return qubit_for(geom, B, source).mu_dipole
 
 
 def rabi_frequency(mu: float, E0: float) -> float:
@@ -244,9 +241,23 @@ def rabi_frequency(mu: float, E0: float) -> float:
     return mu * E0 / HBAR
 
 
+def coefficients_for(
+    geom: TorusGeometry, B: float, source: str = NUMERICAL_TAYLOR
+) -> OscillatorCoefficients:
+    """Quartic-well coefficients from the route named by source.
+
+    The one place a source name selects a route; any name other than
+    NUMERICAL_TAYLOR or CLOSED_FORM raises ValueError.
+    """
+    if source == NUMERICAL_TAYLOR:
+        return coefficients_numerical(geom, B)
+    if source == CLOSED_FORM:
+        return coefficients_closed_form(geom, B)
+    raise ValueError(
+        f"unknown coefficient source {source!r}; use {NUMERICAL_TAYLOR!r} or {CLOSED_FORM!r}"
+    )
+
+
 def qubit_for(geom: TorusGeometry, B: float, source: str = NUMERICAL_TAYLOR) -> QubitParameters:
     """Convenience: coefficients -> QubitParameters in one call."""
-    coeffs = (
-        coefficients_closed_form(geom, B) if source == CLOSED_FORM else coefficients_numerical(geom, B)
-    )
-    return qubit_parameters(coeffs, geom, B)
+    return qubit_parameters(coefficients_for(geom, B, source), geom, B)

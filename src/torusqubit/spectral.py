@@ -208,6 +208,8 @@ def solve_sector(
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> Spectrum:
     """Lowest-k spectrum of one orbital sector, with bound classification."""
+    if not 0.0 < loc_threshold < 1.0:
+        raise ValueError(f"loc_threshold must lie in (0, 1), got {loc_threshold!r}")
     H = build_hamiltonian(params, disc)
     energies, vectors = lowest_eigenpairs(H, k)
     h = disc.spacing

@@ -50,6 +50,14 @@ class TestConfigHandling:
         code = main(["--config", str(config), "--output-dir", str(tmp_path), "potential"])
         assert code == 2
 
+    def test_wrong_types_in_config_file_all_listed(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "fig5", "n_points": "many", "B": "x"}))
+        code = main(["--config", str(config), "--output-dir", str(tmp_path / "out"), "potential"])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n  - ") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_and_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "fig5", "E0": 200.0}))
@@ -77,10 +85,44 @@ class TestConfigHandling:
 
     def test_parse_range(self):
         np.testing.assert_allclose(parse_range("0:1:5"), [0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_allclose(parse_range("1:100:3", "log"), [1.0, 10.0, 100.0])
         with pytest.raises(ConfigError):
             parse_range("0:1")
         with pytest.raises(ConfigError):
             parse_range("0:1:1")
+        for spec in ("nan:1:3", "0:inf:3", "-inf:0:3"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_range(spec)
+        with pytest.raises(ConfigError, match="--e0-range"):
+            parse_range("0:100:3", "log", arg="--e0-range")
+
+    @pytest.mark.parametrize("flag", ["--E0", "--B", "--mass-ratio"])
+    def test_nan_config_rejected_without_artifact(self, tmp_path, capsys, flag):
+        code, out = run(["--preset", "fig5", flag, "nan", "qubit-params"], tmp_path, "out")
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_result_writes_no_artifact(self, tmp_path, capsys):
+        # the Rabi rate overflows to inf, which strict JSON cannot hold
+        code, out = run(["--preset", "fig5", "--E0", "1e308", "qubit-params"], tmp_path, "out")
+        assert code == 1
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["mitigate", "--e0-range", "1:2"], "--e0-range"),
+        (["mitigate", "--spacing", "log", "--e0-range", "0:100:3"], "--e0-range"),
+        (["sweep-b", "--m-list", "0,a"], "--m-list"),
+        (["gate", "--gate", "phase:abc"], "--gate"),
+        (["gate", "--gate", "prep:1.2"], "--gate"),
+    ])
+    def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
+        code, out = run(["--preset", "fig5", *args], tmp_path, "out")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name}")
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -190,6 +232,28 @@ class TestArtifacts:
         assert means[-1] <= means[0]
         manifest = json.loads((out / "mitigate.csv.manifest.json").read_text())
         assert manifest["results"]["argmin_E0"] == pytest.approx(float(data[-1][0]))
+
+
+class TestWarningsInManifest:
+    def test_physics_warning_recorded_once(self, tmp_path, capsys):
+        code, out = run(["--preset", "fig3b", "--B", "0", "qubit-params"], tmp_path)
+        assert code == 0
+        assert "UserWarning: zero-point angular spread" in capsys.readouterr().err
+        manifest = json.loads((out / "qubit_params.json.manifest.json").read_text())
+        spread = [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
+        assert len(spread) == 1
+
+    def test_window_exit_flags_recorded(self, tmp_path, capsys):
+        code, out = run(
+            ["--preset", "fig5", "--n-points", "256", "fidelity", "--check-window",
+             "--B0", "0.95", "--range", "0:0.05:2", "--samples", "50"],
+            tmp_path,
+        )
+        assert code == 0
+        assert "UserWarning: perturbed field" in capsys.readouterr().err
+        manifest = json.loads((out / "fidelity.csv.manifest.json").read_text())
+        assert len(manifest["warnings"]) == 1
+        assert "leaves the two-bound-state window" in manifest["warnings"][0]
 
 
 class TestReproducibility:

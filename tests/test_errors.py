@@ -9,8 +9,8 @@ from torusqubit.errors import (
     ErrorModel,
     average_gate_infidelity,
     haar_states,
+    field_error_sweep,
     infidelity,
-    mitigation_sweep,
     perturbed_pulse,
 )
 
@@ -161,13 +161,19 @@ class TestAverageGateInfidelity:
         assert abs(mc - quad) <= 3.0 / math.sqrt(n)
 
 
+def _synth(qubit, e0):
+    return hadamard_sequence(qubit, e0)
+
+
 class TestMitigationSweep:
     def test_non_increasing_with_drive(self, fig5_qubit, qubit_factory):
-        rows = mitigation_sweep(
-            lambda qubit, e0: hadamard_sequence(qubit, e0),
+        rows = field_error_sweep(
+            _synth,
             qubit_factory,
             B0=0.45,
-            E0_grid=list(np.geomspace(100.0, 10000.0, 5)),
+            E0=100.0,
+            axis="E0",
+            grid=list(np.geomspace(100.0, 10000.0, 5)),
             delta_B_rel=5e-3,
             delta_E_rel=0.0,
             n_samples=2000,
@@ -178,11 +184,13 @@ class TestMitigationSweep:
         assert rows[-1]["is_argmin"]
 
     def test_zero_error_row_is_zero(self, fig5_qubit, qubit_factory):
-        rows = mitigation_sweep(
-            lambda qubit, e0: hadamard_sequence(qubit, e0),
+        rows = field_error_sweep(
+            _synth,
             qubit_factory,
             B0=0.45,
-            E0_grid=[100.0, 1000.0],
+            E0=100.0,
+            axis="E0",
+            grid=[100.0, 1000.0],
             delta_B_rel=0.0,
             delta_E_rel=0.0,
             n_samples=200,
@@ -204,23 +212,21 @@ class TestMitigationSweep:
 
     def test_grid_validation(self, qubit_factory):
         with pytest.raises(ValueError):
-            mitigation_sweep(
-                lambda qubit, e0: hadamard_sequence(qubit, e0),
-                qubit_factory, B0=0.45, E0_grid=[100.0, 50.0],
+            field_error_sweep(
+                _synth, qubit_factory, B0=0.45, E0=100.0, axis="E0", grid=[100.0, 50.0],
                 delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
             )
 
 
 class TestReferenceFieldSweep:
     def test_no_b0_beats_electric_error_floor(self, qubit_factory):
-        from torusqubit.errors import reference_field_sweep
-        from torusqubit.control import hadamard_sequence as synth_h
-
-        rows = reference_field_sweep(
-            lambda qubit, e0: synth_h(qubit, e0),
+        rows = field_error_sweep(
+            _synth,
             qubit_factory,
-            B0_grid=[0.4, 0.55, 0.7, 0.85],
+            B0=0.45,
             E0=1000.0,
+            axis="B0",
+            grid=[0.4, 0.55, 0.7, 0.85],
             delta_B_rel=0.0,
             delta_E_rel=5e-3,
             n_samples=2000,
@@ -231,14 +237,16 @@ class TestReferenceFieldSweep:
         # reference field improves on it
         floor = means[0]
         assert all(m == pytest.approx(floor, rel=1e-9) for m in means)
+        assert [r["B0"] for r in rows] == [0.4, 0.55, 0.7, 0.85]
 
     def test_grid_validation(self, qubit_factory):
-        from torusqubit.errors import reference_field_sweep
-        from torusqubit.control import hadamard_sequence as synth_h
-
         with pytest.raises(ValueError):
-            reference_field_sweep(
-                lambda qubit, e0: synth_h(qubit, e0), qubit_factory,
-                B0_grid=[0.6, 0.5], E0=100.0, delta_B_rel=0.0, delta_E_rel=0.0,
-                n_samples=10, seed=1,
+            field_error_sweep(
+                _synth, qubit_factory, B0=0.45, E0=100.0, axis="B0", grid=[0.6, 0.5],
+                delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
+            )
+        with pytest.raises(ValueError, match="axis"):
+            field_error_sweep(
+                _synth, qubit_factory, B0=0.45, E0=100.0, axis="dB", grid=[0.4, 0.5],
+                delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
             )

@@ -10,6 +10,7 @@ from torusqubit.reduction import (
     CLOSED_FORM,
     OscillatorCoefficients,
     _even_derivatives,
+    coefficients_for,
     coefficients_numerical,
     coefficients_closed_form,
     effective_dipole,
@@ -238,3 +239,12 @@ def test_qubit_for_sources(fig3a_geom):
     assert numerical.source == NUMERICAL_TAYLOR
     assert closed.source == CLOSED_FORM
     assert numerical.omega != closed.omega
+
+
+def test_unknown_source_rejected(fig3a_geom):
+    for call in (coefficients_for, qubit_for, effective_dipole):
+        with pytest.raises(ValueError, match="bogus"):
+            call(fig3a_geom, 0.45, source="bogus")
+    assert coefficients_for(fig3a_geom, 0.45, CLOSED_FORM) == coefficients_closed_form(
+        fig3a_geom, 0.45
+    )

@@ -155,6 +155,12 @@ class TestBoundClassification:
         assert ground.localization == pytest.approx(manual, rel=1e-12)
         assert 0.0 <= ground.localization <= 1.0
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, float("nan")])
+    def test_loc_threshold_range(self, fig3a_geom, threshold):
+        params = PotentialParams(geom=fig3a_geom, m_orbital=0)
+        with pytest.raises(ValueError, match="loc_threshold"):
+            solve_sector(params, Discretization(n_points=64), loc_threshold=threshold)
+
 
 class TestSweep:
     def test_zero_field_m_degeneracy(self, fig3a_geom, disc1024):
