@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -167,6 +166,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             build()
         except (TypeError, ValueError) as exc:
             problems.append(str(exc))
+    if type(config.seed) is not int or config.seed < 0:
+        problems.append(f"seed must be a non-negative integer, got {config.seed!r}")
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
     return config
@@ -189,6 +190,21 @@ def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.nd
             raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
+
+
+def _check_count(value: int, arg: str, low: int, high: int | None = None) -> int:
+    """value if it lies in [low, high]; otherwise a ConfigError naming arg."""
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{arg} must be {bounds}, got {value}")
+    return value
+
+
+def _check_positive(value: float, arg: str) -> float:
+    """value if it is finite and positive; otherwise a ConfigError naming arg."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{arg} must be finite and positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -282,8 +298,9 @@ def cmd_potential(args, config: RunConfig) -> Output:
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
     units = UnitSystem.for_geometry(config.geometry())
+    levels = _check_count(args.levels, "--levels", 1, config.n_points)
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
-    spec = solve_sector(params, config.discretization(), k=args.levels,
+    spec = solve_sector(params, config.discretization(), k=levels,
                         loc_threshold=config.loc_threshold)
     files = {"spectrum.csv": _levels_csv([spec], units)}
     if args.dump_wavefunctions:
@@ -313,33 +330,10 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
         raise ConfigError(
             f"--m-list must be comma-separated integers, got {args.m_list!r}"
         ) from None
-    workers = int(os.environ.get("TORUSQUBIT_WORKERS", "1"))
-    disc = config.discretization()
-
-    if workers > 1:
-        # Field points are independent; merge preserves the input order so
-        # the output is identical to the serial path.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = list(pool.map(_sweep_single, [
-                (config, m_list, float(v), args.levels) for v in values
-            ]))
-        spectra = [spec for group in merged for spec in group]
-    else:
-        spectra = sweep_field(config.geometry(), m_list, values, disc,
-                              k=args.levels, loc_threshold=config.loc_threshold)
+    levels = _check_count(args.levels, "--levels", 1, config.n_points)
+    spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
+                          k=levels, loc_threshold=config.loc_threshold)
     return Output({"sweep_b.csv": _levels_csv(spectra, UnitSystem.for_geometry(config.geometry()))})
-
-
-def _sweep_single(packed):
-    config, m_list, value, levels = packed
-    disc = config.discretization()
-    out = []
-    for m in m_list:
-        params = PotentialParams(geom=config.geometry(), B=value, m_orbital=m)
-        out.append(solve_sector(params, disc, k=levels, loc_threshold=config.loc_threshold))
-    return out
 
 
 def cmd_window(args, config: RunConfig) -> Output:
@@ -382,6 +376,7 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
 
 
 def cmd_evolve(args, config: RunConfig) -> Output:
+    _check_count(args.samples, "--samples", 2)  # a trajectory has a start and an end
     qubit = config.qubit(config.B)
     omega_rabi = args.rabi if args.rabi is not None else rabi_frequency(qubit.mu_dipole, config.E0)
     duration = args.duration if args.duration is not None else math.pi / (2.0 * omega_rabi)
@@ -457,10 +452,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
 
 def cmd_fidelity(args, config: RunConfig) -> Output:
     deltas = parse_range(args.range, arg="--range")
-    b0 = args.B0 if args.B0 is not None else config.B
-    e0 = args.E0_ref if args.E0_ref is not None else config.E0
-    if b0 <= 0:
-        raise ConfigError("fidelity scan needs a positive reference B0 (set --B0 or preset fig5)")
+    b0 = _check_positive(args.B0 if args.B0 is not None else config.B, "--B0 (or --B)")
+    e0 = _check_positive(args.E0_ref if args.E0_ref is not None else config.E0, "--E0-ref (or --E0)")
+    _check_count(args.samples, "--samples", 1)
     seq, _, _ = _synthesize(args.gate, config.qubit(b0, e0), e0)
     window = None
     if args.check_window:
@@ -486,8 +480,9 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     else:
         grid = parse_range(args.b0_range, arg="--b0-range")
     b0 = args.B0 if args.B0 is not None else config.B
-    if args.sweep == "E0" and b0 <= 0:
-        raise ConfigError("mitigation sweep needs a positive reference B0")
+    if args.sweep == "E0":
+        _check_positive(b0, "--B0 (or --B)")
+    _check_count(args.samples, "--samples", 1)
     key = args.sweep
     rows = field_error_sweep(
         lambda qubit, e0: _synthesize(args.gate, qubit, e0)[0], config.qubit,

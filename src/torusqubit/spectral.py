@@ -2,10 +2,11 @@
 
 The tube-angle Hamiltonian H = -d^2/dtheta^2 + V(theta) (internal units) is
 discretized with central differences on a uniform periodic grid, giving a
-real symmetric matrix with cyclic corner entries.  Lowest eigenpairs per
-orbital sector are computed, classified as bound or ring-delocalized, and
-swept over the external magnetic field to locate the qubit initialization
-window (the field interval with exactly two bound m=0 states).
+sparse real symmetric matrix with cyclic corner entries.  Lowest eigenpairs
+per orbital sector are computed without forming a dense matrix, classified
+as bound or ring-delocalized, and swept over the external magnetic field to
+locate the qubit initialization window (the field interval with exactly two
+bound m=0 states).
 
 Bound classification uses both an energy criterion (below the barrier at
 theta=0) and a localization criterion (probability weight in the trapping
@@ -100,11 +101,11 @@ class Spectrum:
         return tuple(s for s in self.states if s.bound)
 
 
-def build_hamiltonian(params: PotentialParams, disc: Discretization) -> np.ndarray:
-    """Dense real symmetric Hamiltonian in internal units.
+def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_array:
+    """Sparse (CSR) real symmetric Hamiltonian in internal units.
 
     Kinetic part: -(d^2/dtheta^2) via central differences with periodic
-    wraparound; potential on the diagonal.
+    wraparound (the corner entries); potential on the diagonal.
     """
     n = disc.n_points
     h = disc.spacing
@@ -112,30 +113,26 @@ def build_hamiltonian(params: PotentialParams, disc: Discretization) -> np.ndarr
     if not np.all(np.isfinite(v)):
         raise ValueError("potential evaluated to non-finite values")
 
-    H = np.zeros((n, n))
-    idx = np.arange(n)
     if disc.stencil_order == 2:
-        H[idx, idx] = 2.0 / h**2
-        H[idx, (idx + 1) % n] += -1.0 / h**2
-        H[idx, (idx - 1) % n] += -1.0 / h**2
+        stencil = (2.0 / h**2, -1.0 / h**2)
     else:
         c = 1.0 / (12.0 * h**2)
-        H[idx, idx] = 30.0 * c
-        H[idx, (idx + 1) % n] += -16.0 * c
-        H[idx, (idx - 1) % n] += -16.0 * c
-        H[idx, (idx + 2) % n] += 1.0 * c
-        H[idx, (idx - 2) % n] += 1.0 * c
-    H[idx, idx] += v
-    return H
+        stencil = (30.0 * c, -16.0 * c, 1.0 * c)
+    offsets, diagonals = [0], [stencil[0] + v]
+    for d, coupling in enumerate(stencil[1:], start=1):
+        # neighbours at distance d: two bands plus their cyclic corners
+        offsets += [d, -d, n - d, d - n]
+        diagonals += [coupling] * 4
+    return sp.diags_array(diagonals, offsets=offsets, shape=(n, n), format="csr")
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector sign: largest-magnitude entry positive."""
+def _fix_signs(vectors: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Deterministic eigenvector sign: the largest-magnitude entry among
+    `rows` is positive."""
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
+    window = out[rows]
+    flip = window[np.argmax(np.abs(window), axis=0), np.arange(out.shape[1])] < 0
+    out[:, flip] *= -1.0
     return out
 
 
@@ -144,54 +141,60 @@ def _residuals(H, energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
-def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenvalues (ascending) with orthonormal eigenvectors.
+def lowest_eigenpairs(
+    matrix, k: int, shift: float | None = None, sign_rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenvalues (ascending) with orthonormal eigenvectors of a
+    real symmetric matrix, dense or sparse.
 
-    The contract is the residual bound ||H v - lambda v|| <= 1e-9 ||H||,
+    The contract is the residual bound ||H v - lambda v|| <= 1e-9 ||H||_inf,
     not a particular algorithm: small problems are solved densely, larger
-    ones by shift-invert Lanczos with a dense fallback.  Raises
-    EigensolverError carrying the worst residual if neither path converges.
+    ones by shift-invert Lanczos with a dense fallback.  Sparse input costs
+    O(nnz) outside the solve itself.  Raises EigensolverError carrying the
+    worst residual if neither path converges.
+
+    shift, if given, must lie strictly below the whole spectrum; it defaults
+    to a Gershgorin bound.  Lanczos converges faster the closer it lies to
+    the lowest level.  Each eigenvector's largest-magnitude entry among
+    sign_rows is positive.
     """
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    H = sp.csr_array(matrix)
+    n = H.shape[0]
+    if H.shape != (n, n):
         raise ValueError("matrix must be square")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if not np.allclose(matrix, matrix.T, rtol=0, atol=0):
+    if (H != H.T).nnz:
         raise ValueError("matrix must be exactly symmetric")
 
-    scale = np.abs(matrix).sum(axis=1).max()  # inf-norm bounds the 2-norm
-    tol = 1e-9 * scale
-
+    row_sums = abs(H).sum(axis=1)
+    tol = 1e-9 * float(row_sums.max())  # the inf-norm bounds the 2-norm
+    if shift is None:
+        diagonal = H.diagonal()
+        shift = float((diagonal - (row_sums - np.abs(diagonal))).min()) - 1.0
     energies = vectors = None
     if n > _DENSE_CUTOFF and k < n - 1:
         try:
-            sparse = sp.csr_matrix(matrix)
-            # Gershgorin lower bound puts sigma strictly below the whole
-            # spectrum, so shift-invert "LM" returns the k smallest pairs.
-            gershgorin = float(
-                (matrix.diagonal() - (np.abs(matrix).sum(axis=1) - np.abs(matrix.diagonal()))).min()
-            )
-            sigma = gershgorin - 1.0
+            # the shift lies below the whole spectrum, so shift-invert "LM"
+            # returns the k smallest pairs
             v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start for reproducibility
-            w, v = spla.eigsh(sparse, k=k, sigma=sigma, which="LM", v0=v0)
+            w, v = spla.eigsh(H, k=k, sigma=shift, which="LM", v0=v0)
             order = np.argsort(w)
             energies, vectors = w[order], v[:, order]
-            if _residuals(matrix, energies, vectors).max() > tol:
+            if _residuals(H, energies, vectors).max() > tol:
                 energies = vectors = None
         except (spla.ArpackError, RuntimeError):
             energies = vectors = None
 
     if energies is None:
-        w, v = sla.eigh(matrix, subset_by_index=(0, k - 1))
-        energies, vectors = w, v
+        energies, vectors = sla.eigh(H.toarray(), subset_by_index=(0, k - 1))
 
-    worst = float(_residuals(matrix, energies, vectors).max())
+    worst = float(_residuals(H, energies, vectors).max())
     if worst > tol:
         raise EigensolverError(
             f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
         )
-    return energies, _fix_signs(vectors)
+    return energies, _fix_signs(vectors, sign_rows)
 
 
 def classify_bound(
@@ -207,11 +210,26 @@ def solve_sector(
     k: int = 6,
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> Spectrum:
-    """Lowest-k spectrum of one orbital sector, with bound classification."""
+    """Lowest-k spectrum of one orbital sector, with bound classification.
+
+    The sparse operator goes to lowest_eigenpairs, whose dense branch runs
+    only for n <= 600 or k >= n - 1.  Each wavefunction's largest sample in
+    theta in (0, pi) is positive: odd states have |chi(theta)| =
+    |chi(-theta)|, so a rule over the whole ring would leave their sign to
+    roundoff.
+    """
     if not 0.0 < loc_threshold < 1.0:
         raise ValueError(f"loc_threshold must lie in (0, 1), got {loc_threshold!r}")
-    H = build_hamiltonian(params, disc)
-    energies, vectors = lowest_eigenpairs(H, k)
+    n = disc.n_points
+    shift = None  # Gershgorin's bound: min V - 1 for the second-order stencil
+    if disc.stencil_order == 4:
+        # Gershgorin's bound lies 1/(3 h^2) lower here, where Lanczos then
+        # needs minutes at n = 16384.  The kinetic part is positive
+        # semidefinite, so min V - 1 lies below the spectrum too.
+        shift = float(np.min(total_internal(disc.theta, params))) - 1.0
+    energies, vectors = lowest_eigenpairs(
+        build_hamiltonian(params, disc), k, shift=shift, sign_rows=slice(1, (n + 1) // 2)
+    )
     h = disc.spacing
     theta = disc.theta
     inner = (theta >= np.pi / 2) & (theta <= 3 * np.pi / 2)

@@ -103,6 +103,12 @@ class TestConfigHandling:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected_without_artifact(self, tmp_path, capsys):
+        code, out = run(["--preset", "fig5", "--seed", "-1", "fidelity"], tmp_path, "out")
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_result_writes_no_artifact(self, tmp_path, capsys):
         # the Rabi rate overflows to inf, which strict JSON cannot hold
         code, out = run(["--preset", "fig5", "--E0", "1e308", "qubit-params"], tmp_path, "out")
@@ -116,6 +122,15 @@ class TestConfigHandling:
         (["sweep-b", "--m-list", "0,a"], "--m-list"),
         (["gate", "--gate", "phase:abc"], "--gate"),
         (["gate", "--gate", "prep:1.2"], "--gate"),
+        (["spectrum", "--levels", "0"], "--levels"),
+        (["spectrum", "--levels", "-3"], "--levels"),
+        (["--n-points", "64", "spectrum", "--levels", "65"], "--levels"),
+        (["sweep-b", "--b-range", "0:0.1:2", "--levels", "0"], "--levels"),
+        (["evolve", "--samples", "0"], "--samples"),
+        (["fidelity", "--B0", "nan"], "--B0"),
+        (["fidelity", "--E0-ref", "nan"], "--E0-ref"),
+        (["fidelity", "--samples", "0"], "--samples"),
+        (["mitigate", "--samples", "0"], "--samples"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -300,13 +315,3 @@ class TestNewSurfaces:
         assert header == ["B0", "mean_infidelity", "max_infidelity"]
         means = [float(r[1]) for r in data]
         assert means[0] == pytest.approx(means[-1], rel=1e-9)
-
-    def test_sweep_b_parallel_workers_match_serial(self, tmp_path, monkeypatch):
-        args = ["--preset", "fig3a", "--n-points", "128", "sweep-b",
-                "--b-range", "0:0.2:3", "--m-list", "0", "--levels", "2"]
-        _, out_serial = run(args, tmp_path, "serial")
-        monkeypatch.setenv("TORUSQUBIT_WORKERS", "2")
-        _, out_parallel = run(args, tmp_path, "parallel")
-        assert (out_serial / "sweep_b.csv").read_bytes() == (
-            out_parallel / "sweep_b.csv"
-        ).read_bytes()

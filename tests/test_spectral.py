@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from torusqubit.model import UnitSystem
 from torusqubit.potential import PotentialParams, total_internal
@@ -23,7 +25,7 @@ ANGSTROM = 1e-10
 
 def _kinetic_only(params, disc):
     """Isolate the implemented kinetic stencil by subtracting the potential."""
-    H = build_hamiltonian(params, disc)
+    H = build_hamiltonian(params, disc).toarray()
     v = total_internal(disc.theta, params)
     return H - np.diag(v)
 
@@ -31,7 +33,7 @@ def _kinetic_only(params, disc):
 class TestBuildHamiltonian:
     def test_exact_symmetry(self, fig3a_geom, disc1024):
         params = PotentialParams(geom=fig3a_geom, B=0.45, m_orbital=1)
-        H = build_hamiltonian(params, disc1024)
+        H = build_hamiltonian(params, disc1024).toarray()
         assert np.abs(H - H.T).max() == 0.0
 
     def test_free_particle_spectrum_analytic(self, fig3a_geom):
@@ -107,9 +109,7 @@ class TestLowestEigenpairs:
         params = PotentialParams(geom=fig3a_geom, B=0.45)
         H = build_hamiltonian(params, disc1024)
         energies, vectors = lowest_eigenpairs(H, 6)
-        import scipy.linalg as sla
-
-        dense_e, _ = sla.eigh(H, subset_by_index=(0, 5))
+        dense_e, _ = sla.eigh(H.toarray(), subset_by_index=(0, 5))
         np.testing.assert_allclose(energies, dense_e, rtol=1e-11, atol=1e-11)
 
     def test_asymmetric_rejected(self):
@@ -229,7 +229,7 @@ class TestInvariants:
     def test_gauge_offset_invariance(self, fig3a_geom):
         disc = Discretization(256)
         params = PotentialParams(geom=fig3a_geom, B=0.45)
-        H = build_hamiltonian(params, disc)
+        H = build_hamiltonian(params, disc).toarray()
         c = 7.25
         energies, vectors = lowest_eigenpairs(H, 3)
         shifted_e, shifted_v = lowest_eigenpairs(H + c * np.eye(256), 3)
@@ -264,3 +264,111 @@ class TestElectricSweep:
     def test_unknown_field_rejected(self, fig3a_geom, disc1024):
         with pytest.raises(ValueError):
             sweep_field(fig3a_geom, [0], np.array([0.0, 1.0]), disc1024, field="Z")
+
+
+class TestStructuredSolve:
+    """solve_sector against a dense reference of the same operator."""
+
+    @staticmethod
+    def _check_against_dense(spec, params, disc):
+        H = build_hamiltonian(params, disc).toarray()
+        ref_e, ref_v = sla.eigh(H)
+        scale = np.abs(H).sum(axis=1).max()
+        energies = np.array([s.energy for s in spec.states])
+        np.testing.assert_allclose(energies, ref_e[: energies.size], rtol=0, atol=1e-12 * scale)
+        for state in spec.states:
+            # weight inside the reference eigenspace of that energy: the
+            # |overlap| for a simple level, the subspace norm for a cluster
+            near = np.abs(ref_e - state.energy) <= 1e-8 * scale
+            weight = np.sum((ref_v[:, near].T @ state.wavefunction) ** 2) * disc.spacing
+            assert weight == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [64, 65, 257])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("e_static", [0.0, 400.0])
+    @pytest.mark.parametrize("k", [1, 6, "n"])
+    def test_matches_dense_reference(self, fig3a_geom, n, order, e_static, k):
+        disc = Discretization(n, order)
+        params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=e_static, m_orbital=1)
+        spec = solve_sector(params, disc, k=n if k == "n" else k)
+        self._check_against_dense(spec, params, disc)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("e_static", [0.0, -300.0])
+    def test_sparse_shift_invert_matches_dense(self, fig3a_geom, order, e_static):
+        # n > 600 runs shift-invert Lanczos
+        disc = Discretization(1025, order)
+        params = PotentialParams(geom=fig3a_geom, B=0.2, E_static=e_static, m_orbital=0)
+        self._check_against_dense(solve_sector(params, disc), params, disc)
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_parity_at_zero_electric_field(self, fig3a_geom, n, order):
+        # without a static field H commutes with theta -> -theta, so a level
+        # a gap g away from every other level is a parity eigenstate to
+        # within about eps ||H|| / g; the near-degenerate ring doublets mix
+        # at that level, the isolated bound states are parity-exact
+        disc = Discretization(n, order)
+        params = PotentialParams(geom=fig3a_geom, B=0.45)
+        spec = solve_sector(params, disc, k=9)
+        scale = np.abs(build_hamiltonian(params, disc)).sum(axis=1).max()
+        energies = np.array([s.energy for s in spec.states])
+        mirror = (-np.arange(n)) % n
+        parities = set()
+        # the last level's nearest neighbour may lie above the k computed
+        for i, state in enumerate(spec.states[:-1]):
+            psi = state.wavefunction / np.abs(state.wavefunction).max()
+            even = np.abs(psi[mirror] - psi).max()
+            odd = np.abs(psi[mirror] + psi).max()
+            gap = np.delete(np.abs(energies - energies[i]), i).min()
+            assert min(even, odd) <= np.finfo(float).eps * scale / gap
+            if state.bound:
+                assert min(even, odd) <= 1e-12
+            parities.add(even < odd)
+        assert parities == {True, False}
+
+    @pytest.mark.parametrize("e_static", [0.0, 200.0])
+    def test_sign_rule_and_repeatability(self, fig3a_geom, disc1024, e_static):
+        params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=e_static)
+        first = solve_sector(params, disc1024, k=6)
+        again = solve_sector(params, disc1024, k=6)
+        upper = slice(1, disc1024.n_points // 2)  # theta in (0, pi)
+        for state, repeat in zip(first.states, again.states):
+            psi = state.wavefunction
+            assert psi[upper][np.argmax(np.abs(psi[upper]))] > 0
+            assert psi.tobytes() == repeat.wavefunction.tobytes()
+        if e_static == 0.0:  # the rule must cover odd states, where psi(0) = 0
+            assert any(
+                abs(state.wavefunction[0]) < 1e-9 * np.abs(state.wavefunction).max()
+                for state in first.states
+            )
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_large_grid_memory(self, fig3a_geom, order):
+        # a dense operator at this size would need 2 GiB
+        params = PotentialParams(geom=fig3a_geom, B=0.45)
+        tracemalloc.start()
+        try:
+            spec = solve_sector(params, Discretization(16384, order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert spec.n_bound == 2
+
+    def test_k_range(self, fig3a_geom):
+        params = PotentialParams(geom=fig3a_geom)
+        for k in (0, 65):
+            with pytest.raises(ValueError, match="1 <= k <= 64"):
+                solve_sector(params, Discretization(64), k=k)
+
+    def test_residual_contract_enforced(self, fig3a_geom, monkeypatch):
+        def shifted_eigh(matrix, subset_by_index):
+            energies, vectors = np.linalg.eigh(matrix)
+            k = subset_by_index[1] + 1
+            return energies[:k], np.roll(vectors[:, :k], 1, axis=0)
+
+        monkeypatch.setattr("torusqubit.spectral.sla.eigh", shifted_eigh)
+        with pytest.raises(EigensolverError, match="exceeds contract") as info:
+            solve_sector(PotentialParams(geom=fig3a_geom), Discretization(64), k=2)
+        assert info.value.residual > 0.0
