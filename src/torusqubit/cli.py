@@ -29,7 +29,6 @@ from . import __version__
 from .control import (
     GateSpec,
     PulseSequence,
-    apply_sequence,
     gate_unitary,
     hadamard_sequence,
     phase_gate_sequence,
@@ -38,6 +37,7 @@ from .control import (
     target_state,
 )
 from .dynamics import (
+    TOL_RANGE,
     PulseSpec,
     QuantumState,
     bloch,
@@ -418,14 +418,16 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 
 
 def cmd_gate(args, config: RunConfig) -> Output:
+    low, high = TOL_RANGE
+    if not low <= args.tol <= high:
+        raise ConfigError(f"--tol must lie in [{low:g}, {high:g}], got {args.tol!r}")
     qubit = config.qubit(config.B)
     seq, ideal, target = _synthesize(args.gate, qubit, config.E0)
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
     if ideal is not None:
         fidelity = phase_insensitive_fidelity(ideal.ideal_matrix, unitary)
     else:
-        prepared = apply_sequence(QuantumState.ground(), seq, qubit, mode=args.mode, tol=args.tol)
-        fidelity = target.fidelity(prepared)
+        fidelity = target.fidelity(QuantumState(unitary[:, 0]))  # U|0>
     leakage = None
     if args.leakage:
         drive = FieldConfig(
@@ -433,7 +435,7 @@ def cmd_gate(args, config: RunConfig) -> Output:
             omega_rf=qubit.omega - (seq.pulses[0].detuning_Delta if seq.pulses else 0.0),
             phi=seq.pulses[0].phase_phi if seq.pulses else 0.0,
         )
-        leakage = leakage_probe(qubit, drive, seq.total_duration)
+        leakage = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
     payload = {
         "gate": args.gate,
         "mode": args.mode,

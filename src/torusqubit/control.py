@@ -26,8 +26,7 @@ from .dynamics import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    evolve_labframe,
-    rotating_frame,
+    labframe_unitary,
     rwa_unitary,
 )
 from .model import FieldConfig
@@ -202,21 +201,16 @@ def _labframe_segment_unitary(
     """Lab-frame propagator of one segment, rotated into its drive frame.
 
     The segment's drive runs at omega_rf = omega - Delta with the segment
-    clock starting at zero; integrating both basis states and applying
-    R(t) = exp(i omega_rf t sigma_+ sigma_-) yields the unitary comparable
-    with the segment's RWA propagator.
+    clock starting at zero; applying R(t) = exp(i omega_rf t sigma_+ sigma_-)
+    to the lab-frame propagator yields the unitary comparable with the
+    segment's RWA propagator.
     """
     omega_rf = qubit.omega - pulse.detuning_Delta
     e0 = pulse.rabi_Omega / rabi_frequency(qubit.mu_dipole, 1.0) if pulse.rabi_Omega else 0.0
     config = FieldConfig(B=qubit.B, E0=e0, omega_rf=omega_rf, phi=pulse.phase_phi)
-    columns = []
-    for basis_index in (0, 1):
-        amp = np.zeros(2, dtype=complex)
-        amp[basis_index] = 1.0
-        out = evolve_labframe(QuantumState(amp), qubit, config, pulse.duration, tol=tol)
-        out = rotating_frame(out, omega_rf, pulse.duration)
-        columns.append(out.amplitudes)
-    return np.column_stack(columns)
+    unitary = labframe_unitary(qubit, config, pulse.duration, tol=tol)
+    unitary[1] *= np.exp(1j * omega_rf * pulse.duration)
+    return unitary
 
 
 def gate_unitary(

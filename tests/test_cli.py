@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from torusqubit import cli
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 
 
@@ -131,6 +136,9 @@ class TestConfigHandling:
         (["fidelity", "--E0-ref", "nan"], "--E0-ref"),
         (["fidelity", "--samples", "0"], "--samples"),
         (["mitigate", "--samples", "0"], "--samples"),
+        (["gate", "--mode", "labframe", "--tol", "1e-3"], "--tol"),
+        (["gate", "--tol", "5", "--leakage"], "--tol"),
+        (["gate", "--tol", "nan"], "--tol"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -292,6 +300,28 @@ class TestReproducibility:
 
 
 class TestNewSurfaces:
+    def test_gate_tol_reaches_leakage_probe(self, tmp_path, monkeypatch):
+        seen = []
+
+        def probe(*args, tol, **kwargs):
+            seen.append(tol)
+            return 0.0
+
+        monkeypatch.setattr(cli, "leakage_probe", probe)
+        code, _ = run(["--preset", "fig5", "gate", "--gate", "prep:1.2,0.7", "--leakage",
+                       "--tol", "1e-10"], tmp_path)
+        assert code == 0
+        assert seen == [1e-10]
+
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate is imported at the first lab-frame integration only
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, torusqubit.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_evolve_three_level(self, tmp_path):
         code, out = run(
             ["--preset", "fig5", "evolve", "--three-level", "--samples", "25"], tmp_path

@@ -21,6 +21,8 @@ from torusqubit.dynamics import PulseSpec, QuantumState, bloch
 from torusqubit.model import HBAR
 from torusqubit.reduction import rabi_frequency
 
+from test_dynamics import _count_rhs_evals
+
 
 class TestGateSpec:
     def test_hadamard_matrix(self):
@@ -119,6 +121,15 @@ class TestHadamard:
     def test_unknown_style_rejected(self, fig5_qubit):
         with pytest.raises(ValueError):
             hadamard_sequence(fig5_qubit, 100.0, style="fancy")
+
+    def test_labframe_cost_independent_of_gate_length(self, fig5_qubit, monkeypatch):
+        # E0 = 10 V/m drives ten times as many cycles as 100 V/m (~382 vs ~38)
+        evals = _count_rhs_evals(monkeypatch)
+        for e0 in (100.0, 10.0):
+            gate_unitary(hadamard_sequence(fig5_qubit, e0), fig5_qubit, mode="labframe")
+        assert len(evals) == 2  # one matrix solve per segment
+        short, long = evals
+        assert long < 2 * short
 
 
 class TestPhaseGate:

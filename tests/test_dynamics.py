@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.linalg import expm
 
+from torusqubit import dynamics
 from torusqubit.model import HBAR, FieldConfig
+from torusqubit.reduction import rabi_frequency
 from torusqubit.dynamics import (
     BlochPoint,
     PulseSpec,
@@ -12,6 +16,7 @@ from torusqubit.dynamics import (
     bloch,
     evolve_labframe,
     evolve_rwa,
+    ladder_trajectory,
     leakage_probe,
     rotating_frame,
     rwa_unitary,
@@ -222,3 +227,113 @@ class TestLadderTrajectory:
         _, amplitudes = ladder_trajectory(fig5_qubit, field, t, 400, tol=1e-10)
         direct = leakage_probe(fig5_qubit, field, t, tol=1e-10)
         assert float(np.max(np.abs(amplitudes[:, 2]) ** 2)) == pytest.approx(direct, rel=1e-6)
+
+
+def _direct_states(hamiltonian, psi0, times):
+    """Reference: one tight DOP853 state solve straight through every cycle."""
+    sol = scipy_solve_ivp(
+        lambda time, psi: -1j / HBAR * (hamiltonian(time) @ psi),
+        (0.0, times[-1]), np.asarray(psi0, dtype=complex),
+        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times,
+    )
+    assert sol.success
+    return sol.y.T
+
+
+def _two_level(qubit, field):
+    """H_dv(t) typed from the module docstring, with hbar*Omega = mu*E0."""
+    h0 = HBAR * qubit.omega * np.diag([0.0, 1.0])
+    hx = qubit.mu_dipole * field.E0 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return lambda time: h0 + math.cos(field.omega_rf * time + field.phi) * hx
+
+
+def _three_level(qubit, field):
+    """The anharmonic ladder of leakage_probe's docstring."""
+    s = qubit.zero_point_spread
+    x = np.diag([1.0, math.sqrt(2.0)], 1)
+    x = x + x.T
+    x3 = 3.0 * np.diag([1.0, 2.0 * math.sqrt(2.0)], 1)
+    x3 = x3 + x3.T
+    omega = HBAR * qubit.omega
+    h0 = np.diag([0.0, omega, 2.0 * omega + 12.0 * qubit.alpha_anh])
+    coupling = qubit.mu_dipole / (s - s**3 / 6.0) * field.E0 * (s * x - s**3 / 6.0 * x3)
+    return lambda time: h0 + math.cos(field.omega_rf * time + field.phi) * coupling
+
+
+def _count_rhs_evals(monkeypatch):
+    """Route dynamics.solve_ivp through a counter of right-hand-side calls."""
+    evals = []
+    real = dynamics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        evals.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    return evals
+
+
+class TestPeriodPropagator:
+    def test_matches_direct_solve_over_many_cycles(self, fig5_qubit):
+        omega_rabi, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        field = dataclasses.replace(field, phi=0.7)
+        t = math.pi / (math.sqrt(2.0) * omega_rabi)
+        assert 30 < t * field.omega_rf / (2 * math.pi) < 40
+        state = QuantumState.of(0.6, 0.8j)
+        out = evolve_labframe(state, fig5_qubit, field, t, tol=1e-10)
+        ref = _direct_states(_two_level(fig5_qubit, field), state.amplitudes, [t])[-1]
+        assert np.abs(out.amplitudes - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("cycles", [0.37, 1.0, 3.0, 7.25])
+    def test_partial_and_whole_periods(self, fig5_qubit, cycles):
+        _, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        t = cycles * 2 * math.pi / field.omega_rf
+        state = QuantumState.of(0.6, 0.8j)
+        out = evolve_labframe(state, fig5_qubit, field, t, tol=1e-10)
+        ref = _direct_states(_two_level(fig5_qubit, field), state.amplitudes, [t])[-1]
+        assert np.abs(out.amplitudes - ref).max() <= 1e-9
+
+    def test_zero_duration_is_identity(self, fig5_qubit):
+        _, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        state = QuantumState.of(0.6, 0.8j)
+        out = evolve_labframe(state, fig5_qubit, field, 0.0)
+        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+
+    def test_static_drive_matches_matrix_exponential(self, fig5_qubit):
+        # omega_rf = 0: H is constant, so U(t) = exp(-i H t / hbar)
+        field = FieldConfig(B=0.45, E0=100.0, omega_rf=0.0, phi=0.4)
+        t = 5.0 / fig5_qubit.omega
+        out = evolve_labframe(QuantumState.ground(), fig5_qubit, field, t, tol=1e-10)
+        ref = expm(-1j * _two_level(fig5_qubit, field)(0.0) * t / HBAR)[:, 0]
+        assert np.abs(out.amplitudes - ref).max() <= 1e-9
+
+    def test_warns_when_rtol_floor_cannot_meet_tol(self, fig5_qubit):
+        # 50 cycles at DOP853's rtol floor 3e-14 guarantee ~1.5e-12 only
+        _, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        t = 50.5 * 2 * math.pi / field.omega_rf
+        with pytest.warns(RuntimeWarning, match="rtol floor"):
+            evolve_labframe(QuantumState.ground(), fig5_qubit, field, t, tol=1e-12)
+
+    def test_ladder_matches_direct_t_eval_solve(self, fig5_qubit):
+        field = FieldConfig(B=0.45, E0=100.0, omega_rf=fig5_qubit.omega, phi=0.3)
+        t = math.pi / (2 * rabi_frequency(fig5_qubit.mu_dipole, field.E0))
+        times, amplitudes = ladder_trajectory(fig5_qubit, field, t, 60, tol=1e-10)
+        ref = _direct_states(_three_level(fig5_qubit, field), [1.0, 0.0, 0.0], times)
+        assert np.abs(amplitudes - ref).max() <= 1e-9
+
+    def test_ladder_cost_independent_of_cycles(self, fig5_qubit, monkeypatch):
+        evals = _count_rhs_evals(monkeypatch)
+        _, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        period = 2 * math.pi / field.omega_rf
+        for cycles in (20, 200):
+            ladder_trajectory(fig5_qubit, field, (cycles + 0.5) * period, 40)
+        short, long = evals
+        assert long < 2 * short
+
+    def test_ladder_domain(self, fig5_qubit):
+        field = FieldConfig(B=0.45, E0=100.0, omega_rf=fig5_qubit.omega, phi=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            ladder_trajectory(fig5_qubit, field, 1e-10, 10, tol=1e-3)
+        with pytest.raises(ValueError, match="non-negative"):
+            ladder_trajectory(fig5_qubit, field, -1e-10, 10)
