@@ -5,9 +5,7 @@ a driven two-level system, gate synthesis, and systematic-error analysis."""
 __version__ = "0.1.0"
 
 from .model import (
-    CONSTANTS,
     FieldConfig,
-    PhysicalConstants,
     TorusGeometry,
     UnitSystem,
     energy_scale_of,
@@ -39,6 +37,7 @@ from .dynamics import (
     PulseSpec,
     QuantumState,
     bloch,
+    drive_field,
     evolve_labframe,
     evolve_rwa,
     ladder_trajectory,
@@ -64,7 +63,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CONSTANTS",
     "BlochPoint",
     "BoundState",
     "Discretization",
@@ -73,7 +71,6 @@ __all__ = [
     "GateSpec",
     "InfidelityReport",
     "OscillatorCoefficients",
-    "PhysicalConstants",
     "PotentialParams",
     "PotentialProfile",
     "PulseSequence",
@@ -89,6 +86,7 @@ __all__ = [
     "coefficients_for",
     "coefficients_numerical",
     "coefficients_closed_form",
+    "drive_field",
     "effective_dipole",
     "energy_scale_of",
     "evolve_labframe",

@@ -41,12 +41,13 @@ from .dynamics import (
     PulseSpec,
     QuantumState,
     bloch,
-    evolve_rwa,
+    drive_field,
     ladder_trajectory,
     leakage_probe,
+    trajectory,
 )
 from .errors import ErrorModel, average_gate_infidelity, field_error_sweep
-from .model import HBAR, FieldConfig, TorusGeometry, UnitSystem
+from .model import FieldConfig, TorusGeometry, UnitSystem
 from .potential import PotentialParams, sample_profile
 from .reduction import (
     NUMERICAL_TAYLOR,
@@ -77,21 +78,6 @@ PRESETS = {
     },
 }
 
-_CONFIG_KEYS = {
-    "preset",
-    "r_minor",
-    "R_major",
-    "mass_ratio",
-    "B",
-    "E0",
-    "n_points",
-    "stencil_order",
-    "seed",
-    "source",
-    "loc_threshold",
-}
-
-
 @dataclass
 class RunConfig:
     """Resolved run configuration shared by all subcommands."""
@@ -119,6 +105,10 @@ class RunConfig:
         return qubit_for(self.geometry(), B, self.source)
 
 
+_CONFIG_KEYS = {"preset", *(field.name for field in dataclasses.fields(RunConfig))}
+_FLAG_DESTS = {"r_minor": "r", "R_major": "R"}  # flags not named after their key
+
+
 class ConfigError(ValueError):
     pass
 
@@ -142,21 +132,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         merged = {**PRESETS[preset], **merged}
 
-    for key, flag in [
-        ("r_minor", "r"),
-        ("R_major", "R"),
-        ("mass_ratio", "mass_ratio"),
-        ("B", "B"),
-        ("E0", "E0"),
-        ("n_points", "n_points"),
-        ("stencil_order", "stencil_order"),
-        ("seed", "seed"),
-        ("source", "source"),
-        ("loc_threshold", "loc_threshold"),
-    ]:
-        value = getattr(args, flag, None)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, _FLAG_DESTS.get(field.name, field.name), None)
         if value is not None:
-            merged[key] = value
+            merged[field.name] = value
 
     config = RunConfig(**merged)
     problems = []
@@ -197,6 +176,14 @@ def _check_count(value: int, arg: str, low: int, high: int | None = None) -> int
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"{arg} must be {bounds}, got {value}")
+    return value
+
+
+def _check_finite(value: float, arg: str, low: float = -math.inf) -> float:
+    """value if it is finite and >= low; otherwise a ConfigError naming arg."""
+    if not (math.isfinite(value) and value >= low):
+        bound = "" if low == -math.inf else f" and >= {low:g}"
+        raise ConfigError(f"{arg} must be finite{bound}, got {value!r}")
     return value
 
 
@@ -377,42 +364,31 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
 
 def cmd_evolve(args, config: RunConfig) -> Output:
     _check_count(args.samples, "--samples", 2)  # a trajectory has a start and an end
+    _check_finite(args.detuning, "--detuning")
+    _check_finite(args.phase, "--phase")
     qubit = config.qubit(config.B)
-    omega_rabi = args.rabi if args.rabi is not None else rabi_frequency(qubit.mu_dipole, config.E0)
-    duration = args.duration if args.duration is not None else math.pi / (2.0 * omega_rabi)
-    pulse = PulseSpec(
-        rabi_Omega=omega_rabi,
-        detuning_Delta=args.detuning,
-        phase_phi=args.phase,
-        duration=duration,
-    )
-    if args.three_level:
-        # full lab-frame ladder: Bloch coordinates of the qubit-subspace
-        # projection plus the raw three populations
-        field = FieldConfig(
-            B=config.B, E0=omega_rabi * HBAR / qubit.mu_dipole,
-            omega_rf=qubit.omega - args.detuning, phi=args.phase,
-        )
-        times, amplitudes = ladder_trajectory(qubit, field, duration, args.samples)
-        lines = ["# t in s", "t,x,y,z,p0,p1,p2"]
-        for time, amp in zip(times, amplitudes):
-            p0, p1, p2 = (float(abs(a) ** 2) for a in amp)
-            weight = math.sqrt(p0 + p1) or 1.0
-            qubit_part = QuantumState(np.array([amp[0], amp[1]]) / weight)
-            point = bloch(qubit_part)
-            lines.append(
-                f"{float(time)!r},{point.x!r},{point.y!r},{point.z!r},"
-                f"{p0!r},{p1!r},{p2!r}"
-            )
+    if args.rabi is None:
+        omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
     else:
-        lines = ["# t in s", "t,x,y,z,p0,p1"]
-        state = QuantumState.ground()
-        for time in np.linspace(0.0, pulse.duration, args.samples):
-            partial = PulseSpec(pulse.rabi_Omega, pulse.detuning_Delta, pulse.phase_phi, float(time))
-            evolved = evolve_rwa(state, partial)
-            point = bloch(evolved)
-            p0, p1 = (float(p) for p in evolved.populations())
-            lines.append(f"{float(time)!r},{point.x!r},{point.y!r},{point.z!r},{p0!r},{p1!r}")
+        omega_rabi = _check_finite(args.rabi, "--rabi")
+    if args.duration is None:
+        duration = math.pi / (2.0 * _check_positive(omega_rabi, "--rabi (or --E0)"))
+    else:
+        duration = _check_finite(args.duration, "--duration", low=0.0)
+    pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
+    if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
+        times, amplitudes = ladder_trajectory(qubit, drive_field(pulse, qubit), duration, args.samples)
+    else:
+        times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
+    populations = np.abs(amplitudes) ** 2
+    lines = ["# t in s", "t,x,y,z," + ",".join(f"p{i}" for i in range(populations.shape[1]))]
+    for time, amp, pops in zip(times, amplitudes, populations):
+        # Bloch point of the normalized projection onto the qubit subspace.
+        # A two-level state is its own projection; it is not divided by its
+        # norm, which differs from 1 by roundoff.
+        projection = amp[:2] / math.sqrt(pops[0] + pops[1]) if amp.size == 3 else amp
+        point = bloch(QuantumState(projection))
+        lines.append(",".join(repr(float(v)) for v in (time, point.x, point.y, point.z, *pops)))
     return Output({"trajectory.csv": "\n".join(lines) + "\n"},
                   {"pulse": dataclasses.asdict(pulse)})
 
@@ -428,14 +404,6 @@ def cmd_gate(args, config: RunConfig) -> Output:
         fidelity = phase_insensitive_fidelity(ideal.ideal_matrix, unitary)
     else:
         fidelity = target.fidelity(QuantumState(unitary[:, 0]))  # U|0>
-    leakage = None
-    if args.leakage:
-        drive = FieldConfig(
-            B=config.B, E0=config.E0,
-            omega_rf=qubit.omega - (seq.pulses[0].detuning_Delta if seq.pulses else 0.0),
-            phi=seq.pulses[0].phase_phi if seq.pulses else 0.0,
-        )
-        leakage = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
     payload = {
         "gate": args.gate,
         "mode": args.mode,
@@ -446,8 +414,11 @@ def cmd_gate(args, config: RunConfig) -> Output:
         "unitary": [[[value.real, value.imag] for value in row] for row in unitary],
         "fidelity_to_ideal": fidelity,
     }
-    if leakage is not None:
-        payload["max_leakage"] = leakage
+    if args.leakage:  # a sequence without pulses (a virtual phase gate) drives nothing
+        payload["max_leakage"] = 0.0
+        if seq.pulses:
+            drive = drive_field(seq.pulses[0], qubit)
+            payload["max_leakage"] = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
     print(f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
     return Output({"gate.json": _json_dumps(payload)})
 

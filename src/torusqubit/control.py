@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    QuantumState,
-    PulseSpec,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    labframe_unitary,
-    rwa_unitary,
-)
-from .model import FieldConfig
+from .dynamics import QuantumState, PulseSpec, drive_field, labframe_unitary, rwa_unitary
 from .reduction import QubitParameters, rabi_frequency
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -71,16 +62,6 @@ class GateSpec:
     @classmethod
     def phase_gate(cls, eta: float) -> "GateSpec":
         return cls(f"PhaseGate({eta:g})", np.diag([1.0, cmath.exp(1j * eta)]))
-
-    @classmethod
-    def rotation(cls, axis: str, angle: float) -> "GateSpec":
-        sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
-        mat = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * sigma
-        return cls(f"Rotation({axis},{angle:g})", mat)
-
-    @classmethod
-    def identity(cls) -> "GateSpec":
-        return cls("Identity", np.eye(2, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -200,28 +181,31 @@ def _labframe_segment_unitary(
 ) -> np.ndarray:
     """Lab-frame propagator of one segment, rotated into its drive frame.
 
-    The segment's drive runs at omega_rf = omega - Delta with the segment
-    clock starting at zero; applying R(t) = exp(i omega_rf t sigma_+ sigma_-)
-    to the lab-frame propagator yields the unitary comparable with the
-    segment's RWA propagator.
+    The segment's drive (dynamics.drive_field) runs at omega_rf = omega -
+    Delta with the segment clock starting at zero; applying R(t) =
+    exp(i omega_rf t sigma_+ sigma_-) to the lab-frame propagator yields the
+    unitary comparable with the segment's RWA propagator.
     """
-    omega_rf = qubit.omega - pulse.detuning_Delta
-    e0 = pulse.rabi_Omega / rabi_frequency(qubit.mu_dipole, 1.0) if pulse.rabi_Omega else 0.0
-    config = FieldConfig(B=qubit.B, E0=e0, omega_rf=omega_rf, phi=pulse.phase_phi)
-    unitary = labframe_unitary(qubit, config, pulse.duration, tol=tol)
-    unitary[1] *= np.exp(1j * omega_rf * pulse.duration)
+    field = drive_field(pulse, qubit)
+    unitary = labframe_unitary(qubit, field, pulse.duration, tol=tol)
+    unitary[1] *= np.exp(1j * field.omega_rf * pulse.duration)
     return unitary
 
 
 def gate_unitary(
     seq: PulseSequence,
-    qubit: QubitParameters,
+    qubit: QubitParameters | None,
     mode: str = "rwa",
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Composed evolution operator of a sequence, including the frame phase."""
+    """Composed evolution operator of a sequence, including the frame phase.
+
+    RWA mode needs no qubit context (qubit may be None); lab-frame mode does.
+    """
     if mode not in ("rwa", "labframe"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "labframe" and qubit is None:
+        raise ValueError("labframe mode requires qubit parameters")
     unitary = np.eye(2, dtype=complex)
     for pulse in seq.pulses:
         if mode == "rwa":
@@ -234,15 +218,12 @@ def gate_unitary(
     return unitary
 
 
-def apply_sequence(state: QuantumState, seq: PulseSequence, qubit: QubitParameters | None = None, mode: str = "rwa", tol: float = 1e-9) -> QuantumState:
-    """Evolve a state through a sequence (RWA mode needs no qubit context)."""
-    if mode == "rwa":
-        amp = state.amplitudes
-        for pulse in seq.pulses:
-            amp = rwa_unitary(pulse) @ amp
-        if seq.frame_phase:
-            amp = np.array([amp[0], cmath.exp(1j * seq.frame_phase) * amp[1]])
-        return QuantumState(amp)
-    if qubit is None:
-        raise ValueError("labframe mode requires qubit parameters")
+def apply_sequence(
+    state: QuantumState,
+    seq: PulseSequence,
+    qubit: QubitParameters | None = None,
+    mode: str = "rwa",
+    tol: float = 1e-9,
+) -> QuantumState:
+    """Evolve a two-level state through a sequence by its gate_unitary."""
     return QuantumState(gate_unitary(seq, qubit, mode=mode, tol=tol) @ state.amplitudes)

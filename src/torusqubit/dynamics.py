@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -243,6 +243,18 @@ def _drive_propagators(
     return on_grid[np.searchsorted(grid, rests)] @ _matrix_powers(on_grid[-1], cycles)
 
 
+def drive_field(pulse: PulseSpec, qubit: QubitParameters) -> FieldConfig:
+    """The lab-frame drive that realizes a rotating-frame pulse on a qubit.
+
+    Its amplitude gives the Rabi rate Omega, E0 = Omega / rabi_frequency(mu, 1);
+    it oscillates at omega_rf = omega - Delta with the pulse's phase.
+    """
+    e0 = pulse.rabi_Omega / rabi_frequency(qubit.mu_dipole, 1.0) if pulse.rabi_Omega else 0.0
+    return FieldConfig(
+        B=qubit.B, E0=e0, omega_rf=qubit.omega - pulse.detuning_Delta, phi=pulse.phase_phi
+    )
+
+
 def labframe_unitary(
     qubit: QubitParameters, field: FieldConfig, t: float, tol: float = 1e-9
 ) -> np.ndarray:
@@ -361,17 +373,16 @@ def bloch(state: QuantumState) -> BlochPoint:
     )
 
 
-def trajectory(state: QuantumState, pulse: PulseSpec, n_samples: int) -> list[BlochPoint]:
-    """Bloch-sphere samples of the RWA evolution at n uniform times."""
+def trajectory(
+    state: QuantumState, pulse: PulseSpec, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and two-level amplitudes of the RWA evolution at n uniform times.
+
+    Same shape as ladder_trajectory: one row of amplitudes per sample time.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    points = []
-    for time in np.linspace(0.0, pulse.duration, n_samples):
-        partial = PulseSpec(
-            rabi_Omega=pulse.rabi_Omega,
-            detuning_Delta=pulse.detuning_Delta,
-            phase_phi=pulse.phase_phi,
-            duration=float(time),
-        )
-        points.append(bloch(evolve_rwa(state, partial)))
-    return points
+    times = np.linspace(0.0, pulse.duration, n_samples)
+    amplitudes = [evolve_rwa(state, replace(pulse, duration=float(time))).amplitudes
+                  for time in times]
+    return times, np.array(amplitudes)

@@ -22,24 +22,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used by the model, all strictly positive."""
-
-    hbar: float = HBAR
-    electron_charge: float = E_CHARGE
-    electron_rest_mass: float = ELECTRON_MASS
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "electron_charge", "electron_rest_mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive")
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class TorusGeometry:
     """Nanotorus geometry: minor radius, major radius, effective-mass ratio.
 

@@ -20,7 +20,7 @@ refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -197,13 +197,6 @@ def lowest_eigenpairs(
     return energies, _fix_signs(vectors, sign_rows)
 
 
-def classify_bound(
-    state: BoundState, barrier_energy: float, loc_threshold: float = DEFAULT_LOC_THRESHOLD
-) -> bool:
-    """Bound iff below the theta=0 barrier and localized in the trapping sector."""
-    return bool(state.energy < barrier_energy and state.localization >= loc_threshold)
-
-
 def solve_sector(
     params: PotentialParams,
     disc: Discretization,
@@ -237,17 +230,17 @@ def solve_sector(
 
     states = []
     for i in range(k):
-        chi = vectors[:, i] / math.sqrt(h)
+        energy = float(energies[i])
         loc = float(np.sum(vectors[inner, i] ** 2))
-        st = BoundState(
+        states.append(BoundState(
             m_orbital=params.m_orbital,
             level_index=i,
-            energy=float(energies[i]),
-            wavefunction=chi,
+            energy=energy,
+            wavefunction=vectors[:, i] / math.sqrt(h),
             localization=loc,
-            bound=False,
-        )
-        states.append(replace(st, bound=classify_bound(st, barrier, loc_threshold)))
+            # bound: below the theta=0 barrier and localized in the trapping sector
+            bound=energy < barrier and loc >= loc_threshold,
+        ))
     return Spectrum(params=params, states=tuple(states), barrier_energy=barrier)
 
 
@@ -291,20 +284,6 @@ def sweep_field(
     return spectra
 
 
-def count_bound_m0(
-    geom: TorusGeometry,
-    B: float,
-    disc: Discretization,
-    k: int = 6,
-    loc_threshold: float = DEFAULT_LOC_THRESHOLD,
-) -> int:
-    """Number of bound states in the m=0 sector at field B."""
-    spec = solve_sector(
-        PotentialParams(geom=geom, B=B, m_orbital=0), disc, k=k, loc_threshold=loc_threshold
-    )
-    return spec.n_bound
-
-
 def initialization_window(
     geom: TorusGeometry,
     disc: Discretization,
@@ -321,7 +300,9 @@ def initialization_window(
     """
 
     def count(B: float) -> int:
-        return count_bound_m0(geom, B, disc, loc_threshold=loc_threshold)
+        """Number of bound states in the m=0 sector at field B."""
+        params = PotentialParams(geom=geom, B=B, m_orbital=0)
+        return solve_sector(params, disc, loc_threshold=loc_threshold).n_bound
 
     grid = np.linspace(0.0, B_scan_max, n_coarse)
     counts = [count(float(B)) for B in grid]

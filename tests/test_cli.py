@@ -139,6 +139,13 @@ class TestConfigHandling:
         (["gate", "--mode", "labframe", "--tol", "1e-3"], "--tol"),
         (["gate", "--tol", "5", "--leakage"], "--tol"),
         (["gate", "--tol", "nan"], "--tol"),
+        (["evolve", "--rabi", "0"], "--rabi (or --E0)"),
+        (["--E0", "0", "evolve"], "--rabi (or --E0)"),
+        (["evolve", "--rabi", "nan"], "--rabi"),
+        (["evolve", "--detuning", "inf"], "--detuning"),
+        (["evolve", "--phase", "nan"], "--phase"),
+        (["evolve", "--duration", "nan"], "--duration"),
+        (["evolve", "--duration=-1e-9"], "--duration"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -312,6 +319,16 @@ class TestNewSurfaces:
                        "--tol", "1e-10"], tmp_path)
         assert code == 0
         assert seen == [1e-10]
+
+    def test_phase_gate_leakage_needs_no_probe(self, tmp_path, monkeypatch):
+        # a virtual phase gate has no pulse, so nothing can leak
+        def probe(*args, **kwargs):
+            raise AssertionError("leakage_probe called for a pulse-free sequence")
+
+        monkeypatch.setattr(cli, "leakage_probe", probe)
+        code, out = run(["--preset", "fig5", "gate", "--gate", "phase:1.0", "--leakage"], tmp_path)
+        assert code == 0
+        assert '"max_leakage": 0.0' in (out / "gate.json").read_text()
 
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
         # scipy.integrate is imported at the first lab-frame integration only

@@ -190,6 +190,22 @@ class TestGateUnitary:
         with pytest.raises(ValueError):
             gate_unitary(PulseSequence(pulses=()), fig5_qubit, mode="heisenberg")
 
+    def test_rwa_needs_no_qubit(self, fig5_qubit):
+        seq = hadamard_sequence(fig5_qubit, 100.0)
+        np.testing.assert_array_equal(gate_unitary(seq, None), gate_unitary(seq, fig5_qubit))
+
+    def test_labframe_needs_a_qubit(self, fig5_qubit):
+        with pytest.raises(ValueError, match="qubit"):
+            gate_unitary(hadamard_sequence(fig5_qubit, 100.0), None, mode="labframe")
+
+    def test_apply_sequence_is_gate_unitary(self, fig5_qubit):
+        seq = PulseSequence(pulses=prepare_state(1.2, 0.7, fig5_qubit, 100.0).pulses,
+                            frame_phase=0.4)
+        state = QuantumState.of(0.6, 0.8j)
+        np.testing.assert_array_equal(
+            apply_sequence(state, seq).amplitudes, gate_unitary(seq, None) @ state.amplitudes
+        )
+
 
 class TestEquatorCoverage:
     def test_max_coherence_on_64_point_grid(self, fig5_qubit):

@@ -14,6 +14,7 @@ from torusqubit.dynamics import (
     PulseSpec,
     QuantumState,
     bloch,
+    drive_field,
     evolve_labframe,
     evolve_rwa,
     ladder_trajectory,
@@ -184,7 +185,8 @@ class TestBloch:
         # orthogonal plane through the poles, x cos phi - y sin phi = 0
         omega_rabi = 1e7
         pulse = _resonant(omega_rabi, phi, 2 * math.pi / omega_rabi)
-        points = trajectory(QuantumState.ground(), pulse, 61)
+        _, amplitudes = trajectory(QuantumState.ground(), pulse, 61)
+        points = [bloch(QuantumState(amp)) for amp in amplitudes]
         zs = [p.z for p in points]
         for p in points:
             assert abs(p.x * math.cos(phi) - p.y * math.sin(phi)) < 1e-9
@@ -199,6 +201,32 @@ class TestBloch:
     def test_trajectory_needs_two_samples(self):
         with pytest.raises(ValueError):
             trajectory(QuantumState.ground(), _resonant(1.0, 0.0, 1.0), 1)
+
+    def test_trajectory_shape_matches_ladder(self):
+        pulse = PulseSpec(1e7, 2e6, 0.3, 1e-7)
+        times, amplitudes = trajectory(QuantumState.ground(), pulse, 11)
+        assert times.shape == (11,) and amplitudes.shape == (11, 2)
+        assert times[-1] == pulse.duration
+        np.testing.assert_array_equal(
+            amplitudes[-1], evolve_rwa(QuantumState.ground(), pulse).amplitudes
+        )
+
+
+class TestDriveField:
+    def test_realizes_the_pulse(self, fig5_qubit):
+        pulse = PulseSpec(rabi_Omega=3.1e9, detuning_Delta=-2.0e8, phase_phi=1.3, duration=1e-9)
+        field = drive_field(pulse, fig5_qubit)
+        assert field.B == fig5_qubit.B
+        assert field.omega_rf == fig5_qubit.omega - pulse.detuning_Delta
+        assert field.phi == pulse.phase_phi
+        assert rabi_frequency(fig5_qubit.mu_dipole, field.E0) == pytest.approx(
+            pulse.rabi_Omega, rel=1e-15
+        )
+
+    def test_zero_rabi_rate_is_zero_field(self, fig5_qubit):
+        field = drive_field(PulseSpec(0.0, 5e7, 0.0, 1e-9), fig5_qubit)
+        assert field.E0 == 0.0
+        assert field.omega_rf == fig5_qubit.omega - 5e7
 
 
 class TestLadderTrajectory:

@@ -1,13 +1,13 @@
-import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from torusqubit.model import (
-    CONSTANTS,
+    E_CHARGE,
+    ELECTRON_MASS,
+    HBAR,
     FieldConfig,
-    PhysicalConstants,
     TorusGeometry,
     UnitSystem,
     dipole_dimension_check,
@@ -25,17 +25,9 @@ ENERGY_SCALE_FIG3A = 1.6610243033961332e-23  # J
 
 class TestConstants:
     def test_codata_values(self):
-        assert CONSTANTS.hbar == 1.054571817e-34
-        assert CONSTANTS.electron_charge == 1.602176634e-19
-        assert CONSTANTS.electron_rest_mass == 9.1093837015e-31
-
-    def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            CONSTANTS.hbar = 1.0
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=-1.0)
+        assert HBAR == 1.054571817e-34
+        assert E_CHARGE == 1.602176634e-19
+        assert ELECTRON_MASS == 9.1093837015e-31
 
 
 class TestTorusGeometry:

@@ -1,0 +1,87 @@
+"""Behaviour snapshot: canonical CLI commands at small sizes, compared with
+committed reference data files under tests/snapshots/<case>/.
+
+Tolerances:
+- every data file must equal its reference byte for byte;
+- except three-level trajectories (`evolve --three-level`), whose header,
+  comment and row count must be equal and whose values must agree to
+  1e-11 absolute.  Their integrator tolerance is 1e-9, and a change that
+  reorders the same arithmetic moves them by roundoff only.
+
+Manifests are not compared: they hold a creation timestamp.
+
+After an intended change of output, rewrite the references with
+
+    PYTHONPATH=src python tests/test_snapshot.py
+"""
+
+import csv
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from torusqubit.cli import main
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+THREE_LEVEL_ATOL = 1e-11
+
+FIG5 = ["--preset", "fig5"]
+CASES = {
+    "evolve": [*FIG5, "evolve", "--samples", "21"],
+    "evolve-rabi": [*FIG5, "evolve", "--rabi", "1e9", "--phase", "0.7", "--samples", "21"],
+    "evolve-3level": [*FIG5, "evolve", "--three-level", "--samples", "21"],
+    "evolve-3level-rabi": [*FIG5, "evolve", "--three-level", "--rabi", "1e9",
+                           "--detuning", "1e8", "--samples", "21"],
+    "gate-rwa-leakage": [*FIG5, "gate", "--leakage"],
+    "gate-labframe-leakage": [*FIG5, "gate", "--mode", "labframe", "--leakage"],
+    "gate-prep-rwa": [*FIG5, "gate", "--gate", "prep:1.2,0.7", "--leakage"],
+    "gate-prep-labframe": [*FIG5, "gate", "--gate", "prep:1.2,0.7", "--mode", "labframe"],
+    "gate-phase-leakage": [*FIG5, "gate", "--gate", "phase:1.0", "--leakage"],
+    "gate-phase-labframe": [*FIG5, "gate", "--gate", "phase:1.0", "--mode", "labframe"],
+    "qubit-params": [*FIG5, "qubit-params"],
+    "spectrum": [*FIG5, "--n-points", "256", "spectrum"],
+}
+
+
+def _data_files(directory: Path) -> dict[str, Path]:
+    return {p.name: p for p in directory.iterdir() if not p.name.endswith(".manifest.json")}
+
+
+def _rows(path: Path) -> tuple[list[list[str]], np.ndarray]:
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    text = [r for r in rows if not r[0][0].isdigit()]  # comment and header
+    values = np.array([[float(v) for v in r] for r in rows if r[0][0].isdigit()])
+    return text, values
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_snapshot(case, tmp_path, capsys):
+    assert main([*CASES[case], "--output-dir", str(tmp_path)]) == 0
+    produced, expected = _data_files(tmp_path), _data_files(SNAPSHOTS / case)
+    assert sorted(produced) == sorted(expected)
+    for name, path in expected.items():
+        if "--three-level" in CASES[case]:
+            got_text, got = _rows(produced[name])
+            want_text, want = _rows(path)
+            assert got_text == want_text and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=THREE_LEVEL_ATOL)
+        else:
+            assert produced[name].read_bytes() == path.read_bytes(), f"{case}/{name}"
+
+
+def _rewrite() -> None:
+    for case, argv in CASES.items():
+        out = SNAPSHOTS / case
+        shutil.rmtree(out, ignore_errors=True)
+        if main([*argv, "--output-dir", str(out)]) != 0:
+            raise SystemExit(f"{case} failed")
+        for manifest in out.glob("*.manifest.json"):
+            manifest.unlink()
+
+
+if __name__ == "__main__":
+    sys.exit(_rewrite())
