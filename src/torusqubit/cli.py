@@ -369,6 +369,8 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     qubit = config.qubit(config.B)
     if args.rabi is None:
         omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
+    elif args.three_level:  # the ladder is driven by a field amplitude E0 >= 0
+        omega_rabi = _check_finite(args.rabi, "--rabi (with --three-level)", low=0.0)
     else:
         omega_rabi = _check_finite(args.rabi, "--rabi")
     if args.duration is None:

@@ -13,6 +13,7 @@ states, averaged over input states drawn uniformly from the Bloch sphere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -104,11 +105,14 @@ def infidelity(psi_ideal: QuantumState, psi_real: QuantumState) -> float:
     return 1.0 - psi_ideal.fidelity(psi_real)
 
 
+@functools.lru_cache(maxsize=1)
 def haar_states(n: int, seed: int) -> np.ndarray:
-    """(n, 2) array of pure states uniform on the Bloch sphere.
+    """(n, 2) read-only array of pure states uniform on the Bloch sphere.
 
     z is uniform in [-1, 1] and the azimuth uniform in [0, 2 pi), which is
-    the Haar measure for a single qubit.
+    the Haar measure for a single qubit.  The last ensemble is cached, so a
+    sweep that averages every grid point over the same (n, seed) draws it
+    once.
     """
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, size=n)
@@ -116,6 +120,7 @@ def haar_states(n: int, seed: int) -> np.ndarray:
     states = np.empty((n, 2), dtype=complex)
     states[:, 0] = np.sqrt((1.0 + z) / 2.0)
     states[:, 1] = np.exp(1j * azimuth) * np.sqrt((1.0 - z) / 2.0)
+    states.setflags(write=False)
     return states
 
 

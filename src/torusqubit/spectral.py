@@ -19,19 +19,29 @@ refinement.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import TorusGeometry
 from .potential import PotentialParams, total_internal
 
 DEFAULT_LOC_THRESHOLD = 0.6
 _DENSE_CUTOFF = 600  # below this size a dense solve is cheaper than ARPACK
+_SCIPY = {"sla": "scipy.linalg", "sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name: str):
+    """The scipy modules as the attributes sla, sp and spla (PEP 562).
+
+    scipy is imported where a solve first needs it, not with this module:
+    it costs ~0.3 s, and only eigensolves use it.
+    """
+    if name in _SCIPY:
+        return importlib.import_module(_SCIPY[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EigensolverError(RuntimeError):
@@ -107,6 +117,8 @@ def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_a
     Kinetic part: -(d^2/dtheta^2) via central differences with periodic
     wraparound (the corner entries); potential on the diagonal.
     """
+    import scipy.sparse as sp
+
     n = disc.n_points
     h = disc.spacing
     v = np.asarray(total_internal(disc.theta, params), dtype=float)
@@ -158,6 +170,10 @@ def lowest_eigenpairs(
     the lowest level.  Each eigenvector's largest-magnitude entry among
     sign_rows is positive.
     """
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     H = sp.csr_array(matrix)
     n = H.shape[0]
     if H.shape != (n, n):

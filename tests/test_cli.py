@@ -17,6 +17,16 @@ def run(args, tmp_path, sub=None):
     return main(args + ["--output-dir", str(out)]), out
 
 
+def scipy_modules_after(code):
+    """Names of the scipy modules loaded once code has run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    listing = "print('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n{listing}"], env=env,
+                          capture_output=True, text=True, check=True)
+    return next(line for line in done.stdout.splitlines() if line.startswith("scipy:")).split()[1:]
+
+
 def read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
@@ -146,6 +156,7 @@ class TestConfigHandling:
         (["evolve", "--phase", "nan"], "--phase"),
         (["evolve", "--duration", "nan"], "--duration"),
         (["evolve", "--duration=-1e-9"], "--duration"),
+        (["evolve", "--three-level", "--rabi=-1e9", "--duration=1e-9"], "--rabi"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -338,6 +349,24 @@ class TestNewSurfaces:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_after("import torusqubit.cli") == []
+
+    @pytest.mark.parametrize("args", [
+        ["gate", "--mode", "labframe", "--leakage"],
+        ["evolve", "--three-level"],
+    ])
+    def test_run_without_eigensolve_loads_no_scipy(self, tmp_path, args):
+        argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
+        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
+        assert scipy_modules_after(code) == []
+
+    def test_spectrum_run_loads_scipy_at_its_solve(self, tmp_path):
+        argv = ["--preset", "fig5", "--n-points", "256", "spectrum", "--output-dir", str(tmp_path)]
+        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
+        loaded = set(scipy_modules_after(code))
+        assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= loaded
 
     def test_evolve_three_level(self, tmp_path):
         code, out = run(

@@ -93,6 +93,11 @@ class TestHaarStates:
         b = haar_states(100, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    def test_read_only(self):
+        states = haar_states(100, seed=9)
+        with pytest.raises(ValueError, match="read-only"):
+            states[0, 0] = 1.0
+
     def test_normalized(self):
         states = haar_states(1000, seed=1)
         np.testing.assert_allclose(np.sum(np.abs(states) ** 2, axis=1), 1.0, atol=1e-12)
@@ -182,6 +187,15 @@ class TestMitigationSweep:
         means = [r["mean_infidelity"] for r in rows]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:]))
         assert rows[-1]["is_argmin"]
+
+    def test_ensemble_drawn_once_per_sweep(self, qubit_factory):
+        haar_states.cache_clear()
+        field_error_sweep(
+            _synth, qubit_factory, B0=0.45, E0=100.0, axis="E0", grid=[100.0, 300.0, 1000.0],
+            delta_B_rel=5e-3, delta_E_rel=0.0, n_samples=200, seed=5,
+        )
+        info = haar_states.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_zero_error_row_is_zero(self, fig5_qubit, qubit_factory):
         rows = field_error_sweep(
