@@ -37,6 +37,7 @@ from .control import (
     target_state,
 )
 from .dynamics import (
+    MAX_DRIVE_CYCLES,
     TOL_RANGE,
     PulseSpec,
     QuantumState,
@@ -378,8 +379,11 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     else:
         duration = _check_finite(args.duration, "--duration", low=0.0)
     pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
+    drive = drive_field(pulse, qubit)
+    if duration * abs(drive.omega_rf) >= 2.0 * math.pi * MAX_DRIVE_CYCLES:
+        raise ConfigError(f"--duration must span fewer than 2^63 drive periods, got {duration!r}")
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
-        times, amplitudes = ladder_trajectory(qubit, drive_field(pulse, qubit), duration, args.samples)
+        times, amplitudes = ladder_trajectory(qubit, drive, duration, args.samples)
     else:
         times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
     populations = np.abs(amplitudes) ** 2

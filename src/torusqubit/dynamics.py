@@ -40,6 +40,7 @@ _NORM_GUARD = 1e-4  # loose sanity guard; unitarity contracts live in tests
 TOL_RANGE = (1e-12, 1e-6)  # integrator tolerances accepted by the lab-frame paths
 _GAUSS_NODES = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 _MAX_STEPS = 2**13  # step doubling stops once M reaches this, even short of tol
+MAX_DRIVE_CYCLES = 2.0**63  # drive periods in one propagation; cycle counts are int64
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,8 @@ def _drive_propagators(
     reference by 1.2e-14 at 38 cycles and by 1.7e-12 at 3817.  Where tol / N
     lies below the roundoff, the doubling stops at a fixed cap of steps.
     Without a drive frequency (omega_rf = 0) H is constant, and one Magnus
-    step is exact.
+    step is exact.  A time of MAX_DRIVE_CYCLES periods or more raises
+    ValueError.
     """
     low, high = TOL_RANGE
     if not low <= tol <= high:
@@ -290,6 +292,9 @@ def _drive_propagators(
         raise ValueError("t must be finite and non-negative")
     dim = h0.shape[0]
     period = 2.0 * math.pi / abs(omega_rf) if omega_rf else math.inf
+    longest = float(times.max()) / period  # a float quotient: inf past the range, no warning
+    if not longest < MAX_DRIVE_CYCLES:
+        raise ValueError(f"t spans {longest:.3g} drive periods; the limit is 2^63")
     cycles, rests = np.divmod(times, period)
     cycles = cycles.astype(np.int64)
     n_max = int(cycles.max())

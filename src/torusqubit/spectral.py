@@ -2,11 +2,15 @@
 
 The tube-angle Hamiltonian H = -d^2/dtheta^2 + V(theta) (internal units) is
 discretized with central differences on a uniform periodic grid, giving a
-sparse real symmetric matrix with cyclic corner entries.  Lowest eigenpairs
-per orbital sector are computed without forming a dense matrix, classified
-as bound or ring-delocalized, and swept over the external magnetic field to
-locate the qubit initialization window (the field interval with exactly two
-bound m=0 states).
+real symmetric matrix with cyclic corner entries.  The grid Fourier modes
+cos(q theta) and sin(q theta) are exact eigenvectors of its kinetic part, so
+each orbital sector is solved by Rayleigh-Ritz in the lowest of those modes,
+in numpy alone and with no n x n matrix unless n <= max(600, 2k + 1).  The
+levels are classified as bound or ring-delocalized, and sweeps over the
+external magnetic field locate the qubit initialization window (the field
+interval with exactly two bound m=0 states).  build_hamiltonian and
+lowest_eigenpairs are the generic sparse matrix route, with scipy imported
+inside them; no sector solve uses them.
 
 Bound classification uses both an energy criterion (below the barrier at
 theta=0) and a localization criterion (probability weight in the trapping
@@ -19,7 +23,6 @@ refinement.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
@@ -30,18 +33,8 @@ from .potential import PotentialParams, total_internal
 
 DEFAULT_LOC_THRESHOLD = 0.6
 _DENSE_CUTOFF = 600  # below this size a dense solve is cheaper than ARPACK
-_SCIPY = {"sla": "scipy.linalg", "sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
-
-
-def __getattr__(name: str):
-    """The scipy modules as the attributes sla, sp and spla (PEP 562).
-
-    scipy is imported where a solve first needs it, not with this module:
-    it costs ~0.3 s, and only eigensolves use it.
-    """
-    if name in _SCIPY:
-        return importlib.import_module(_SCIPY[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_RITZ_START = 32  # smallest Fourier cutoff of a sector solve
+_RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
 
 
 class EigensolverError(RuntimeError):
@@ -111,6 +104,23 @@ class Spectrum:
         return tuple(s for s in self.states if s.bound)
 
 
+def _stencil(disc: Discretization) -> tuple[float, ...]:
+    """Kinetic stencil of -d^2/dtheta^2: the diagonal, then the coupling to
+    the neighbours at distance 1 (and 2 for the fourth-order stencil)."""
+    h = disc.spacing
+    if disc.stencil_order == 2:
+        return (2.0 / h**2, -1.0 / h**2)
+    c = 1.0 / (12.0 * h**2)
+    return (30.0 * c, -16.0 * c, 1.0 * c)
+
+
+def _grid_potential(params: PotentialParams, disc: Discretization) -> np.ndarray:
+    v = np.asarray(total_internal(disc.theta, params), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("potential evaluated to non-finite values")
+    return v
+
+
 def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_array:
     """Sparse (CSR) real symmetric Hamiltonian in internal units.
 
@@ -120,16 +130,8 @@ def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_a
     import scipy.sparse as sp
 
     n = disc.n_points
-    h = disc.spacing
-    v = np.asarray(total_internal(disc.theta, params), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential evaluated to non-finite values")
-
-    if disc.stencil_order == 2:
-        stencil = (2.0 / h**2, -1.0 / h**2)
-    else:
-        c = 1.0 / (12.0 * h**2)
-        stencil = (30.0 * c, -16.0 * c, 1.0 * c)
+    v = _grid_potential(params, disc)
+    stencil = _stencil(disc)
     offsets, diagonals = [0], [stencil[0] + v]
     for d, coupling in enumerate(stencil[1:], start=1):
         # neighbours at distance d: two bands plus their cyclic corners
@@ -213,6 +215,99 @@ def lowest_eigenpairs(
     return energies, _fix_signs(vectors, sign_rows)
 
 
+def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
+    """Kinetic-stencil eigenvalue of the grid modes cos(q theta), sin(q theta).
+
+    (2 - 2 cos qh) / h^2 and (30 - 32 cos qh + 2 cos 2qh) / (12 h^2), written
+    with squared sines so that the low modes keep their relative accuracy.
+    """
+    h = disc.spacing
+    half = np.sin(0.5 * q * h) ** 2
+    if disc.stencil_order == 2:
+        return 4.0 * half / h**2
+    return (16.0 * half - np.sin(q * h) ** 2) / (3.0 * h**2)
+
+
+def _half_sum(sums: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> np.ndarray:
+    """(sums[p - q] + sign * sums[p + q]) / 2 for every pair (p, q), the
+    frequency indices taken modulo the grid size."""
+    n = sums.size
+    return 0.5 * (sums[(p[:, None] - q) % n] + sign * sums[(p[:, None] + q) % n])
+
+
+def _sector_eigenpairs(
+    v: np.ndarray, disc: Discretization, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs (ascending, unit-norm grid vectors) of the periodic
+    stencil operator plus diag(v), by Rayleigh-Ritz in grid Fourier modes.
+
+    The real orthonormal modes sqrt(2/n) cos(q theta_j) and sqrt(2/n)
+    sin(q theta_j) (1/sqrt(n) for q = 0 and the Nyquist cosine) are
+    eigenvectors of the kinetic part.  One FFT of v gives every element
+    <mode|diag(v)|mode'> through cos a cos b = [cos(a-b) + cos(a+b)]/2 and its
+    sine analogues, so the (2K+1)^2 Ritz matrix of the modes q <= K costs no
+    n x n work (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  K
+    starts at max(32, k) and doubles until the k Ritz vectors carry at most
+    1e-14 of weight in the top quarter of the frequencies; at K = n // 2 the
+    basis is complete and the solve exact.  The basis never exceeds
+    max(_DENSE_CUTOFF, 2k + 1) modes, the largest square matrix the sparse
+    route of lowest_eigenpairs builds (its dense branch, or the workspace of
+    ARPACK's 2k + 1 Lanczos vectors).
+
+    The contract is that of lowest_eigenpairs, ||H v - lambda v|| <= 1e-9
+    ||H||_inf, checked on the grid; EigensolverError carries the worst
+    residual when the contract fails or the basis reaches its cap first.
+    """
+    n = disc.n_points
+    f = np.fft.rfft(v)
+    # sum_j v_j cos(q theta_j) and sum_j v_j sin(q theta_j) for q = 0 .. n-1
+    cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
+    sin_sums = np.concatenate([-f.imag, f.imag[1 : (n + 1) // 2][::-1]])
+    cap = max(_DENSE_CUTOFF, 2 * k + 1)
+    limit = n // 2 if n <= cap else (cap - 1) // 2
+    cutoff = min(max(_RITZ_START, k), limit)
+    norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
+    while True:
+        cos_q = np.arange(cutoff + 1)
+        sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)  # no Nyquist sine
+        norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)
+        cc = _half_sum(cos_sums, cos_q, cos_q, 1.0) * np.outer(norm_c, norm_c)
+        ss = _half_sum(cos_sums, sin_q, sin_q, -1.0) * norm_s**2
+        cs = -_half_sum(sin_sums, cos_q, sin_q, -1.0) * (norm_c[:, None] * norm_s)
+        ritz = np.block([[cc, cs], [cs.T, ss]])
+        freq = np.concatenate([cos_q, sin_q])
+        ritz[np.diag_indices_from(ritz)] += _kinetic_eigenvalues(disc, freq)
+        energies, coeffs = np.linalg.eigh(ritz)
+        energies, coeffs = energies[:k], coeffs[:, :k]
+        tail = float(np.max(np.sum(coeffs[freq > 0.75 * cutoff] ** 2, axis=0)))
+        converged = cutoff == n // 2 or tail <= _RITZ_TAIL
+        if converged or cutoff == limit:
+            break
+        cutoff = min(2 * cutoff, limit)
+
+    spectrum = np.zeros((n // 2 + 1, k), dtype=complex)
+    spectrum[cos_q] = coeffs[: cos_q.size] / norm_c[:, None]
+    spectrum[sin_q] -= 1j * coeffs[cos_q.size :] / norm_s
+    vectors = np.fft.irfft(spectrum, n, axis=0)
+
+    stencil = _stencil(disc)
+    applied = (stencil[0] + v)[:, None] * vectors
+    for d, coupling in enumerate(stencil[1:], start=1):
+        applied += coupling * (np.roll(vectors, d, axis=0) + np.roll(vectors, -d, axis=0))
+    worst = float(np.linalg.norm(applied - vectors * energies, axis=0).max())
+    tol = 1e-9 * (float(np.abs(stencil[0] + v).max()) + 2.0 * sum(map(abs, stencil[1:])))
+    if not converged:
+        raise EigensolverError(
+            f"Fourier basis reached its cap of {freq.size} modes with Ritz tail weight"
+            f" {tail:.3e}; residual {worst:.3e}", residual=worst
+        )
+    if worst > tol:
+        raise EigensolverError(
+            f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
+        )
+    return energies, vectors
+
+
 def solve_sector(
     params: PotentialParams,
     disc: Discretization,
@@ -221,24 +316,22 @@ def solve_sector(
 ) -> Spectrum:
     """Lowest-k spectrum of one orbital sector, with bound classification.
 
-    The sparse operator goes to lowest_eigenpairs, whose dense branch runs
-    only for n <= 600 or k >= n - 1.  Each wavefunction's largest sample in
-    theta in (0, pi) is positive: odd states have |chi(theta)| =
-    |chi(-theta)|, so a rule over the whole ring would leave their sign to
-    roundoff.
+    The eigenpairs come from Rayleigh-Ritz in the grid Fourier modes
+    (_sector_eigenpairs), in numpy alone and with no n x n matrix unless
+    n <= max(600, 2k + 1); they meet the residual contract of
+    lowest_eigenpairs, which stays the generic sparse route and the
+    reference the tests compare against.  Each
+    wavefunction's largest sample in theta in (0, pi) is positive: odd states
+    have |chi(theta)| = |chi(-theta)|, so a rule over the whole ring would
+    leave their sign to roundoff.
     """
     if not 0.0 < loc_threshold < 1.0:
         raise ValueError(f"loc_threshold must lie in (0, 1), got {loc_threshold!r}")
     n = disc.n_points
-    shift = None  # Gershgorin's bound: min V - 1 for the second-order stencil
-    if disc.stencil_order == 4:
-        # Gershgorin's bound lies 1/(3 h^2) lower here, where Lanczos then
-        # needs minutes at n = 16384.  The kinetic part is positive
-        # semidefinite, so min V - 1 lies below the spectrum too.
-        shift = float(np.min(total_internal(disc.theta, params))) - 1.0
-    energies, vectors = lowest_eigenpairs(
-        build_hamiltonian(params, disc), k, shift=shift, sign_rows=slice(1, (n + 1) // 2)
-    )
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    energies, vectors = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
+    vectors = _fix_signs(vectors, slice(1, (n + 1) // 2))
     h = disc.spacing
     theta = disc.theta
     inner = (theta >= np.pi / 2) & (theta <= 3 * np.pi / 2)

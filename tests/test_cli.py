@@ -157,6 +157,7 @@ class TestConfigHandling:
         (["evolve", "--duration", "nan"], "--duration"),
         (["evolve", "--duration=-1e-9"], "--duration"),
         (["evolve", "--three-level", "--rabi=-1e9", "--duration=1e-9"], "--rabi"),
+        (["evolve", "--three-level", "--duration", "1e300"], "--duration"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -362,11 +363,15 @@ class TestNewSurfaces:
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
         assert scipy_modules_after(code) == []
 
-    def test_spectrum_run_loads_scipy_at_its_solve(self, tmp_path):
-        argv = ["--preset", "fig5", "--n-points", "256", "spectrum", "--output-dir", str(tmp_path)]
+    @pytest.mark.parametrize("args", [
+        ["spectrum"],
+        ["sweep-b", "--b-range", "0:1:3", "--m-list", "0,1"],
+        ["window"],
+    ])
+    def test_eigensolve_run_loads_no_scipy(self, tmp_path, args):
+        argv = ["--preset", "fig3a", *args, "--output-dir", str(tmp_path)]
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
-        loaded = set(scipy_modules_after(code))
-        assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= loaded
+        assert scipy_modules_after(code) == []
 
     def test_evolve_three_level(self, tmp_path):
         code, out = run(

@@ -364,6 +364,15 @@ class TestPeriodPropagator:
         assert np.all(np.isfinite(u))
         assert len(evals) == 1 and 0 < evals[0] < 12 * (dynamics._MAX_STEPS + 2)
 
+    @pytest.mark.parametrize("cycles", [2.0**63, 1e30, math.inf])
+    def test_cycle_count_beyond_int64_rejected(self, fig5_qubit, cycles):
+        # a cast to int64 would wrap, and the repeated squaring would never end;
+        # 1e300 s is finite, but its count of periods overflows to inf
+        _, field = _drive_for_ratio(fig5_qubit, 1e-2)
+        t = min(cycles * 2 * math.pi / field.omega_rf, 1e300)
+        with pytest.raises(ValueError, match="drive periods"):
+            dynamics.labframe_unitary(fig5_qubit, field, t)
+
     def test_ladder_domain(self, fig5_qubit):
         field = FieldConfig(B=0.45, E0=100.0, omega_rf=fig5_qubit.omega, phi=0.0)
         with pytest.raises(ValueError, match="tol"):

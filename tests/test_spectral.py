@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from torusqubit.model import UnitSystem
+from torusqubit.model import TorusGeometry, UnitSystem
 from torusqubit.potential import PotentialParams, total_internal
 from torusqubit.spectral import (
     Discretization,
@@ -21,6 +21,7 @@ from torusqubit.spectral import (
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI, jacobi_eigenvalues
 
 ANGSTROM = 1e-10
+THIN_GEOM = TorusGeometry(r_minor=350 * ANGSTROM, R_major=1.05 * 350 * ANGSTROM)
 
 
 def _kinetic_only(params, disc):
@@ -296,7 +297,7 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("e_static", [0.0, -300.0])
     def test_sparse_shift_invert_matches_dense(self, fig3a_geom, order, e_static):
-        # n > 600 runs shift-invert Lanczos
+        # odd n, above the size where lowest_eigenpairs leaves its dense branch
         disc = Discretization(1025, order)
         params = PotentialParams(geom=fig3a_geom, B=0.2, E_static=e_static, m_orbital=0)
         self._check_against_dense(solve_sector(params, disc), params, disc)
@@ -363,12 +364,72 @@ class TestStructuredSolve:
                 solve_sector(params, Discretization(64), k=k)
 
     def test_residual_contract_enforced(self, fig3a_geom, monkeypatch):
-        def shifted_eigh(matrix, subset_by_index):
-            energies, vectors = np.linalg.eigh(matrix)
-            k = subset_by_index[1] + 1
-            return energies[:k], np.roll(vectors[:, :k], 1, axis=0)
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr("torusqubit.spectral.sla.eigh", shifted_eigh)
+        def rolled_eigh(matrix):
+            energies, vectors = eigh(matrix)
+            return energies, np.roll(vectors, 1, axis=0)
+
+        # n = 64 is a complete Fourier basis, so only the residual check can object
+        monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", rolled_eigh)
         with pytest.raises(EigensolverError, match="exceeds contract") as info:
             solve_sector(PotentialParams(geom=fig3a_geom), Discretization(64), k=2)
         assert info.value.residual > 0.0
+
+    def test_basis_cap_raises(self, monkeypatch):
+        # the thin torus needs more than the 65 starting modes, here also the cap
+        monkeypatch.setattr("torusqubit.spectral._DENSE_CUTOFF", 65)
+        params = PotentialParams(geom=THIN_GEOM, B=0.45)
+        with pytest.raises(EigensolverError, match="cap of 65 modes") as info:
+            solve_sector(params, Discretization(1024), k=6)
+        assert info.value.residual > 0.0
+
+
+class TestFourierRitzAccuracy:
+    """solve_sector against the sparse route of lowest_eigenpairs."""
+
+    @staticmethod
+    def _check_against_sparse(params, disc, k):
+        H = build_hamiltonian(params, disc)
+        scale = float(abs(H).sum(axis=1).max())
+        spec = solve_sector(params, disc, k=k)
+        energies = np.array([s.energy for s in spec.states])
+        vectors = np.array([s.wavefunction for s in spec.states]).T * math.sqrt(disc.spacing)
+        residual = np.linalg.norm(H @ vectors - vectors * energies, axis=0)
+        assert residual.max() <= 1e-13 * scale
+        # both kinetic stencils are positive semidefinite, so min V - 1 lies
+        # below the spectrum; Gershgorin's bound makes fourth-order Lanczos slow
+        shift = float(np.min(total_internal(disc.theta, params))) - 1.0
+        reference, _ = lowest_eigenpairs(H, k, shift=shift)
+        assert np.abs(energies - reference).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("n", [64, 1025, 8192])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("preset, B, e_static, m", [
+        ("fig3a", 0.0, 0.0, 0),
+        ("fig3a", 2.2, 3500.0, -1),
+        ("fig3b", 0.45, -3500.0, 2),
+        ("fig3b", 1.0, 0.0, 1),
+    ])
+    def test_presets(self, fig3a_geom, fig3b_geom, n, order, preset, B, e_static, m):
+        geom = fig3a_geom if preset == "fig3a" else fig3b_geom
+        params = PotentialParams(geom=geom, B=B, E_static=e_static, m_orbital=m)
+        self._check_against_sparse(params, Discretization(n, order), k=6)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_fifty_levels(self, fig3a_geom, order):
+        params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=1000.0)
+        self._check_against_sparse(params, Discretization(1024, order), k=50)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_thin_torus_grows_the_basis(self, monkeypatch, order):
+        eigh, sizes = np.linalg.eigh, []
+
+        def recording_eigh(matrix):
+            sizes.append(matrix.shape[0])
+            return eigh(matrix)
+
+        monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", recording_eigh)
+        params = PotentialParams(geom=THIN_GEOM, B=0.45)
+        self._check_against_sparse(params, Discretization(1024, order), k=6)
+        assert sizes[0] == 65 and max(sizes) > 65
