@@ -27,7 +27,6 @@ from .reduction import (
     coefficients_for,
     coefficients_numerical,
     coefficients_closed_form,
-    effective_dipole,
     qubit_for,
     qubit_parameters,
     rabi_frequency,
@@ -87,7 +86,6 @@ __all__ = [
     "coefficients_numerical",
     "coefficients_closed_form",
     "drive_field",
-    "effective_dipole",
     "energy_scale_of",
     "evolve_labframe",
     "evolve_rwa",

@@ -605,6 +605,8 @@ def main(argv: list[str] | None = None) -> int:
             code, error = 2, exc
         except (ValueError, RuntimeError) as exc:
             code, error = 1, exc
+        except MemoryError as exc:  # numpy's message names the failed allocation
+            code, error = 1, f"out of memory: {exc}" if str(exc) else "out of memory"
     for w in _distinct(caught).values():
         sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
     if error is not None:

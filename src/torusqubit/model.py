@@ -118,11 +118,6 @@ class UnitSystem:
             return 1.0 / self.time_scale
         raise ValueError(f"unknown quantity kind {kind!r}; expected one of {self._KINDS}")
 
-    def to_internal(self, value: float, kind: str = "energy") -> float:
-        if not math.isfinite(value):
-            raise ValueError("cannot convert non-finite value")
-        return value / self._scale(kind)
-
     def from_internal(self, value: float, kind: str = "energy") -> float:
         if not math.isfinite(value):
             raise ValueError("cannot convert non-finite value")
@@ -144,55 +139,3 @@ def magnetic_parameter(geom: TorusGeometry, B: float) -> float:
 def electric_parameter(geom: TorusGeometry, E_static: float) -> float:
     """Dimensionless drive strength f = e E r / energy_scale."""
     return E_CHARGE * E_static * geom.r_minor / energy_scale_of(geom)
-
-
-# Dimension vectors (mass, length, time, charge) for the symbolic
-# consistency check below.  Only the handful of quantities the artifact
-# manipulates are needed; this is not a units library.
-_DIMENSIONS = {
-    "hbar": (1, 2, -1, 0),
-    "charge": (0, 0, 0, 1),
-    "length": (0, 1, 0, 0),
-    "mass": (1, 0, 0, 0),
-    "magnetic_field": (1, 0, -1, -1),  # T = kg / (C s)
-}
-
-
-def _dim_combine(*terms: tuple[tuple[int, int, int, int], int]) -> tuple[int, int, int, int]:
-    out = [0, 0, 0, 0]
-    for dim, power in terms:
-        for i in range(4):
-            out[i] += dim[i] * power
-    return tuple(out)  # type: ignore[return-value]
-
-
-def dipole_dimension_check(geom: TorusGeometry, B: float) -> bool:
-    """Verify the dipole-coupling chain is dimensionally consistent.
-
-    Checks, through the dimension vectors above, that (i) both terms under
-    the square root defining the well stiffness beta carry (kg m/s)^2,
-    (ii) hbar / (r |beta|) is dimensionless, and (iii) e*r carries C*m.
-    The result is value-independent; B enters only through its dimension.
-    """
-    if B < 0:
-        raise ValueError("B must be non-negative")
-    hbar = _DIMENSIONS["hbar"]
-    charge = _DIMENSIONS["charge"]
-    length = _DIMENSIONS["length"]
-    bfield = _DIMENSIONS["magnetic_field"]
-
-    # beta^2 candidates: r * hbar^2 / L^3   and   r * e^2 B^2 * L
-    beta_sq_curv = _dim_combine((length, 1), (hbar, 2), (length, -3))
-    beta_sq_mag = _dim_combine((length, 1), (charge, 2), (bfield, 2), (length, 1))
-    if beta_sq_curv != beta_sq_mag:
-        return False
-    if any(v % 2 for v in beta_sq_curv):
-        return False  # beta itself would not have integer dimensions
-    beta = tuple(v // 2 for v in beta_sq_curv)
-
-    ratio = _dim_combine((hbar, 1), (length, -1), (beta, -1))
-    if ratio != (0, 0, 0, 0):
-        return False
-
-    dipole = _dim_combine((charge, 1), (length, 1))
-    return dipole == (0, 1, 0, 1)

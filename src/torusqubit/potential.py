@@ -1,10 +1,9 @@
 """Confinement potential V(theta) = V_bare + V_E + V_B on the torus tube angle.
 
 V_bare is the curvature-induced trapping potential; V_E and V_B add the
-static electric and magnetic field contributions.  All three terms are
-exposed individually so tests and the Taylor-expansion oracle can isolate
-them.  Scalar operations return SI joules; grid sampling returns internal
-units (see `model.UnitSystem`).
+static electric and magnetic field contributions.  `internal_terms` is the
+one place the field parameters enter; every value here is in internal
+energy units (see `model.UnitSystem`).
 """
 
 from __future__ import annotations
@@ -15,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    TorusGeometry,
-    UnitSystem,
-    electric_parameter,
-    energy_scale_of,
-    magnetic_parameter,
-)
+from .model import TorusGeometry, UnitSystem, electric_parameter, magnetic_parameter
 
 MIN_PROFILE_POINTS = 16
 
@@ -45,62 +38,28 @@ class PotentialParams:
             raise ValueError("B must be non-negative")
 
 
-def bare_internal(theta, rho: float, m: int):
-    """Curvature potential in internal units; rho = R/r."""
-    c = np.cos(theta)
-    x = rho + c
-    bracket = -0.25 * rho * rho + m * m + 0.25 * np.sin(theta) ** 2 + 0.5 * (rho * c + 1.0)
-    return bracket / (x * x)
+def internal_terms(theta, params: PotentialParams):
+    """(V_bare, V_E, V_B) at angle(s) theta, in internal energy units.
 
-
-def electric_internal(theta, f: float):
-    """Electric term -f sin(theta); f = e E r / energy_scale."""
-    return -f * np.sin(theta)
-
-
-def magnetic_internal(theta, rho: float, b: float, m: int):
-    """Magnetic term b^2 (rho + cos theta)^2 - 2 m b; b = e B r^2 / (2 hbar)."""
-    x = rho + np.cos(theta)
-    return b * b * x * x - 2.0 * m * b
-
-
-def v_bare(theta, params: PotentialParams):
-    """Curvature-induced potential at angle(s) theta, in joules."""
-    return energy_scale_of(params.geom) * bare_internal(
-        theta, params.geom.aspect_ratio, params.m_orbital
-    )
-
-
-def v_electric(theta, params: PotentialParams):
-    """Static electric field term -e E r sin(theta), in joules."""
-    f = electric_parameter(params.geom, params.E_static)
-    return energy_scale_of(params.geom) * electric_internal(theta, f)
-
-
-def v_magnetic(theta, params: PotentialParams):
-    """Magnetic field term (diamagnetic confinement + paramagnetic shift), in joules."""
-    b = magnetic_parameter(params.geom, params.B)
-    return energy_scale_of(params.geom) * magnetic_internal(
-        theta, params.geom.aspect_ratio, b, params.m_orbital
-    )
-
-
-def v_total(theta, params: PotentialParams):
-    """Sum of the three potential terms, in joules."""
-    return v_bare(theta, params) + v_electric(theta, params) + v_magnetic(theta, params)
-
-
-def total_internal(theta, params: PotentialParams):
-    """Sum of the three terms in internal energy units (used by the solver)."""
+    With rho = R/r, c = cos(theta), s = sin(theta), b = e B r^2 / (2 hbar)
+    and f = e E r / energy_scale:
+    V_bare = (-rho^2/4 + m^2 + s^2/4 + (rho c + 1)/2) / (rho + c)^2 (curvature),
+    V_E = -f s and V_B = b^2 (rho + c)^2 - 2 m b.
+    """
     rho = params.geom.aspect_ratio
     b = magnetic_parameter(params.geom, params.B)
     f = electric_parameter(params.geom, params.E_static)
     m = params.m_orbital
-    return (
-        bare_internal(theta, rho, m)
-        + electric_internal(theta, f)
-        + magnetic_internal(theta, rho, b, m)
-    )
+    c, s = np.cos(theta), np.sin(theta)
+    x = rho + c
+    bare = (-0.25 * rho * rho + m * m + 0.25 * s**2 + 0.5 * (rho * c + 1.0)) / (x * x)
+    return bare, -f * s, b * b * x * x - 2.0 * m * b
+
+
+def total_internal(theta, params: PotentialParams):
+    """Sum of the three terms in internal energy units (used by the solver)."""
+    bare, elec, mag = internal_terms(theta, params)
+    return bare + elec + mag
 
 
 @dataclass(frozen=True)
@@ -157,13 +116,7 @@ def sample_profile(params: PotentialParams, n_points: int) -> PotentialProfile:
     if n_points < MIN_PROFILE_POINTS:
         raise ValueError(f"n_points must be >= {MIN_PROFILE_POINTS}, got {n_points}")
     theta = np.arange(n_points) * (2.0 * np.pi / n_points)
-    rho = params.geom.aspect_ratio
-    b = magnetic_parameter(params.geom, params.B)
-    f = electric_parameter(params.geom, params.E_static)
-    m = params.m_orbital
-    bare = bare_internal(theta, rho, m)
-    elec = electric_internal(theta, f)
-    mag = magnetic_internal(theta, rho, b, m)
+    bare, elec, mag = internal_terms(theta, params)
     return PotentialProfile(
         theta_grid=theta,
         bare=bare,

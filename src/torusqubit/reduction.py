@@ -22,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import E_CHARGE, HBAR, TorusGeometry, energy_scale_of, magnetic_parameter
-from .potential import bare_internal, magnetic_internal
+from .model import E_CHARGE, HBAR, TorusGeometry, energy_scale_of
+from .potential import PotentialParams, internal_terms
 
 CLOSED_FORM = "closed_form"
 NUMERICAL_TAYLOR = "numerical_taylor"
@@ -151,13 +151,11 @@ def coefficients_numerical(
     derivatives do not vanish, which would signal a symmetry-breaking
     (electric-field-like) contamination of the inputs.
     """
-    if B < 0:
-        raise ValueError("B must be non-negative")
-    rho = geom.aspect_ratio
-    b = magnetic_parameter(geom, B)
+    params = PotentialParams(geom=geom, B=B, m_orbital=m)
 
     def v(theta: float) -> float:
-        return float(bare_internal(theta, rho, m) + magnetic_internal(theta, rho, b, m))
+        bare, _, mag = internal_terms(theta, params)
+        return float(bare + mag)
 
     c0_int, d2_int, d4_int, odd = _even_derivatives(v, math.pi)
     if odd > 1e-10:
@@ -220,18 +218,6 @@ def _dipole_from_spread(s: float, r_minor: float) -> float:
             stacklevel=3,
         )
     return E_CHARGE * r_minor * (s - s**3 / 6.0)
-
-
-def effective_dipole(
-    geom: TorusGeometry, B: float, source: str = NUMERICAL_TAYLOR
-) -> float:
-    """Effective dipole moment mu = e r (s - s^3/6) in C m.
-
-    s = sqrt(hbar / (2 m* omega r^2)) is the zero-point angular spread of
-    the trapped state, so mu is the transition matrix element of the drive
-    coupling -e E r sin(theta) in the two-level truncation.
-    """
-    return qubit_for(geom, B, source).mu_dipole
 
 
 def rabi_frequency(mu: float, E0: float) -> float:

@@ -100,9 +100,6 @@ class Spectrum:
     def n_bound(self) -> int:
         return sum(1 for s in self.states if s.bound)
 
-    def bound_states(self) -> tuple[BoundState, ...]:
-        return tuple(s for s in self.states if s.bound)
-
 
 def _stencil(disc: Discretization) -> tuple[float, ...]:
     """Kinetic stencil of -d^2/dtheta^2: the diagonal, then the coupling to
@@ -423,29 +420,18 @@ def initialization_window(
             f" (counts seen: {sorted(set(counts))})"
         )
 
-    if first_two == 0:
-        b_min = 0.0
-    else:
-        lo, hi = float(grid[first_two - 1]), float(grid[first_two])
+    def bisect(i: int, beyond) -> tuple[float, float]:
+        """Shrink [grid[i-1], grid[i]] to tol_T; beyond(count) marks the upper side."""
+        lo, hi = float(grid[i - 1]), float(grid[i])
         while hi - lo > tol_T:
             mid = 0.5 * (lo + hi)
-            if count(mid) >= 2:
+            if beyond(count(mid)):
                 hi = mid
             else:
                 lo = mid
-        b_min = hi
+        return lo, hi
 
     past = next((i for i in range(first_two, len(counts)) if counts[i] > 2), None)
-    if past is None:
-        b_max = float(grid[-1])
-    else:
-        lo, hi = float(grid[past - 1]), float(grid[past])
-        while hi - lo > tol_T:
-            mid = 0.5 * (lo + hi)
-            if count(mid) == 2:
-                lo = mid
-            else:
-                hi = mid
-        b_max = lo
-
+    b_min = bisect(first_two, lambda c: c >= 2)[1] if first_two else 0.0
+    b_max = bisect(past, lambda c: c != 2)[0] if past is not None else float(grid[-1])
     return b_min, b_max

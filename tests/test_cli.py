@@ -131,6 +131,30 @@ class TestConfigHandling:
         assert "not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_unitary_long_drive_writes_no_artifact(self, tmp_path, capsys):
+        # ~3e18 drive periods: the per-period roundoff compounds far past the guard
+        code, out = run(["--preset", "fig5", "evolve", "--three-level", "--duration", "5e7"],
+                        tmp_path, "out")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, expected", [
+        ("Unable to allocate 7.45 GiB", "error: out of memory: Unable to allocate 7.45 GiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_memory_error_is_one_line_without_artifact(self, tmp_path, capsys, monkeypatch,
+                                                       message, expected):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_profile", exhausted)
+        code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [expected]
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, name", [
         (["mitigate", "--e0-range", "1:2"], "--e0-range"),
         (["mitigate", "--spacing", "log", "--e0-range", "0:100:3"], "--e0-range"),

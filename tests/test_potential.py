@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusqubit.potential import (
-    PotentialParams,
-    sample_profile,
-    v_bare,
-    v_electric,
-    v_magnetic,
-    v_total,
-)
+from torusqubit.model import energy_scale_of
+from torusqubit.potential import PotentialParams, internal_terms, sample_profile, total_internal
 
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI
 
@@ -28,47 +22,60 @@ def _params(geom, **kwargs):
     return PotentialParams(geom=geom, **kwargs)
 
 
+BARE, ELEC, MAG = range(3)
+
+
+def _terms_si(theta, params):
+    """(V_bare, V_E, V_B) in joules."""
+    u = energy_scale_of(params.geom)
+    return tuple(u * term for term in internal_terms(theta, params))
+
+
+def _total_si(theta, params):
+    return energy_scale_of(params.geom) * total_internal(theta, params)
+
+
 class TestVBare:
     def test_value_at_pi_fig3a(self, fig3a_geom):
         r, R = fig3a_geom.r_minor, fig3a_geom.R_major
         mstar = 0.3 * ELECTRON_MASS_SI
         bracket = -(R**2) / 4.0 - r * (R - r) / 2.0
         oracle = HBAR_SI**2 / (2.0 * mstar * r**2 * (R - r) ** 2) * bracket
-        value = v_bare(math.pi, _params(fig3a_geom))
+        value = _terms_si(math.pi, _params(fig3a_geom))[BARE]
         assert value == pytest.approx(oracle, rel=1e-13)
         assert value == pytest.approx(V_BARE_AT_PI_FIG3A, rel=1e-13)
 
     @given(theta=st.floats(0.0, 2.0 * math.pi))
     def test_even_about_zero(self, fig3a_geom, theta):
         params = _params(fig3a_geom, m_orbital=2)
-        assert v_bare(theta, params) == pytest.approx(
-            v_bare(2.0 * math.pi - theta, params), rel=1e-12, abs=1e-40
+        assert _terms_si(theta, params)[BARE] == pytest.approx(
+            _terms_si(2.0 * math.pi - theta, params)[BARE], rel=1e-12, abs=1e-40
         )
 
     def test_m_enters_squared(self, fig3a_geom):
         theta = np.linspace(0, 2 * np.pi, 17)
-        plus = v_bare(theta, _params(fig3a_geom, m_orbital=1))
-        minus = v_bare(theta, _params(fig3a_geom, m_orbital=-1))
+        plus = _terms_si(theta, _params(fig3a_geom, m_orbital=1))[BARE]
+        minus = _terms_si(theta, _params(fig3a_geom, m_orbital=-1))[BARE]
         np.testing.assert_array_equal(plus, minus)
 
 
 class TestVElectric:
     def test_zero_at_nodes(self, fig3a_geom):
         params = _params(fig3a_geom, E_static=100.0)
-        assert v_electric(0.0, params) == 0.0
-        assert abs(v_electric(math.pi, params)) < 1e-40
+        assert _terms_si(0.0, params)[ELEC] == 0.0
+        assert abs(_terms_si(math.pi, params)[ELEC]) < 1e-40
 
     def test_direct_product_at_quarter_turn(self, fig3a_geom):
         params = _params(fig3a_geom, E_static=100.0)
         oracle = -E_CHARGE_SI * 100.0 * 3.5e-8
-        assert v_electric(math.pi / 2, params) == pytest.approx(oracle, rel=1e-14)
+        assert _terms_si(math.pi / 2, params)[ELEC] == pytest.approx(oracle, rel=1e-14)
 
     @given(theta=st.floats(0.0, 2.0 * math.pi))
     def test_odd_symmetry(self, fig3a_geom, theta):
         params = _params(fig3a_geom, E_static=250.0)
         scale = E_CHARGE_SI * 250.0 * fig3a_geom.r_minor
-        assert v_electric(theta, params) == pytest.approx(
-            -v_electric(2.0 * math.pi - theta, params), rel=1e-12, abs=scale * 1e-12
+        assert _terms_si(theta, params)[ELEC] == pytest.approx(
+            -_terms_si(2.0 * math.pi - theta, params)[ELEC], rel=1e-12, abs=scale * 1e-12
         )
 
 
@@ -77,18 +84,18 @@ class TestVMagnetic:
         theta = np.linspace(0, 2 * np.pi, 33)
         for m in (-2, 0, 3):
             np.testing.assert_array_equal(
-                v_magnetic(theta, _params(fig3a_geom, m_orbital=m)), np.zeros_like(theta)
+                _terms_si(theta, _params(fig3a_geom, m_orbital=m))[MAG], np.zeros_like(theta)
             )
 
     def test_positive_for_m0(self, fig3a_geom):
         theta = np.linspace(0, 2 * np.pi, 64)
-        values = v_magnetic(theta, _params(fig3a_geom, B=0.2))
+        values = _terms_si(theta, _params(fig3a_geom, B=0.2))[MAG]
         assert np.all(values > 0)
 
     def test_degeneracy_lifting_term(self, fig3a_geom):
         theta = np.linspace(0, 2 * np.pi, 16)
-        plus = v_magnetic(theta, _params(fig3a_geom, B=0.45, m_orbital=1))
-        minus = v_magnetic(theta, _params(fig3a_geom, B=0.45, m_orbital=-1))
+        plus = _terms_si(theta, _params(fig3a_geom, B=0.45, m_orbital=1))[MAG]
+        minus = _terms_si(theta, _params(fig3a_geom, B=0.45, m_orbital=-1))[MAG]
         split = minus - plus
         oracle = E_CHARGE_SI * HBAR_SI * 0.45 / (0.3 * ELECTRON_MASS_SI)
         np.testing.assert_allclose(split, oracle, rtol=1e-13)
@@ -99,12 +106,11 @@ class TestVTotal:
     def test_sum_of_terms_at_random_angles(self, fig3a_geom):
         rng = np.random.default_rng(7)
         params = _params(fig3a_geom, B=0.3, E_static=50.0, m_orbital=1)
-        for theta in rng.uniform(0, 2 * np.pi, size=7):
-            total = v_total(theta, params)
-            parts = (
-                v_bare(theta, params) + v_electric(theta, params) + v_magnetic(theta, params)
-            )
-            assert total == pytest.approx(parts, rel=1e-14)
+        theta = rng.uniform(0, 2 * np.pi, size=7)
+        bare, elec, mag = internal_terms(theta, params)
+        np.testing.assert_array_equal(total_internal(theta, params), bare + elec + mag)
+        for angle in theta:
+            assert _total_si(angle, params) == pytest.approx(sum(_terms_si(angle, params)), rel=1e-14)
 
     def test_symmetric_profile_without_electric_field(self, fig3a_geom):
         profile = sample_profile(_params(fig3a_geom, B=0.45), 256)
@@ -115,8 +121,8 @@ class TestVTotal:
     def test_two_pi_periodicity(self, fig3a_geom):
         params = _params(fig3a_geom, B=0.3, E_static=80.0, m_orbital=2)
         theta = np.linspace(0.1, 6.2, 23)
-        a = v_total(theta, params)
-        b = v_total(theta + 2 * np.pi, params)
+        a = _total_si(theta, params)
+        b = _total_si(theta + 2 * np.pi, params)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_minimum_at_pi_for_fig3_geometries(self, fig3a_geom, fig3b_geom):
@@ -129,8 +135,8 @@ class TestVTotal:
     def test_m_degeneracy_at_zero_field(self, fig3a_geom):
         theta = np.linspace(0, 2 * np.pi, 64)
         for m in (1, 2, 5):
-            plus = v_total(theta, _params(fig3a_geom, m_orbital=m))
-            minus = v_total(theta, _params(fig3a_geom, m_orbital=-m))
+            plus = _total_si(theta, _params(fig3a_geom, m_orbital=m))
+            minus = _total_si(theta, _params(fig3a_geom, m_orbital=-m))
             np.testing.assert_array_equal(plus, minus)
 
 

@@ -13,7 +13,6 @@ from torusqubit.reduction import (
     coefficients_for,
     coefficients_numerical,
     coefficients_closed_form,
-    effective_dipole,
     qubit_for,
     qubit_parameters,
     rabi_frequency,
@@ -184,7 +183,7 @@ class TestDipoleAndRabi:
         s = fig5_qubit.zero_point_spread
         oracle = E_CHARGE_SI * fig3a_geom.r_minor * (s - s**3 / 6.0)
         assert fig5_qubit.mu_dipole == pytest.approx(oracle, rel=1e-12)
-        assert effective_dipole(fig3a_geom, 0.45) == pytest.approx(oracle, rel=1e-12)
+        assert qubit_for(fig3a_geom, 0.45).mu_dipole == pytest.approx(oracle, rel=1e-12)
 
     def test_rabi_vs_wavefunction_matrix_element(self, fig3a_geom, fig5_qubit, disc1024):
         # independent oracle: <chi_0| -e E r sin(theta) |chi_1> / hbar with
@@ -242,7 +241,7 @@ def test_qubit_for_sources(fig3a_geom):
 
 
 def test_unknown_source_rejected(fig3a_geom):
-    for call in (coefficients_for, qubit_for, effective_dipole):
+    for call in (coefficients_for, qubit_for):
         with pytest.raises(ValueError, match="bogus"):
             call(fig3a_geom, 0.45, source="bogus")
     assert coefficients_for(fig3a_geom, 0.45, CLOSED_FORM) == coefficients_closed_form(

@@ -43,6 +43,9 @@ CASES = {
     "gate-phase-labframe": [*FIG5, "gate", "--gate", "phase:1.0", "--mode", "labframe"],
     "qubit-params": [*FIG5, "qubit-params"],
     "spectrum": [*FIG5, "--n-points", "256", "spectrum"],
+    "potential": ["--preset", "fig3a", "--B", "0.45", "--n-points", "64",
+                  "potential", "--E-static", "10"],
+    "window": ["--preset", "fig3a", "--n-points", "256", "window"],
 }
 
 
