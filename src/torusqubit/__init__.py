@@ -57,7 +57,6 @@ from .errors import (
     InfidelityReport,
     average_gate_infidelity,
     field_error_sweep,
-    infidelity,
     perturbed_pulse,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "field_error_sweep",
     "gate_unitary",
     "hadamard_sequence",
-    "infidelity",
     "initialization_window",
     "ladder_trajectory",
     "leakage_probe",

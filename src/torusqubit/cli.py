@@ -440,6 +440,7 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
     lines = ["delta,mean_infidelity,max_infidelity"]
+    exact = []
     for delta in deltas:
         db = float(delta) if args.scan == "dB" else 0.0
         de = float(delta) if args.scan == "dE" else 0.0
@@ -450,7 +451,8 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
         for flag in report.warnings:
             warnings.warn(flag)
         lines.append(f"{float(delta)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
-    return Output({"fidelity.csv": "\n".join(lines) + "\n"})
+        exact.append(report.haar_mean_exact)
+    return Output({"fidelity.csv": "\n".join(lines) + "\n"}, {"haar_mean_exact": exact})
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
@@ -475,7 +477,8 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     best = next(r for r in rows if r["is_argmin"])
     print(f"argmin: {key} = {best[key]:.6g}, mean infidelity = {best['mean_infidelity']:.3e}")
     return Output({"mitigate.csv": "\n".join(lines) + "\n"},
-                  {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"]})
+                  {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"],
+                   "haar_mean_exact": [row["haar_mean_exact"] for row in rows]})
 
 
 # ----------------------------------------------------------------- arg parsing

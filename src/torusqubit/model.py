@@ -84,17 +84,16 @@ def energy_scale_of(geom: TorusGeometry) -> float:
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Conversion between SI and the geometry-tied internal units.
+    """The SI scales of the geometry-tied internal units.
 
-    Internal quantities are dimensionless multiples of the scales below.
-    Round trips are exact to relative 1e-14 (they are single multiplications).
+    Internal quantities are dimensionless multiples of the scales below;
+    from_internal converts an internal energy to joules with one
+    multiplication.
     """
 
     energy_scale: float  # [J]
     length_scale: float  # [m]
     time_scale: float  # [s]
-
-    _KINDS = ("energy", "length", "time", "angular_frequency")
 
     def __post_init__(self) -> None:
         for name in ("energy_scale", "length_scale", "time_scale"):
@@ -107,21 +106,13 @@ class UnitSystem:
         u = energy_scale_of(geom)
         return cls(energy_scale=u, length_scale=geom.r_minor, time_scale=HBAR / u)
 
-    def _scale(self, kind: str) -> float:
-        if kind == "energy":
-            return self.energy_scale
-        if kind == "length":
-            return self.length_scale
-        if kind == "time":
-            return self.time_scale
-        if kind == "angular_frequency":
-            return 1.0 / self.time_scale
-        raise ValueError(f"unknown quantity kind {kind!r}; expected one of {self._KINDS}")
-
     def from_internal(self, value: float, kind: str = "energy") -> float:
+        """An internal energy in joules; "energy" is the only kind converted."""
+        if kind != "energy":
+            raise ValueError(f"unknown quantity kind {kind!r}; only 'energy' is converted")
         if not math.isfinite(value):
             raise ValueError("cannot convert non-finite value")
-        return value * self._scale(kind)
+        return value * self.energy_scale
 
 
 def magnetic_parameter(geom: TorusGeometry, B: float) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusqubit import cli
+from torusqubit import cli, errors
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 
 
@@ -420,3 +420,46 @@ class TestNewSurfaces:
         assert header == ["B0", "mean_infidelity", "max_infidelity"]
         means = [float(r[1]) for r in data]
         assert means[0] == pytest.approx(means[-1], rel=1e-9)
+
+
+README_ERROR_STUDY = {
+    "fidelity-dB-11": ["--preset", "fig5", "fidelity", "--scan", "dB", "--range", "0:0.01:11",
+                       "--samples", "10000"],
+    "fidelity-dB-21": ["--preset", "fig5", "fidelity", "--scan", "dB", "--range", "0:0.01:21"],
+    "fidelity-dE-21": ["--preset", "fig5", "fidelity", "--scan", "dE", "--range", "0:0.01:21"],
+    "mitigate-E0-7": ["--preset", "fig5", "mitigate", "--delta-b", "0.005",
+                      "--e0-range", "100:10000:7"],
+    "mitigate-E0": ["--preset", "fig5", "mitigate", "--delta-b", "0.005"],
+    "mitigate-B0": ["--preset", "fig5", "--E0", "1000", "mitigate", "--sweep", "B0",
+                    "--delta-e", "0.005"],
+}
+
+
+class TestExactHaarMean:
+    @pytest.mark.parametrize("case", sorted(README_ERROR_STUDY))
+    def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch, capsys):
+        # the README error-study commands, run with their per-sample values kept:
+        # each manifest row's exact Haar mean sits within 5 standard errors
+        # of the Monte-Carlo mean written to the data file
+        original, reports = errors.average_gate_infidelity, []
+
+        def keeping_samples(*args, **kwargs):
+            reports.append(original(*args, **kwargs, keep_samples=True))
+            return reports[-1]
+
+        monkeypatch.setattr(errors, "average_gate_infidelity", keeping_samples)
+        monkeypatch.setattr(cli, "average_gate_infidelity", keeping_samples)
+        args = README_ERROR_STUDY[case]
+        command = "fidelity" if "fidelity" in args else "mitigate"
+        code, out = run(args, tmp_path)
+        assert code == 0
+        _, data = read_csv(out / f"{command}.csv")
+        manifest = json.loads((out / f"{command}.csv.manifest.json").read_text())
+        exact = manifest["results"]["haar_mean_exact"]
+        assert len(exact) == len(data) == len(reports)
+        assert all(np.isfinite(exact))
+        for row, value, report in zip(data, exact, reports):
+            assert value == report.haar_mean_exact
+            assert float(row[1]) == report.mean_infidelity
+            stderr = np.std(report.per_sample) / np.sqrt(report.n_samples)
+            assert abs(report.mean_infidelity - value) <= 5.0 * stderr + 1e-15

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from torusqubit.control import PulseSequence, gate_unitary, hadamard_sequence
 from torusqubit.dynamics import PulseSpec, QuantumState
 from torusqubit.errors import (
     ErrorModel,
+    _ensemble_infidelity,
+    _exact_terms,
     average_gate_infidelity,
-    haar_states,
+    haar_bloch_vectors,
     field_error_sweep,
-    infidelity,
     perturbed_pulse,
 )
 
@@ -25,22 +27,23 @@ def _model(db=0.0, de=0.0):
 
 
 class TestInfidelity:
+    # the Bures infidelity 1 - F of pure states, which the Monte Carlo averages
     def test_identical_states(self):
         state = QuantumState.of(0.6, 0.8j)
-        assert infidelity(state, state) == pytest.approx(0.0, abs=1e-15)
+        assert 1.0 - state.fidelity(state) == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_states(self):
-        assert infidelity(QuantumState.of(1, 0), QuantumState.of(0, 1)) == 1.0
+        assert 1.0 - QuantumState.of(1, 0).fidelity(QuantumState.of(0, 1)) == 1.0
 
     def test_half_for_equator_vs_pole(self):
-        assert infidelity(QuantumState.of(1, 0), QuantumState.of(1, 1)) == pytest.approx(0.5)
+        assert 1.0 - QuantumState.of(1, 0).fidelity(QuantumState.of(1, 1)) == pytest.approx(0.5)
 
     def test_symmetric_and_phase_invariant(self):
         a = QuantumState.of(0.3, 0.7 + 0.2j)
         b = QuantumState.of(0.5j, 0.4)
-        assert infidelity(a, b) == pytest.approx(infidelity(b, a), abs=1e-15)
+        assert a.fidelity(b) == pytest.approx(b.fidelity(a), abs=1e-15)
         rotated = QuantumState(np.exp(1.3j) * a.amplitudes)
-        assert infidelity(rotated, b) == pytest.approx(infidelity(a, b), abs=1e-14)
+        assert rotated.fidelity(b) == pytest.approx(a.fidelity(b), abs=1e-14)
 
 
 class TestPerturbedPulse:
@@ -89,24 +92,82 @@ class TestErrorModel:
 
 class TestHaarStates:
     def test_reproducible(self):
-        a = haar_states(100, seed=9)
-        b = haar_states(100, seed=9)
+        a = haar_bloch_vectors(100, seed=9)
+        haar_bloch_vectors.cache_clear()
+        b = haar_bloch_vectors(100, seed=9)
+        assert a is not b
         np.testing.assert_array_equal(a, b)
 
     def test_read_only(self):
-        states = haar_states(100, seed=9)
+        bloch = haar_bloch_vectors(100, seed=9)
         with pytest.raises(ValueError, match="read-only"):
-            states[0, 0] = 1.0
+            bloch[0, 0] = 1.0
 
     def test_normalized(self):
-        states = haar_states(1000, seed=1)
-        np.testing.assert_allclose(np.sum(np.abs(states) ** 2, axis=1), 1.0, atol=1e-12)
+        bloch = haar_bloch_vectors(1000, seed=1)
+        assert bloch.shape == (3, 1000)
+        np.testing.assert_allclose(np.sum(bloch**2, axis=0), 1.0, rtol=0.0, atol=1e-15)
 
     def test_uniform_z(self):
-        states = haar_states(20000, seed=3)
-        z = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
+        z = haar_bloch_vectors(20000, seed=3)[2]
         assert abs(z.mean()) < 0.02
         assert np.var(z) == pytest.approx(1.0 / 3.0, abs=0.02)
+
+    def test_bloch_vectors_of_the_kets_from_the_same_draws(self):
+        # the ensemble is the one of kets (sqrt((1+z)/2), e^{i phi} sqrt((1-z)/2))
+        # drawn as z, then phi, from default_rng(seed)
+        n, seed = 5000, 12
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, size=n)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        up = np.sqrt((1.0 + z) / 2.0)
+        down = np.exp(1j * azimuth) * np.sqrt((1.0 - z) / 2.0)
+        coherence = up * down
+        kets = np.array([2.0 * coherence.real, 2.0 * coherence.imag, up**2 - np.abs(down) ** 2])
+        np.testing.assert_allclose(haar_bloch_vectors(n, seed), kets, rtol=0.0, atol=1e-15)
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _mp_infidelity(m, n):
+    """1 - |c0 + c . n|^2 in 40 digits, from the float entries of M and n."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = [[mpmath.mpc(complex(m[i, j])) for j in range(2)] for i in range(2)]
+        c0 = (e[0][0] + e[1][1]) / 2
+        c = ((e[0][1] + e[1][0]) / 2, 1j * (e[0][1] - e[1][0]) / 2, (e[0][0] - e[1][1]) / 2)
+        return [1 - abs(c0 + sum(ci * mpmath.mpf(float(x)) for ci, x in zip(c, col))) ** 2
+                for col in n.T]
+
+
+class TestEnsembleKernel:
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+    @pytest.mark.parametrize("eps", [1e-7, 1e-4, 1e-2, 1.0])
+    def test_per_sample_against_mpmath(self, eps, scale):
+        # M = U^dag U exp(-i eps H), optionally scaled off unitarity as a
+        # lab-frame propagator is: at most 1e-16 absolute error where the
+        # infidelity is at most 1e-4, 5e-16 everywhere
+        rng = np.random.default_rng(int(1e7 * eps) + 1)
+        u = _random_unitary(rng)
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        w, v = np.linalg.eigh((h + h.conj().T) / 2)
+        m = u.conj().T @ (u @ ((v * np.exp(-1j * eps * w)) @ v.conj().T)) * scale
+        bloch = haar_bloch_vectors(300, seed=31)
+        got = _ensemble_infidelity(m, bloch, _exact_terms(m)[0])
+        want = _mp_infidelity(m, bloch)
+        err = np.array([abs(float(ref - value)) for ref, value in zip(want, got)])
+        small = np.array([abs(ref) <= 1e-4 for ref in want])
+        assert err.max() <= 5e-16
+        assert err[small].max(initial=0.0) <= 1e-16
+
+    def test_exact_haar_mean_is_the_trace_formula(self):
+        rng = np.random.default_rng(3)
+        m = _random_unitary(rng) * (1.0 + 1e-9)
+        trace_formula = 1.0 - (abs(np.trace(m)) ** 2 + np.trace(m.conj().T @ m).real) / 6.0
+        assert _exact_terms(m)[1] == pytest.approx(trace_formula, rel=0.0, abs=1e-15)
 
 
 class TestAverageGateInfidelity:
@@ -159,11 +220,25 @@ class TestAverageGateInfidelity:
         assert quad == pytest.approx(analytic, rel=1e-10)
 
         n = 10000
-        states = haar_states(n, seed=21)
         m = u_ideal.conj().T @ u_pert
-        overlap = np.einsum("ni,ij,nj->n", states.conj(), m, states)
-        mc = float(np.mean(1.0 - np.abs(overlap) ** 2))
+        s, exact = _exact_terms(m)
+        mc = float(np.mean(_ensemble_infidelity(m, haar_bloch_vectors(n, seed=21), s)))
         assert abs(mc - quad) <= 3.0 / math.sqrt(n)
+        assert exact == pytest.approx(quad, abs=1e-15)
+
+    def test_peak_memory_per_sample(self, fig5_qubit, qubit_factory):
+        # the first call draws the ensemble: 24 B per sample kept, the
+        # per-sample infidelities and their clipped copy
+        seq = hadamard_sequence(fig5_qubit, 100.0)
+        average_gate_infidelity(seq, qubit_factory, _model(db=5e-3), 8, seed=3)
+        n = 2**17
+        tracemalloc.start()
+        try:
+            average_gate_infidelity(seq, qubit_factory, _model(db=5e-3), n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n
 
 
 def _synth(qubit, e0):
@@ -189,12 +264,12 @@ class TestMitigationSweep:
         assert rows[-1]["is_argmin"]
 
     def test_ensemble_drawn_once_per_sweep(self, qubit_factory):
-        haar_states.cache_clear()
+        haar_bloch_vectors.cache_clear()
         field_error_sweep(
             _synth, qubit_factory, B0=0.45, E0=100.0, axis="E0", grid=[100.0, 300.0, 1000.0],
             delta_B_rel=5e-3, delta_E_rel=0.0, n_samples=200, seed=5,
         )
-        info = haar_states.cache_info()
+        info = haar_bloch_vectors.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_zero_error_row_is_zero(self, fig5_qubit, qubit_factory):
