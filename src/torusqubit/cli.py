@@ -4,7 +4,9 @@ Each subcommand computes its machine-readable data files (CSV or JSON) and
 returns them; `main` alone writes them, each with a sidecar manifest
 recording the resolved configuration, software version, unit scales, and
 every warning raised during the run.  Identical config and seed give
-byte-identical data files; timestamps live only in the manifest.
+byte-identical data files; timestamps live only in the manifest.  Each
+subcommand imports the layers it runs, so a cold process loads only those;
+every option is checked before the first of them is called.
 
 Presets name the geometries and operating point used throughout:
 fig3a (r=350 A, R=900 A), fig3b (r=350 A, R=3600 A), and fig5
@@ -22,49 +24,18 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .control import (
-    GateSpec,
-    PulseSequence,
-    gate_unitary,
-    hadamard_sequence,
-    phase_gate_sequence,
-    phase_insensitive_fidelity,
-    prepare_state,
-    target_state,
-)
-from .dynamics import (
-    MAX_DRIVE_CYCLES,
-    TOL_RANGE,
-    PulseSpec,
-    QuantumState,
-    bloch,
-    drive_field,
-    ladder_trajectory,
-    leakage_probe,
-    trajectory,
-)
-from .errors import ErrorModel, average_gate_infidelity, field_error_sweep
-from .model import FieldConfig, TorusGeometry, UnitSystem
-from .potential import PotentialParams, sample_profile
-from .reduction import (
-    NUMERICAL_TAYLOR,
-    CLOSED_FORM,
-    QubitParameters,
-    coefficients_for,
-    qubit_for,
-    rabi_frequency,
-)
-from .spectral import (
-    Discretization,
-    DEFAULT_LOC_THRESHOLD,
-    initialization_window,
-    solve_sector,
-    sweep_field,
-)
+from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
+                    FieldConfig, TorusGeometry, UnitSystem)
+
+if TYPE_CHECKING:
+    from .control import GateSpec, PulseSequence
+    from .dynamics import QuantumState
+    from .reduction import QubitParameters
 
 ANGSTROM = 1e-10
 
@@ -103,6 +74,8 @@ class RunConfig:
     def qubit(self, B: float, E0: float | None = None) -> QubitParameters:
         """Two-level parameters at field B from the configured coefficient
         route; E0 is unused and present so this is an errors.QubitFactory."""
+        from .reduction import qubit_for
+
         return qubit_for(self.geometry(), B, self.source)
 
 
@@ -180,10 +153,13 @@ def _check_count(value: int, arg: str, low: int, high: int | None = None) -> int
     return value
 
 
-def _check_finite(value: float, arg: str, low: float = -math.inf) -> float:
-    """value if it is finite and >= low; otherwise a ConfigError naming arg."""
-    if not (math.isfinite(value) and value >= low):
-        bound = "" if low == -math.inf else f" and >= {low:g}"
+def _check_finite(value: float, arg: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """value if it is finite and in [low, high]; otherwise a ConfigError naming arg."""
+    if not (math.isfinite(value) and low <= value <= high):
+        if high < math.inf:
+            bound = f" and in [{low:g}, {high:g}]"
+        else:
+            bound = "" if low == -math.inf else f" and >= {low:g}"
         raise ConfigError(f"{arg} must be finite{bound}, got {value!r}")
     return value
 
@@ -243,16 +219,31 @@ def write_artifacts(
 _GATE_ARITY = {"hadamard": 0, "phase": 1, "prep": 2}
 
 
-def _synthesize(gate_arg: str, qubit, E0: float) -> tuple[PulseSequence, GateSpec | None, QuantumState | None]:
-    """Map a --gate argument to (sequence, ideal gate, ideal prepared state)."""
+def _parse_gate(gate_arg: str) -> tuple[str, list[float]]:
+    """(kind, angles) of a --gate argument, each angle in its gate's range."""
     kind, _, spec = gate_arg.partition(":")
     try:
         values = [float(v) for v in spec.split(",")] if spec else []
     except ValueError:
         values = None
-    if (kind not in _GATE_ARITY or values is None or len(values) != _GATE_ARITY[kind]
-            or not all(map(math.isfinite, values))):
+    if kind not in _GATE_ARITY or values is None or len(values) != _GATE_ARITY[kind]:
         raise ConfigError(f"--gate must be hadamard, phase:ETA or prep:THETA,ETA, got {gate_arg!r}")
+    if kind == "phase" and not 0.0 <= values[0] < 2.0 * math.pi:
+        raise ConfigError(f"--gate phase:ETA needs ETA in [0, 2 pi), got {gate_arg!r}")
+    if kind == "prep" and not (0.0 < values[0] <= math.pi and 0.0 <= values[1] <= math.pi):
+        raise ConfigError(
+            f"--gate prep:THETA,ETA needs THETA in (0, pi] and ETA in [0, pi], got {gate_arg!r}"
+        )
+    return kind, values
+
+
+def _synthesize(
+    gate: tuple[str, list[float]], qubit: QubitParameters, E0: float
+) -> tuple[PulseSequence, GateSpec | None, QuantumState | None]:
+    """Map a parsed --gate to (sequence, ideal gate, ideal prepared state)."""
+    from .control import GateSpec, hadamard_sequence, phase_gate_sequence, prepare_state, target_state
+
+    kind, values = gate
     if kind == "hadamard":
         return hadamard_sequence(qubit, E0), GateSpec.hadamard(), None
     if kind == "phase":
@@ -278,6 +269,8 @@ def _levels_csv(spectra, units: UnitSystem) -> str:
 
 
 def cmd_potential(args, config: RunConfig) -> Output:
+    from .potential import PotentialParams, sample_profile
+
     params = PotentialParams(
         geom=config.geometry(), B=config.B, E_static=args.E_static, m_orbital=args.m
     )
@@ -285,6 +278,9 @@ def cmd_potential(args, config: RunConfig) -> Output:
 
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
+    from .potential import PotentialParams
+    from .spectral import solve_sector
+
     units = UnitSystem.for_geometry(config.geometry())
     levels = _check_count(args.levels, "--levels", 1, config.n_points)
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
@@ -311,6 +307,8 @@ def cmd_spectrum(args, config: RunConfig) -> Output:
 
 
 def cmd_sweep_b(args, config: RunConfig) -> Output:
+    from .spectral import sweep_field
+
     values = parse_range(args.b_range, arg="--b-range")
     try:
         m_list = [int(m) for m in args.m_list.split(",")]
@@ -325,9 +323,12 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
 
 
 def cmd_window(args, config: RunConfig) -> Output:
+    from .spectral import initialization_window
+
+    scan_max = _check_positive(args.scan_max, "--scan-max")
     b_min, b_max = initialization_window(
         config.geometry(), config.discretization(),
-        B_scan_max=args.scan_max, loc_threshold=config.loc_threshold,
+        B_scan_max=scan_max, loc_threshold=config.loc_threshold,
     )
     payload = {"B_min_T": b_min, "B_max_T": b_max}
     print(f"window: [{b_min:.4f}, {b_max:.4f}] T")
@@ -335,6 +336,8 @@ def cmd_window(args, config: RunConfig) -> Output:
 
 
 def cmd_qubit_params(args, config: RunConfig) -> Output:
+    from .reduction import coefficients_for, rabi_frequency
+
     geom = config.geometry()
     qubit = config.qubit(config.B)
     routes = {source: coefficients_for(geom, config.B, source)
@@ -364,6 +367,10 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
 
 
 def cmd_evolve(args, config: RunConfig) -> Output:
+    from .dynamics import (MAX_DRIVE_CYCLES, PulseSpec, QuantumState, bloch, drive_field,
+                           ladder_trajectory, trajectory)
+    from .reduction import rabi_frequency
+
     _check_count(args.samples, "--samples", 2)  # a trajectory has a start and an end
     _check_finite(args.detuning, "--detuning")
     _check_finite(args.phase, "--phase")
@@ -400,11 +407,17 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 
 
 def cmd_gate(args, config: RunConfig) -> Output:
+    from .control import gate_unitary, phase_insensitive_fidelity
+    from .dynamics import TOL_RANGE, QuantumState, drive_field, leakage_probe
+
     low, high = TOL_RANGE
     if not low <= args.tol <= high:
         raise ConfigError(f"--tol must lie in [{low:g}, {high:g}], got {args.tol!r}")
+    gate = _parse_gate(args.gate)
+    if gate[0] != "phase":  # a phase gate is a frame update and drives nothing
+        _check_positive(config.E0, "--E0")
     qubit = config.qubit(config.B)
-    seq, ideal, target = _synthesize(args.gate, qubit, config.E0)
+    seq, ideal, target = _synthesize(gate, qubit, config.E0)
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
     if ideal is not None:
         fidelity = phase_insensitive_fidelity(ideal.ideal_matrix, unitary)
@@ -430,17 +443,24 @@ def cmd_gate(args, config: RunConfig) -> Output:
 
 
 def cmd_fidelity(args, config: RunConfig) -> Output:
+    from .errors import MAX_RELATIVE_ERROR, ErrorModel, average_gate_infidelity
+
     deltas = parse_range(args.range, arg="--range")
+    edge = float(max(deltas[0], deltas[-1], key=abs))  # linspace ends at its extremes
+    _check_finite(edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     b0 = _check_positive(args.B0 if args.B0 is not None else config.B, "--B0 (or --B)")
     e0 = _check_positive(args.E0_ref if args.E0_ref is not None else config.E0, "--E0-ref (or --E0)")
     _check_count(args.samples, "--samples", 1)
-    seq, _, _ = _synthesize(args.gate, config.qubit(b0, e0), e0)
+    gate = _parse_gate(args.gate)
+    seq, _, _ = _synthesize(gate, config.qubit(b0, e0), e0)
     window = None
     if args.check_window:
+        from .spectral import initialization_window
+
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
     lines = ["delta,mean_infidelity,max_infidelity"]
-    exact = []
+    exact, worst = [], []
     for delta in deltas:
         db = float(delta) if args.scan == "dB" else 0.0
         de = float(delta) if args.scan == "dE" else 0.0
@@ -452,21 +472,31 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
             warnings.warn(flag)
         lines.append(f"{float(delta)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
         exact.append(report.haar_mean_exact)
-    return Output({"fidelity.csv": "\n".join(lines) + "\n"}, {"haar_mean_exact": exact})
+        worst.append(report.worst_case_exact)
+    return Output({"fidelity.csv": "\n".join(lines) + "\n"},
+                  {"haar_mean_exact": exact, "worst_case_exact": worst})
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
-    if args.sweep == "E0":
-        grid = parse_range(args.e0_range, args.spacing, arg="--e0-range")
-    else:
-        grid = parse_range(args.b0_range, arg="--b0-range")
+    from .errors import MAX_RELATIVE_ERROR, field_error_sweep
+
     b0 = args.B0 if args.B0 is not None else config.B
-    if args.sweep == "E0":
+    if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference
+        spec, arg, spacing = args.e0_range, "--e0-range", args.spacing
         _check_positive(b0, "--B0 (or --B)")
+    else:
+        spec, arg, spacing = args.b0_range, "--b0-range", "linear"
+        _check_positive(config.E0, "--E0")
+    grid = parse_range(spec, spacing, arg=arg)
+    if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        raise ConfigError(f"{arg} must be positive and increasing, got {spec!r}")
+    for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
+        _check_finite(value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     _check_count(args.samples, "--samples", 1)
+    gate = _parse_gate(args.gate)
     key = args.sweep
     rows = field_error_sweep(
-        lambda qubit, e0: _synthesize(args.gate, qubit, e0)[0], config.qubit,
+        lambda qubit, e0: _synthesize(gate, qubit, e0)[0], config.qubit,
         B0=b0, E0=config.E0, axis=key, grid=grid,
         delta_B_rel=args.delta_b, delta_E_rel=args.delta_e,
         n_samples=args.samples, seed=config.seed, mode=args.mode,
@@ -478,7 +508,8 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     print(f"argmin: {key} = {best[key]:.6g}, mean infidelity = {best['mean_infidelity']:.3e}")
     return Output({"mitigate.csv": "\n".join(lines) + "\n"},
                   {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"],
-                   "haar_mean_exact": [row["haar_mean_exact"] for row in rows]})
+                   "haar_mean_exact": [row["haar_mean_exact"] for row in rows],
+                   "worst_case_exact": [row["worst_case_exact"] for row in rows]})
 
 
 # ----------------------------------------------------------------- arg parsing

@@ -1,4 +1,5 @@
-"""Physical constants, internal unit system, and the shared device/field types.
+"""Physical constants, internal unit system, and the shared device, field
+and grid types that a run configuration is validated with.
 
 Every downstream module works in an internal unit system tied to the device
 geometry: energies in units of hbar^2 / (2 m* r^2), lengths in units of the
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # CODATA 2018 values (SI).  Frozen on purpose: reproducibility of derived
 # numbers beats configurability for this artifact.
 HBAR = 1.054571817e-34  # reduced Planck constant [J s]
@@ -19,6 +22,10 @@ E_CHARGE = 1.602176634e-19  # elementary charge [C], exact
 ELECTRON_MASS = 9.1093837015e-31  # electron rest mass [kg]
 
 TWO_PI = 2.0 * math.pi
+
+DEFAULT_LOC_THRESHOLD = 0.6  # bound-state localization cut; see spectral
+CLOSED_FORM = "closed_form"  # the two coefficient routes of reduction
+NUMERICAL_TAYLOR = "numerical_taylor"
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,28 @@ class FieldConfig:
         if self.E0 < 0:
             raise ValueError("E0 must be non-negative")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """Uniform periodic grid and stencil order for the 1D operator."""
+
+    n_points: int = 1024
+    stencil_order: int = 2
+
+    def __post_init__(self) -> None:
+        if self.n_points < 64:
+            raise ValueError("n_points must be >= 64")
+        if self.stencil_order not in (2, 4):
+            raise ValueError("stencil_order must be 2 or 4")
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * np.pi / self.n_points
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.arange(self.n_points) * self.spacing
 
 
 def energy_scale_of(geom: TorusGeometry) -> float:

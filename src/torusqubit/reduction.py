@@ -22,11 +22,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import E_CHARGE, HBAR, TorusGeometry, energy_scale_of
+from .model import CLOSED_FORM, E_CHARGE, HBAR, NUMERICAL_TAYLOR, TorusGeometry, energy_scale_of
 from .potential import PotentialParams, internal_terms
-
-CLOSED_FORM = "closed_form"
-NUMERICAL_TAYLOR = "numerical_taylor"
 
 
 @dataclass(frozen=True)

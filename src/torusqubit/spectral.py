@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TorusGeometry
+from .model import DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry
 from .potential import PotentialParams, total_internal
 
-DEFAULT_LOC_THRESHOLD = 0.6
 _DENSE_CUTOFF = 600  # below this size a dense solve is cheaper than ARPACK
 _RITZ_START = 32  # smallest Fourier cutoff of a sector solve
 _RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
@@ -47,28 +46,6 @@ class EigensolverError(RuntimeError):
 
 class WindowNotFoundError(RuntimeError):
     """Raised when no two-bound-state field window exists in the scan range."""
-
-
-@dataclass(frozen=True)
-class Discretization:
-    """Uniform periodic grid and stencil order for the 1D operator."""
-
-    n_points: int = 1024
-    stencil_order: int = 2
-
-    def __post_init__(self) -> None:
-        if self.n_points < 64:
-            raise ValueError("n_points must be >= 64")
-        if self.stencil_order not in (2, 4):
-            raise ValueError("stencil_order must be 2 or 4")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.n_points
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.arange(self.n_points) * self.spacing
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusqubit import cli, errors
+from torusqubit import cli, dynamics, errors, potential
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 
 
@@ -17,14 +17,20 @@ def run(args, tmp_path, sub=None):
     return main(args + ["--output-dir", str(out)]), out
 
 
-def scipy_modules_after(code):
-    """Names of the scipy modules loaded once code has run in a fresh interpreter."""
+def modules_after(code, *packages):
+    """Sorted names of the packages' modules loaded once code has run in a
+    fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    listing = "print('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    listing = f"print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n{listing}"], env=env,
                           capture_output=True, text=True, check=True)
-    return next(line for line in done.stdout.splitlines() if line.startswith("scipy:")).split()[1:]
+    return next(line for line in done.stdout.splitlines() if line.startswith("loaded:")).split()[1:]
+
+
+def scipy_modules_after(code):
+    """Names of the scipy modules loaded once code has run in a fresh interpreter."""
+    return modules_after(code, "scipy")
 
 
 def read_csv(path):
@@ -149,7 +155,7 @@ class TestConfigHandling:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "sample_profile", exhausted)
+        monkeypatch.setattr(potential, "sample_profile", exhausted)
         code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
         assert code == 1
         assert capsys.readouterr().err.strip().splitlines() == [expected]
@@ -182,6 +188,21 @@ class TestConfigHandling:
         (["evolve", "--duration=-1e-9"], "--duration"),
         (["evolve", "--three-level", "--rabi=-1e9", "--duration=1e-9"], "--rabi"),
         (["evolve", "--three-level", "--duration", "1e300"], "--duration"),
+        (["fidelity", "--range", "0:0.5:3"], "--range"),
+        (["fidelity", "--range=-0.2:0:3"], "--range"),
+        (["mitigate", "--delta-b", "0.5"], "--delta-b"),
+        (["mitigate", "--delta-e", "nan"], "--delta-e"),
+        (["mitigate", "--sweep", "B0", "--b0-range", "0:0.9:6"], "--b0-range"),
+        (["mitigate", "--sweep", "B0", "--b0-range", "0.9:0.4:6"], "--b0-range"),
+        (["mitigate", "--spacing", "linear", "--e0-range", "0:100:3"], "--e0-range"),
+        (["--E0", "0", "mitigate", "--sweep", "B0"], "--E0"),
+        (["window", "--scan-max", "-1"], "--scan-max"),
+        (["window", "--scan-max", "nan"], "--scan-max"),
+        (["gate", "--gate", "phase:1e300"], "--gate"),
+        (["gate", "--gate", "prep:4,0"], "--gate"),
+        (["fidelity", "--gate", "phase:-1"], "--gate"),
+        (["--E0", "0", "gate"], "--E0"),
+        (["--E0", "0", "gate", "--gate", "prep:1.2,0.7"], "--E0"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -350,7 +371,7 @@ class TestNewSurfaces:
             seen.append(tol)
             return 0.0
 
-        monkeypatch.setattr(cli, "leakage_probe", probe)
+        monkeypatch.setattr(dynamics, "leakage_probe", probe)
         code, _ = run(["--preset", "fig5", "gate", "--gate", "prep:1.2,0.7", "--leakage",
                        "--tol", "1e-10"], tmp_path)
         assert code == 0
@@ -361,7 +382,7 @@ class TestNewSurfaces:
         def probe(*args, **kwargs):
             raise AssertionError("leakage_probe called for a pulse-free sequence")
 
-        monkeypatch.setattr(cli, "leakage_probe", probe)
+        monkeypatch.setattr(dynamics, "leakage_probe", probe)
         code, out = run(["--preset", "fig5", "gate", "--gate", "phase:1.0", "--leakage"], tmp_path)
         assert code == 0
         assert '"max_leakage": 0.0' in (out / "gate.json").read_text()
@@ -396,6 +417,33 @@ class TestNewSurfaces:
         argv = ["--preset", "fig3a", *args, "--output-dir", str(tmp_path)]
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
         assert scipy_modules_after(code) == []
+
+    def test_cli_import_loads_model_alone(self):
+        assert modules_after("import torusqubit.cli", "torusqubit", "scipy") == [
+            "torusqubit", "torusqubit.cli", "torusqubit.model"]
+
+    @pytest.mark.parametrize("args, layers", [
+        (["potential"], ["potential"]),
+        (["spectrum"], ["potential", "spectral"]),
+        (["sweep-b", "--b-range", "0:1:3"], ["potential", "spectral"]),
+        (["window"], ["potential", "spectral"]),
+        (["qubit-params"], ["potential", "reduction"]),
+        (["evolve", "--samples", "5"], ["dynamics", "potential", "reduction"]),
+        (["gate"], ["control", "dynamics", "potential", "reduction"]),
+        (["fidelity", "--range", "0:0.01:2", "--samples", "50"],
+         ["control", "dynamics", "errors", "potential", "reduction"]),
+        (["fidelity", "--range", "0:0.01:2", "--samples", "50", "--check-window"],
+         ["control", "dynamics", "errors", "potential", "reduction", "spectral"]),
+        (["mitigate", "--e0-range", "100:1000:2", "--samples", "50"],
+         ["control", "dynamics", "errors", "potential", "reduction"]),
+    ])
+    def test_subcommand_loads_only_its_layers(self, tmp_path, args, layers):
+        # each subcommand imports the layers it runs, and none loads scipy
+        argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
+        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
+        expected = ["torusqubit", "torusqubit.cli", "torusqubit.model",
+                    *(f"torusqubit.{layer}" for layer in layers)]
+        assert modules_after(code, "torusqubit", "scipy") == sorted(expected)
 
     def test_evolve_three_level(self, tmp_path):
         code, out = run(
@@ -448,7 +496,6 @@ class TestExactHaarMean:
             return reports[-1]
 
         monkeypatch.setattr(errors, "average_gate_infidelity", keeping_samples)
-        monkeypatch.setattr(cli, "average_gate_infidelity", keeping_samples)
         args = README_ERROR_STUDY[case]
         command = "fidelity" if "fidelity" in args else "mitigate"
         code, out = run(args, tmp_path)
@@ -456,10 +503,14 @@ class TestExactHaarMean:
         _, data = read_csv(out / f"{command}.csv")
         manifest = json.loads((out / f"{command}.csv.manifest.json").read_text())
         exact = manifest["results"]["haar_mean_exact"]
-        assert len(exact) == len(data) == len(reports)
-        assert all(np.isfinite(exact))
-        for row, value, report in zip(data, exact, reports):
+        worst = manifest["results"]["worst_case_exact"]
+        assert len(exact) == len(worst) == len(data) == len(reports)
+        assert all(np.isfinite(exact)) and all(np.isfinite(worst))
+        for row, value, bound, report in zip(data, exact, worst, reports):
             assert value == report.haar_mean_exact
+            assert bound == report.worst_case_exact
             assert float(row[1]) == report.mean_infidelity
             stderr = np.std(report.per_sample) / np.sqrt(report.n_samples)
             assert abs(report.mean_infidelity - value) <= 5.0 * stderr + 1e-15
+            # no input does worse than the exact worst case 1 - |Tr M|^2 / 4
+            assert float(row[2]) == report.max_infidelity <= bound + 1e-15
