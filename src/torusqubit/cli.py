@@ -30,11 +30,12 @@ import numpy as np
 
 from . import __version__
 from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
-                    FieldConfig, TorusGeometry, UnitSystem)
+                    FieldConfig, TorusGeometry, UnitSystem, check_loc_threshold)
 
 if TYPE_CHECKING:
     from .control import GateSpec, PulseSequence
     from .dynamics import QuantumState
+    from .errors import InfidelityReport
     from .reduction import QubitParameters
 
 ANGSTROM = 1e-10
@@ -114,7 +115,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**merged)
     problems = []
     for build in (config.geometry, config.discretization,
-                  lambda: FieldConfig(B=config.B, E0=config.E0)):
+                  lambda: FieldConfig(B=config.B, E0=config.E0),
+                  lambda: check_loc_threshold(config.loc_threshold)):
         try:
             build()
         except (TypeError, ValueError) as exc:
@@ -271,9 +273,8 @@ def _levels_csv(spectra, units: UnitSystem) -> str:
 def cmd_potential(args, config: RunConfig) -> Output:
     from .potential import PotentialParams, sample_profile
 
-    params = PotentialParams(
-        geom=config.geometry(), B=config.B, E_static=args.E_static, m_orbital=args.m
-    )
+    params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m,
+                             E_static=_check_finite(args.E_static, "--E-static"))
     return Output({"potential.csv": sample_profile(params, config.n_points).to_csv()})
 
 
@@ -310,6 +311,9 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
     from .spectral import sweep_field
 
     values = parse_range(args.b_range, arg="--b-range")
+    steps = np.diff(values)
+    if not (values.min() >= 0 and (np.all(steps > 0) or np.all(steps < 0))):
+        raise ConfigError(f"--b-range must be non-negative and monotone, got {args.b_range!r}")
     try:
         m_list = [int(m) for m in args.m_list.split(",")]
     except ValueError:
@@ -442,43 +446,51 @@ def cmd_gate(args, config: RunConfig) -> Output:
     return Output({"gate.json": _json_dumps(payload)})
 
 
+def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid: np.ndarray,
+                 check_window: bool = False) -> tuple[Output, list[InfidelityReport]]:
+    """Run errors.field_error_sweep over grid along the ErrorModel field axis.
+
+    Returns the reports and the `<command>.csv` data file of
+    `<key>,mean_infidelity,max_infidelity` rows, whose manifest lists each
+    row's exact oracles.
+    """
+    from .errors import field_error_sweep
+
+    _check_count(args.samples, "--samples", 1)
+    gate = _parse_gate(args.gate)
+    window = None
+    if check_window:
+        from .spectral import initialization_window
+
+        window = initialization_window(config.geometry(), config.discretization(),
+                                       loc_threshold=config.loc_threshold)
+    reports = field_error_sweep(lambda qubit, e0: _synthesize(gate, qubit, e0)[0], config.qubit,
+                                point, axis, grid, args.samples, config.seed, args.mode, window)
+    lines = [f"{key},mean_infidelity,max_infidelity"]
+    for value, report in zip(grid, reports):
+        for flag in report.warnings:
+            warnings.warn(flag)
+        lines.append(f"{float(value)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
+    return Output({f"{args.command}.csv": "\n".join(lines) + "\n"},
+                  {"haar_mean_exact": [r.haar_mean_exact for r in reports],
+                   "worst_case_exact": [r.worst_case_exact for r in reports]}), reports
+
+
 def cmd_fidelity(args, config: RunConfig) -> Output:
-    from .errors import MAX_RELATIVE_ERROR, ErrorModel, average_gate_infidelity
+    from .errors import MAX_RELATIVE_ERROR
 
     deltas = parse_range(args.range, arg="--range")
     edge = float(max(deltas[0], deltas[-1], key=abs))  # linspace ends at its extremes
     _check_finite(edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     b0 = _check_positive(args.B0 if args.B0 is not None else config.B, "--B0 (or --B)")
     e0 = _check_positive(args.E0_ref if args.E0_ref is not None else config.E0, "--E0-ref (or --E0)")
-    _check_count(args.samples, "--samples", 1)
-    gate = _parse_gate(args.gate)
-    seq, _, _ = _synthesize(gate, config.qubit(b0, e0), e0)
-    window = None
-    if args.check_window:
-        from .spectral import initialization_window
-
-        window = initialization_window(config.geometry(), config.discretization(),
-                                       loc_threshold=config.loc_threshold)
-    lines = ["delta,mean_infidelity,max_infidelity"]
-    exact, worst = [], []
-    for delta in deltas:
-        db = float(delta) if args.scan == "dB" else 0.0
-        de = float(delta) if args.scan == "dE" else 0.0
-        model = ErrorModel(delta_B_rel=db, delta_E_rel=de, B0=b0, E0=e0)
-        report = average_gate_infidelity(
-            seq, config.qubit, model, args.samples, config.seed, mode=args.mode, window=window
-        )
-        for flag in report.warnings:
-            warnings.warn(flag)
-        lines.append(f"{float(delta)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
-        exact.append(report.haar_mean_exact)
-        worst.append(report.worst_case_exact)
-    return Output({"fidelity.csv": "\n".join(lines) + "\n"},
-                  {"haar_mean_exact": exact, "worst_case_exact": worst})
+    point = {"delta_B_rel": 0.0, "delta_E_rel": 0.0, "B0": b0, "E0": e0}
+    axis = "delta_B_rel" if args.scan == "dB" else "delta_E_rel"
+    return _error_study(args, config, "delta", point, axis, deltas, args.check_window)[0]
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
-    from .errors import MAX_RELATIVE_ERROR, field_error_sweep
+    from .errors import MAX_RELATIVE_ERROR
 
     b0 = args.B0 if args.B0 is not None else config.B
     if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference
@@ -492,24 +504,14 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
         raise ConfigError(f"{arg} must be positive and increasing, got {spec!r}")
     for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
         _check_finite(value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
-    _check_count(args.samples, "--samples", 1)
-    gate = _parse_gate(args.gate)
     key = args.sweep
-    rows = field_error_sweep(
-        lambda qubit, e0: _synthesize(gate, qubit, e0)[0], config.qubit,
-        B0=b0, E0=config.E0, axis=key, grid=grid,
-        delta_B_rel=args.delta_b, delta_E_rel=args.delta_e,
-        n_samples=args.samples, seed=config.seed, mode=args.mode,
-    )
-    lines = [f"{key},mean_infidelity,max_infidelity"]
-    for row in rows:
-        lines.append(f"{row[key]!r},{row['mean_infidelity']!r},{row['max_infidelity']!r}")
-    best = next(r for r in rows if r["is_argmin"])
-    print(f"argmin: {key} = {best[key]:.6g}, mean infidelity = {best['mean_infidelity']:.3e}")
-    return Output({"mitigate.csv": "\n".join(lines) + "\n"},
-                  {f"argmin_{key}": best[key], "argmin_mean_infidelity": best["mean_infidelity"],
-                   "haar_mean_exact": [row["haar_mean_exact"] for row in rows],
-                   "worst_case_exact": [row["worst_case_exact"] for row in rows]})
+    point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": b0, "E0": config.E0}
+    output, reports = _error_study(args, config, key, point, key, grid)
+    best = min(range(len(reports)), key=lambda i: reports[i].mean_infidelity)
+    value, mean = float(grid[best]), reports[best].mean_infidelity
+    print(f"argmin: {key} = {value:.6g}, mean infidelity = {mean:.3e}")
+    output.results.update({f"argmin_{key}": value, "argmin_mean_infidelity": mean})
+    return output
 
 
 # ----------------------------------------------------------------- arg parsing

@@ -237,17 +237,34 @@ def solve_ivp(
     return MagnusSolution(np.exp(scalar * grid)[:, None, None] * u, nfev + 3 * (edges.size - 1))
 
 
-def _matrix_powers(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """base**n for every n in exponents, by repeated squaring."""
+def _check_unitary(u: np.ndarray, periods: float) -> np.ndarray:
+    """u, a stack of square matrices, if none departs from unitarity by more
+    than _NORM_GUARD; otherwise RuntimeError naming the drive's length."""
+    drift = float(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])).max())
+    if not drift <= _NORM_GUARD:
+        raise RuntimeError(
+            f"propagator departs from unitarity by {drift:.2g} over {periods:.3g} drive"
+            " periods: the per-period roundoff has compounded; shorten the duration"
+        )
+    return u
+
+
+def _matrix_powers(base: np.ndarray, exponents: np.ndarray, periods: float) -> np.ndarray:
+    """base**n for every n in exponents, by repeated squaring.
+
+    Each square is checked by _check_unitary before it is used: squaring a
+    drifting power on would grow its drift until the products overflow.
+    """
     dim = base.shape[0]
     out = np.broadcast_to(np.eye(dim, dtype=complex), (exponents.size, dim, dim)).copy()
     remaining = exponents.copy()
-    while remaining.any():
+    while True:
         odd = (remaining & 1).astype(bool)
         out[odd] = out[odd] @ base
-        base = base @ base
         remaining >>= 1
-    return out
+        if not remaining.any():
+            return out
+        base = _check_unitary(base @ base, periods)
 
 
 def _drive_propagators(
@@ -279,8 +296,9 @@ def _drive_propagators(
     lies below the roundoff, the doubling stops at a fixed cap of steps.
     Without a drive frequency (omega_rf = 0) H is constant, and one Magnus
     step is exact.  A time of MAX_DRIVE_CYCLES periods or more raises
-    ValueError; a result that departs from unitarity by more than
-    _NORM_GUARD raises RuntimeError (for the fig5 ladder the compounded
+    ValueError; a result, or a power U_T^(2^j) squared on the way to it,
+    that departs from unitarity by more than _NORM_GUARD raises RuntimeError
+    before the drift can overflow (for the fig5 ladder the compounded
     roundoff is 2.9e-5 at 5.6e10 periods and 8.2e-3 at 5.6e13).
     """
     low, high = TOL_RANGE
@@ -305,14 +323,8 @@ def _drive_propagators(
     sol = solve_ivp((-1j / HBAR) * h0, (-1j / HBAR) * coupling, omega_rf, phi, grid,
                     tol / max(n_max, 1))
     # sol.y[-1] is U_T whenever a cycle count is nonzero
-    props = sol.y[np.searchsorted(grid, rests)] @ _matrix_powers(sol.y[-1], cycles)
-    drift = float(np.abs(_dagger(props) @ props - np.eye(dim)).max())
-    if not drift <= _NORM_GUARD:
-        raise RuntimeError(
-            f"propagator departs from unitarity by {drift:.2g} over {longest:.3g} drive"
-            " periods: the per-period roundoff has compounded; shorten the duration"
-        )
-    return props
+    props = sol.y[np.searchsorted(grid, rests)] @ _matrix_powers(sol.y[-1], cycles, longest)
+    return _check_unitary(props, longest)
 
 
 def drive_field(pulse: PulseSpec, qubit: QubitParameters) -> FieldConfig:

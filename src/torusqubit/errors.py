@@ -1,4 +1,4 @@
-"""Systematic-error study: perturbed gates, Bures infidelity, mitigation sweep.
+"""Systematic-error study: perturbed gates, Bures infidelity, one field-error sweep.
 
 Error semantics: the calibration (segment durations, drive frequencies,
 phases, frame phases) is frozen at the reference point (B0, E0); only the
@@ -244,48 +244,29 @@ def average_gate_infidelity(
 def field_error_sweep(
     synthesize: Callable[[QubitParameters, float], PulseSequence],
     qubit_fn: QubitFactory,
-    B0: float,
-    E0: float,
+    point: dict[str, float],
     axis: str,
     grid: Sequence[float],
-    delta_B_rel: float,
-    delta_E_rel: float,
     n_samples: int,
     seed: int,
     mode: str = "rwa",
-) -> list[dict]:
-    """Mean infidelity along one reference-field axis at fixed relative errors.
+    window: tuple[float, float] | None = None,
+) -> list[InfidelityReport]:
+    """One InfidelityReport per grid value along one ErrorModel field.
 
-    Each grid value replaces the reference coordinate named by axis ("E0"
-    for the drive amplitude, "B0" for the magnetic field) in (B0, E0).  The
-    gate is re-synthesized at every point (a stronger drive means a shorter
-    gate), then subjected to the same relative errors.  Returns one record
-    per grid point, keyed by axis, with the argmin flagged.  Scanning B0
-    probes whether any operating field lowers the error floor; for pure
-    drive-amplitude errors none can, since the relative Rabi error is
-    field-independent under frozen calibration.
+    point holds the four ErrorModel fields, and each grid value replaces the
+    one named by axis.  The gate is synthesized at every point's reference
+    fields (a stronger drive means a shorter gate), then subjected to its
+    relative errors.  Scanning delta_B_rel or delta_E_rel gives infidelity
+    against field error; scanning E0 or B0 asks which operating point
+    suppresses a fixed error.  For pure drive-amplitude errors no B0 can,
+    since the relative Rabi error is field-independent under frozen
+    calibration.
     """
-    if axis not in ("B0", "E0"):
-        raise ValueError(f"axis must be 'B0' or 'E0', got {axis!r}")
-    values = [float(v) for v in grid]
-    if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{axis} grid must be non-empty and strictly increasing")
-    rows = []
-    for value in values:
-        point = {"B0": B0, "E0": E0, axis: value}
-        seq = synthesize(qubit_fn(point["B0"], point["E0"]), point["E0"])
-        model = ErrorModel(delta_B_rel=delta_B_rel, delta_E_rel=delta_E_rel, **point)
-        report = average_gate_infidelity(seq, qubit_fn, model, n_samples, seed, mode=mode)
-        rows.append(
-            {
-                axis: value,
-                "mean_infidelity": report.mean_infidelity,
-                "max_infidelity": report.max_infidelity,
-                "haar_mean_exact": report.haar_mean_exact,
-                "worst_case_exact": report.worst_case_exact,
-            }
-        )
-    best = min(range(len(rows)), key=lambda i: rows[i]["mean_infidelity"])
-    for i, row in enumerate(rows):
-        row["is_argmin"] = i == best
-    return rows
+    reports = []
+    for value in grid:
+        model = ErrorModel(**{**point, axis: float(value)})
+        seq = synthesize(qubit_fn(model.B0, model.E0), model.E0)
+        reports.append(average_gate_infidelity(seq, qubit_fn, model, n_samples, seed,
+                                               mode=mode, window=window))
+    return reports

@@ -106,6 +106,13 @@ class Discretization:
         return np.arange(self.n_points) * self.spacing
 
 
+def check_loc_threshold(value: float) -> float:
+    """value if it is a bound-state localization cut, in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"loc_threshold must lie in (0, 1), got {value!r}")
+    return value
+
+
 def energy_scale_of(geom: TorusGeometry) -> float:
     """Kinetic energy scale hbar^2 / (2 m* r^2) in joules."""
     return HBAR**2 / (2.0 * geom.effective_mass * geom.r_minor**2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry
+from .model import DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_loc_threshold
 from .potential import PotentialParams, total_internal
 
 _DENSE_CUTOFF = 600  # below this size a dense solve is cheaper than ARPACK
@@ -299,8 +299,7 @@ def solve_sector(
     have |chi(theta)| = |chi(-theta)|, so a rule over the whole ring would
     leave their sign to roundoff.
     """
-    if not 0.0 < loc_threshold < 1.0:
-        raise ValueError(f"loc_threshold must lie in (0, 1), got {loc_threshold!r}")
+    check_loc_threshold(loc_threshold)
     n = disc.n_points
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -361,7 +360,7 @@ def sweep_field(
                 spectra.append(solve_sector(params, disc, k=k, loc_threshold=loc_threshold))
             except EigensolverError as exc:
                 raise EigensolverError(
-                    f"eigensolve failed at {field}={value!r}, m={m}: {exc}",
+                    f"eigensolve failed at {field}={float(value)!r}, m={m}: {exc}",
                     residual=exc.residual,
                 ) from exc
     return spectra

@@ -17,14 +17,27 @@ def run(args, tmp_path, sub=None):
     return main(args + ["--output-dir", str(out)]), out
 
 
+def source_env(**extra):
+    """The environment of a fresh interpreter that imports this torusqubit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            **extra}
+
+
+def openblas_dynamic_arch():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    so OPENBLAS_CORETYPE selects one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
 def modules_after(code, *packages):
     """Sorted names of the packages' modules loaded once code has run in a
     fresh interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     listing = f"print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
-    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n{listing}"], env=env,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n{listing}"],
+                          env=source_env(), capture_output=True, text=True, check=True)
     return next(line for line in done.stdout.splitlines() if line.startswith("loaded:")).split()[1:]
 
 
@@ -146,6 +159,31 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
         assert not out.exists()
 
+    @pytest.mark.skipif(not openblas_dynamic_arch(),
+                        reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
+    def test_non_unitary_long_drive_on_an_avx2_kernel(self, tmp_path):
+        # the squaring's roundoff differs by kernel; on Haswell it used to
+        # overflow to nan before the guard looked at the product
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "torusqubit.cli", "--preset", "fig5", "evolve",
+             "--three-level", "--duration", "5e7", "--output-dir", str(out)],
+            env=source_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True)
+        assert done.returncode == 1
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
+        assert "nan" not in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2", "nan"])
+    @pytest.mark.parametrize("command", ["spectrum", "qubit-params"])
+    def test_loc_threshold_outside_unit_interval_rejected(self, tmp_path, capsys, command, value):
+        # spectrum classifies bound states with it; qubit-params only records it
+        code, out = run(["--preset", "fig5", "--loc-threshold", value, command], tmp_path, "out")
+        assert code == 2
+        assert "loc_threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("message, expected", [
         ("Unable to allocate 7.45 GiB", "error: out of memory: Unable to allocate 7.45 GiB"),
         ("", "error: out of memory"),
@@ -203,6 +241,9 @@ class TestConfigHandling:
         (["fidelity", "--gate", "phase:-1"], "--gate"),
         (["--E0", "0", "gate"], "--E0"),
         (["--E0", "0", "gate", "--gate", "prep:1.2,0.7"], "--E0"),
+        (["potential", "--E-static", "nan"], "--E-static"),
+        (["sweep-b", "--b-range=-1:1:3"], "--b-range"),
+        (["sweep-b", "--b-range", "1:1:3"], "--b-range"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -276,6 +317,26 @@ class TestArtifacts:
         header, data = read_csv(out / "spectrum.csv")
         bound = [r for r in data if r[4] == "true"]
         assert len(bound) == 1
+
+    def test_spectrum_dump_wavefunctions(self, tmp_path):
+        code, out = run(["--preset", "fig3a", "--n-points", "256", "spectrum", "--levels", "4",
+                         "--dump-wavefunctions"], tmp_path)
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        payload = json.loads((out / "spectrum_states.json").read_text(),
+                             parse_constant=no_constant)
+        theta = np.array(payload["theta"])
+        _, data = read_csv(out / "spectrum.csv")
+        assert [s["energy_J"] for s in payload["states"]] == [float(r[3]) for r in data]
+        half_ring = (theta > 0) & (theta < np.pi)
+        for state in payload["states"]:
+            chi = np.array(state["wavefunction"])
+            assert np.sum(chi**2) * (2 * np.pi / theta.size) == pytest.approx(1.0, abs=1e-12)
+            inner = chi[half_ring]
+            assert inner[np.argmax(np.abs(inner))] > 0  # README's half-ring sign rule
 
     def test_sweep_b(self, tmp_path):
         code, out = run(

@@ -266,47 +266,45 @@ def _synth(qubit, e0):
     return hadamard_sequence(qubit, e0)
 
 
+def _point(db=0.0, de=0.0, B0=0.45, E0=100.0):
+    return {"delta_B_rel": db, "delta_E_rel": de, "B0": B0, "E0": E0}
+
+
 class TestMitigationSweep:
     def test_non_increasing_with_drive(self, fig5_qubit, qubit_factory):
-        rows = field_error_sweep(
+        reports = field_error_sweep(
             _synth,
             qubit_factory,
-            B0=0.45,
-            E0=100.0,
+            point=_point(db=5e-3),
             axis="E0",
             grid=list(np.geomspace(100.0, 10000.0, 5)),
-            delta_B_rel=5e-3,
-            delta_E_rel=0.0,
             n_samples=2000,
             seed=5,
         )
-        means = [r["mean_infidelity"] for r in rows]
+        means = [r.mean_infidelity for r in reports]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:]))
-        assert rows[-1]["is_argmin"]
+        assert min(means) == means[-1]
 
     def test_ensemble_drawn_once_per_sweep(self, qubit_factory):
         haar_bloch_vectors.cache_clear()
         field_error_sweep(
-            _synth, qubit_factory, B0=0.45, E0=100.0, axis="E0", grid=[100.0, 300.0, 1000.0],
-            delta_B_rel=5e-3, delta_E_rel=0.0, n_samples=200, seed=5,
+            _synth, qubit_factory, point=_point(db=5e-3), axis="E0", grid=[100.0, 300.0, 1000.0],
+            n_samples=200, seed=5,
         )
         info = haar_bloch_vectors.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_zero_error_row_is_zero(self, fig5_qubit, qubit_factory):
-        rows = field_error_sweep(
+        reports = field_error_sweep(
             _synth,
             qubit_factory,
-            B0=0.45,
-            E0=100.0,
+            point=_point(),
             axis="E0",
             grid=[100.0, 1000.0],
-            delta_B_rel=0.0,
-            delta_E_rel=0.0,
             n_samples=200,
             seed=5,
         )
-        assert all(r["mean_infidelity"] == pytest.approx(0.0, abs=1e-12) for r in rows)
+        assert all(r.mean_infidelity == pytest.approx(0.0, abs=1e-12) for r in reports)
 
     def test_electric_error_floor_independent_of_b0(self, fig5_qubit, qubit_factory):
         # with frozen calibration, a pure Rabi-rate error gives the same
@@ -320,43 +318,42 @@ class TestMitigationSweep:
             means.append(report.mean_infidelity)
         assert means[0] == pytest.approx(means[1], rel=1e-9)
 
-    def test_grid_validation(self, qubit_factory):
-        with pytest.raises(ValueError):
-            field_error_sweep(
-                _synth, qubit_factory, B0=0.45, E0=100.0, axis="E0", grid=[100.0, 50.0],
-                delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
-            )
-
 
 class TestReferenceFieldSweep:
     def test_no_b0_beats_electric_error_floor(self, qubit_factory):
-        rows = field_error_sweep(
+        reports = field_error_sweep(
             _synth,
             qubit_factory,
-            B0=0.45,
-            E0=1000.0,
+            point=_point(de=5e-3, E0=1000.0),
             axis="B0",
             grid=[0.4, 0.55, 0.7, 0.85],
-            delta_B_rel=0.0,
-            delta_E_rel=5e-3,
             n_samples=2000,
             seed=17,
         )
-        means = [r["mean_infidelity"] for r in rows]
+        means = [r.mean_infidelity for r in reports]
         # pure drive-amplitude error: the floor is field-independent, so no
         # reference field improves on it
         floor = means[0]
         assert all(m == pytest.approx(floor, rel=1e-9) for m in means)
-        assert [r["B0"] for r in rows] == [0.4, 0.55, 0.7, 0.85]
+        assert len(reports) == 4
 
-    def test_grid_validation(self, qubit_factory):
-        with pytest.raises(ValueError):
-            field_error_sweep(
-                _synth, qubit_factory, B0=0.45, E0=100.0, axis="B0", grid=[0.6, 0.5],
-                delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
-            )
-        with pytest.raises(ValueError, match="axis"):
-            field_error_sweep(
-                _synth, qubit_factory, B0=0.45, E0=100.0, axis="dB", grid=[0.4, 0.5],
-                delta_B_rel=0.0, delta_E_rel=0.0, n_samples=10, seed=1,
-            )
+
+class TestRelativeErrorSweep:
+    @pytest.mark.parametrize("axis", ["delta_B_rel", "delta_E_rel"])
+    def test_each_row_is_the_report_at_its_error(self, qubit_factory, axis):
+        # scanning a relative error synthesizes the gate at the fixed
+        # reference point, so each row is that point's own report
+        grid = [-0.01, 0.0, 0.02]
+        reports = field_error_sweep(_synth, qubit_factory, point=_point(), axis=axis,
+                                    grid=grid, n_samples=500, seed=3)
+        seq = _synth(qubit_factory(0.45, 100.0), 100.0)
+        for value, report in zip(grid, reports):
+            model = ErrorModel(**{**_point(), axis: value})
+            assert report == average_gate_infidelity(seq, qubit_factory, model, 500, seed=3)
+
+    def test_window_flags_reach_the_reports(self, qubit_factory):
+        reports = field_error_sweep(_synth, qubit_factory, point=_point(), axis="delta_B_rel",
+                                    grid=[0.0, 0.05], n_samples=50, seed=3,
+                                    window=(0.4, 0.46))
+        assert reports[0].warnings == ()
+        assert "leaves the two-bound-state window" in reports[1].warnings[0]

@@ -384,6 +384,14 @@ class TestStructuredSolve:
             solve_sector(params, Discretization(1024), k=6)
         assert info.value.residual > 0.0
 
+    def test_sweep_failure_names_its_point(self, monkeypatch):
+        monkeypatch.setattr("torusqubit.spectral._DENSE_CUTOFF", 65)
+        with pytest.raises(EigensolverError) as info:
+            sweep_field(THIN_GEOM, [0], np.array([0.45, 0.5]), Discretization(1024), k=6)
+        assert str(info.value).startswith(
+            "eigensolve failed at B=0.45, m=0: Fourier basis reached its cap of 65 modes")
+        assert info.value.residual == info.value.__cause__.residual > 0.0
+
 
 class TestFourierRitzAccuracy:
     """solve_sector against the sparse route of lowest_eigenpairs."""
