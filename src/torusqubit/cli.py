@@ -30,11 +30,10 @@ import numpy as np
 
 from . import __version__
 from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
-                    FieldConfig, TorusGeometry, UnitSystem, check_loc_threshold)
+                    FieldConfig, TorusGeometry, UnitSystem, check_loc_threshold, check_source)
 
 if TYPE_CHECKING:
-    from .control import GateSpec, PulseSequence
-    from .dynamics import QuantumState
+    from .control import Gate
     from .errors import InfidelityReport
     from .reduction import QubitParameters
 
@@ -82,6 +81,7 @@ class RunConfig:
 
 _CONFIG_KEYS = {"preset", *(field.name for field in dataclasses.fields(RunConfig))}
 _FLAG_DESTS = {"r_minor": "r", "R_major": "R"}  # flags not named after their key
+_KINDS = {int: "a non-negative integer", float: "a number", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -89,12 +89,17 @@ class ConfigError(ValueError):
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- preset <- config file <- CLI flags, rejecting unknown keys."""
+    """defaults <- preset <- config file <- CLI flags; one ConfigError lists every problem."""
     merged: dict = {}
     file_preset = None
     config_path = getattr(args, "config", None)
     if config_path:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"--config {config_path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"--config {config_path} must hold a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -103,7 +108,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     preset = getattr(args, "preset", None) or file_preset
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         merged = {**PRESETS[preset], **merged}
 
@@ -114,17 +119,24 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     config = RunConfig(**merged)
     problems = []
-    for build in (config.geometry, config.discretization,
-                  lambda: FieldConfig(B=config.B, E0=config.E0),
-                  lambda: check_loc_threshold(config.loc_threshold)):
+    for keys, check in ((("r_minor", "R_major", "mass_ratio"), config.geometry),
+                        (("n_points", "stencil_order"), config.discretization),
+                        (("B", "E0"), lambda: FieldConfig(B=config.B, E0=config.E0)),
+                        (("loc_threshold",), lambda: check_loc_threshold(config.loc_threshold)),
+                        (("source",), lambda: check_source(config.source)),
+                        (("seed",), lambda: None)):  # a seed is any non-negative integer
         try:
-            build()
+            for key in keys:  # the type of the key's default; a real key takes an integer too
+                kind, value = type(getattr(RunConfig, key)), getattr(config, key)
+                kinds = (int, float) if kind is float else kind
+                if isinstance(value, bool) or not isinstance(value, kinds) or kind is int and value < 0:
+                    raise TypeError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+            check()
         except (TypeError, ValueError) as exc:
-            problems.append(str(exc))
-    if type(config.seed) is not int or config.seed < 0:
-        problems.append(f"seed must be a non-negative integer, got {config.seed!r}")
+            flags = ", ".join("--" + _FLAG_DESTS.get(key, key).replace("_", "-") for key in keys)
+            problems.append(f"{flags}: {exc}")
     if problems:
-        raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
+        raise ConfigError("invalid configuration: " + "; ".join(problems))
     return config
 
 
@@ -218,41 +230,13 @@ def write_artifacts(
         print(f"wrote {path}")
 
 
-_GATE_ARITY = {"hadamard": 0, "phase": 1, "prep": 2}
+def _parse_gate(spec: str) -> Gate:
+    from .control import Gate
 
-
-def _parse_gate(gate_arg: str) -> tuple[str, list[float]]:
-    """(kind, angles) of a --gate argument, each angle in its gate's range."""
-    kind, _, spec = gate_arg.partition(":")
     try:
-        values = [float(v) for v in spec.split(",")] if spec else []
-    except ValueError:
-        values = None
-    if kind not in _GATE_ARITY or values is None or len(values) != _GATE_ARITY[kind]:
-        raise ConfigError(f"--gate must be hadamard, phase:ETA or prep:THETA,ETA, got {gate_arg!r}")
-    if kind == "phase" and not 0.0 <= values[0] < 2.0 * math.pi:
-        raise ConfigError(f"--gate phase:ETA needs ETA in [0, 2 pi), got {gate_arg!r}")
-    if kind == "prep" and not (0.0 < values[0] <= math.pi and 0.0 <= values[1] <= math.pi):
-        raise ConfigError(
-            f"--gate prep:THETA,ETA needs THETA in (0, pi] and ETA in [0, pi], got {gate_arg!r}"
-        )
-    return kind, values
-
-
-def _synthesize(
-    gate: tuple[str, list[float]], qubit: QubitParameters, E0: float
-) -> tuple[PulseSequence, GateSpec | None, QuantumState | None]:
-    """Map a parsed --gate to (sequence, ideal gate, ideal prepared state)."""
-    from .control import GateSpec, hadamard_sequence, phase_gate_sequence, prepare_state, target_state
-
-    kind, values = gate
-    if kind == "hadamard":
-        return hadamard_sequence(qubit, E0), GateSpec.hadamard(), None
-    if kind == "phase":
-        (eta,) = values
-        return phase_gate_sequence(eta, qubit), GateSpec.phase_gate(eta), None
-    theta, eta = values
-    return prepare_state(theta, eta, qubit, E0), None, target_state(theta, eta)
+        return Gate.parse(spec)
+    except ValueError as exc:
+        raise ConfigError(f"--gate {exc}") from None
 
 
 def _levels_csv(spectra, units: UnitSystem) -> str:
@@ -271,11 +255,11 @@ def _levels_csv(spectra, units: UnitSystem) -> str:
 
 
 def cmd_potential(args, config: RunConfig) -> Output:
-    from .potential import PotentialParams, sample_profile
+    from .potential import PotentialParams, profile_csv
 
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m,
                              E_static=_check_finite(args.E_static, "--E-static"))
-    return Output({"potential.csv": sample_profile(params, config.n_points).to_csv()})
+    return Output({"potential.csv": profile_csv(params, config.discretization())})
 
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
@@ -411,22 +395,19 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 
 
 def cmd_gate(args, config: RunConfig) -> Output:
-    from .control import gate_unitary, phase_insensitive_fidelity
-    from .dynamics import TOL_RANGE, QuantumState, drive_field, leakage_probe
+    from .control import gate_unitary
+    from .dynamics import TOL_RANGE, drive_field, leakage_probe
 
     low, high = TOL_RANGE
     if not low <= args.tol <= high:
         raise ConfigError(f"--tol must lie in [{low:g}, {high:g}], got {args.tol!r}")
     gate = _parse_gate(args.gate)
-    if gate[0] != "phase":  # a phase gate is a frame update and drives nothing
+    if gate.drives:
         _check_positive(config.E0, "--E0")
     qubit = config.qubit(config.B)
-    seq, ideal, target = _synthesize(gate, qubit, config.E0)
+    seq = gate.sequence(qubit, config.E0)
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
-    if ideal is not None:
-        fidelity = phase_insensitive_fidelity(ideal.ideal_matrix, unitary)
-    else:
-        fidelity = target.fidelity(QuantumState(unitary[:, 0]))  # U|0>
+    fidelity = gate.fidelity(unitary)
     payload = {
         "gate": args.gate,
         "mode": args.mode,
@@ -464,8 +445,8 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
 
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
-    reports = field_error_sweep(lambda qubit, e0: _synthesize(gate, qubit, e0)[0], config.qubit,
-                                point, axis, grid, args.samples, config.seed, args.mode, window)
+    reports = field_error_sweep(gate.sequence, config.qubit, point, axis, grid, args.samples,
+                                config.seed, args.mode, window)
     lines = [f"{key},mean_infidelity,max_infidelity"]
     for value, report in zip(grid, reports):
         for flag in report.warnings:
@@ -637,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
             output = args.func(args, config)
             out_dir = Path(getattr(args, "output_dir", "."))
             write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)))
-        except (ConfigError, json.JSONDecodeError, OSError) as exc:
+        except (ConfigError, OSError) as exc:
             code, error = 2, exc
         except (ValueError, RuntimeError) as exc:
             code, error = 1, exc

@@ -6,10 +6,12 @@ phase gates exactly: it relabels the |1> axis of the rotating frame, which
 is standard practice and costs no evolution time.  A physical detuned-wait
 realization is provided as an alternative.
 
-Gate verification composes each segment's exact RWA propagator (or its
-lab-frame integration, transformed back into the segment's rotating frame)
-and compares against the ideal matrix with the phase-insensitive fidelity
-|Tr(G^dagger U)| / 2.
+`Gate` is the one home of the gate vocabulary: it parses a gate's name and
+angles, synthesizes its sequence and scores a composed unitary against the
+ideal matrix with the phase-insensitive fidelity |Tr(G^dagger U)| / 2, or a
+prepared state against its target.  `gate_unitary` composes each segment's
+exact RWA propagator (or its lab-frame integration, transformed back into
+the segment's rotating frame).
 """
 
 from __future__ import annotations
@@ -26,42 +28,9 @@ from .reduction import QubitParameters, rabi_frequency
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-def canonical_phase(matrix: np.ndarray) -> np.ndarray:
-    """Rescale a unitary so its first nonzero element is real positive."""
-    flat = matrix.flatten()
-    for value in flat:
-        if abs(value) > 1e-12:
-            return matrix * (abs(value) / value)
-    raise ValueError("matrix is numerically zero")
-
-
 def phase_insensitive_fidelity(target: np.ndarray, actual: np.ndarray) -> float:
     """|Tr(G^dagger U)| / 2: unit iff U equals G up to a global phase."""
     return abs(np.trace(target.conj().T @ actual)) / 2.0
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """A named single-qubit gate with its canonicalized ideal matrix."""
-
-    name: str
-    ideal_matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.ideal_matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError("ideal_matrix must be 2x2")
-        if np.abs(mat @ mat.conj().T - np.eye(2)).max() > 1e-12:
-            raise ValueError("ideal_matrix must be unitary to 1e-12")
-        object.__setattr__(self, "ideal_matrix", canonical_phase(mat))
-
-    @classmethod
-    def hadamard(cls) -> "GateSpec":
-        return cls("Hadamard", HADAMARD)
-
-    @classmethod
-    def phase_gate(cls, eta: float) -> "GateSpec":
-        return cls(f"PhaseGate({eta:g})", np.diag([1.0, cmath.exp(1j * eta)]))
 
 
 @dataclass(frozen=True)
@@ -174,6 +143,52 @@ def phase_gate_sequence(
             PulseSpec(rabi_Omega=0.0, detuning_Delta=delta_free, phase_phi=0.0, duration=duration),
         )
     )
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A single-qubit task: "hadamard", "phase" with angles (eta,) or "prep" with (theta, eta)."""
+
+    kind: str
+    angles: tuple[float, ...] = ()
+
+    @classmethod
+    def parse(cls, spec: str) -> "Gate":
+        """The gate "hadamard", "phase:ETA" or "prep:THETA,ETA"; ValueError unless in range."""
+        kind, _, args = spec.partition(":")
+        try:
+            angles = tuple(float(v) for v in args.split(",")) if args else ()
+        except ValueError:
+            angles = None
+        if angles is None or len(angles) != {"hadamard": 0, "phase": 1, "prep": 2}.get(kind):
+            raise ValueError(f"must be hadamard, phase:ETA or prep:THETA,ETA, got {spec!r}")
+        if kind == "phase" and not 0.0 <= angles[0] < 2.0 * math.pi:
+            raise ValueError(f"phase:ETA needs ETA in [0, 2 pi), got {spec!r}")
+        if kind == "prep" and not (0.0 < angles[0] <= math.pi and 0.0 <= angles[1] <= math.pi):
+            raise ValueError(
+                f"prep:THETA,ETA needs THETA in (0, pi] and ETA in [0, pi], got {spec!r}")
+        return cls(kind, angles)
+
+    @property
+    def drives(self) -> bool:
+        """Whether the sequence drives the qubit; a phase gate is a frame update."""
+        return self.kind != "phase"
+
+    def sequence(self, qubit: QubitParameters, E0: float) -> PulseSequence:
+        """The pulses realizing the gate at drive amplitude E0 [V/m]."""
+        if self.kind == "hadamard":
+            return hadamard_sequence(qubit, E0)
+        if self.kind == "phase":
+            return phase_gate_sequence(*self.angles, qubit)
+        return prepare_state(*self.angles, qubit, E0)
+
+    def fidelity(self, unitary: np.ndarray) -> float:
+        """|Tr(G^dagger U)| / 2 against the ideal G; for "prep", U|0>'s fidelity to target_state."""
+        if self.kind == "prep":
+            return target_state(*self.angles).fidelity(QuantumState(unitary[:, 0]))
+        if self.kind == "hadamard":
+            return phase_insensitive_fidelity(HADAMARD, unitary)
+        return phase_insensitive_fidelity(np.diag([1.0, cmath.exp(1j * self.angles[0])]), unitary)
 
 
 def _labframe_segment_unitary(

@@ -61,7 +61,8 @@ class InfidelityReport:
     haar_mean_exact is the exact Haar average the Monte-Carlo mean estimates,
     1 - (|Tr M|^2 + Tr M^dag M) / 6 for M = U_ideal^dag U_pert, and
     worst_case_exact the exact worst case over all inputs for a unitary M,
-    1 - |Tr M|^2 / 4, which bounds the Monte-Carlo max.
+    1 - |Tr M|^2 / 4, which bounds the Monte-Carlo max.  Both are clipped to
+    [0, 1], as the per-sample values are.
     """
 
     mean_infidelity: float
@@ -232,8 +233,8 @@ def average_gate_infidelity(
     return InfidelityReport(
         mean_infidelity=float(values.mean()),
         max_infidelity=float(values.max()),
-        haar_mean_exact=exact,
-        worst_case_exact=s,
+        haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
+        worst_case_exact=min(max(s, 0.0), 1.0),
         n_samples=n_samples,
         seed=seed,
         warnings=flags,

@@ -113,6 +113,13 @@ def check_loc_threshold(value: float) -> float:
     return value
 
 
+def check_source(value: str) -> str:
+    """value if it names a coefficient route of reduction."""
+    if value not in (NUMERICAL_TAYLOR, CLOSED_FORM):
+        raise ValueError(f"source must be {NUMERICAL_TAYLOR!r} or {CLOSED_FORM!r}, got {value!r}")
+    return value
+
+
 def energy_scale_of(geom: TorusGeometry) -> float:
     """Kinetic energy scale hbar^2 / (2 m* r^2) in joules."""
     return HBAR**2 / (2.0 * geom.effective_mass * geom.r_minor**2)

@@ -8,15 +8,13 @@ energy units (see `model.UnitSystem`).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TorusGeometry, UnitSystem, electric_parameter, magnetic_parameter
-
-MIN_PROFILE_POINTS = 16
+from .model import (Discretization, TorusGeometry, UnitSystem, electric_parameter,
+                    magnetic_parameter)
 
 
 @dataclass(frozen=True)
@@ -62,66 +60,22 @@ def total_internal(theta, params: PotentialParams):
     return bare + elec + mag
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
-    """Potential terms sampled on a uniform periodic grid, internal units.
+def profile_csv(params: PotentialParams, disc: Discretization) -> str:
+    """CSV of theta,V_bare,V_E,V_B,V_total (internal units) on the solver's
+    grid disc.theta.
 
-    The grid covers [0, 2*pi) with the endpoint excluded (periodic wrap),
-    matching the finite-difference stencil of the eigensolver.
+    The leading comment line records the unit scales so the file is
+    self-describing in SI.  Raises ValueError if the total is not finite,
+    which it is not wherever any term is not.
     """
-
-    theta_grid: np.ndarray
-    bare: np.ndarray
-    electric: np.ndarray
-    magnetic: np.ndarray
-    values: np.ndarray  # total
-    params: PotentialParams
-
-    def __post_init__(self) -> None:
-        n = len(self.theta_grid)
-        for arr in (self.bare, self.electric, self.magnetic, self.values):
-            if len(arr) != n:
-                raise ValueError("profile arrays must share the grid length")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("profile values must be finite")
-        spacing = np.diff(self.theta_grid)
-        if n >= 2 and not np.allclose(spacing, spacing[0], rtol=0, atol=1e-12):
-            raise ValueError("theta grid must be uniform and strictly increasing")
-
-    def to_csv(self) -> str:
-        """CSV with columns theta,V_bare,V_E,V_B,V_total (internal units).
-
-        The leading comment line records the unit scales so the file is
-        self-describing in SI.
-        """
-        units = UnitSystem.for_geometry(self.params.geom)
-        buf = io.StringIO()
-        buf.write(
-            f"# internal units: energy_scale_J={units.energy_scale!r},"
-            f" length_scale_m={units.length_scale!r},"
-            f" time_scale_s={units.time_scale!r}\n"
-        )
-        buf.write("theta,V_bare,V_E,V_B,V_total\n")
-        for i in range(len(self.theta_grid)):
-            buf.write(
-                f"{float(self.theta_grid[i])!r},{float(self.bare[i])!r},"
-                f"{float(self.electric[i])!r},{float(self.magnetic[i])!r},"
-                f"{float(self.values[i])!r}\n"
-            )
-        return buf.getvalue()
-
-
-def sample_profile(params: PotentialParams, n_points: int) -> PotentialProfile:
-    """Sample all potential terms on a uniform grid including theta=0."""
-    if n_points < MIN_PROFILE_POINTS:
-        raise ValueError(f"n_points must be >= {MIN_PROFILE_POINTS}, got {n_points}")
-    theta = np.arange(n_points) * (2.0 * np.pi / n_points)
+    theta = disc.theta
     bare, elec, mag = internal_terms(theta, params)
-    return PotentialProfile(
-        theta_grid=theta,
-        bare=bare,
-        electric=elec,
-        magnetic=mag,
-        values=bare + elec + mag,
-        params=params,
-    )
+    total = bare + elec + mag
+    if not np.all(np.isfinite(total)):
+        raise ValueError("profile values must be finite")
+    units = UnitSystem.for_geometry(params.geom)
+    lines = [f"# internal units: energy_scale_J={units.energy_scale!r},"
+             f" length_scale_m={units.length_scale!r}, time_scale_s={units.time_scale!r}",
+             "theta,V_bare,V_E,V_B,V_total"]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(theta, bare, elec, mag, total)]
+    return "\n".join(lines) + "\n"

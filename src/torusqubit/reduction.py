@@ -22,7 +22,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import CLOSED_FORM, E_CHARGE, HBAR, NUMERICAL_TAYLOR, TorusGeometry, energy_scale_of
+from .model import (CLOSED_FORM, E_CHARGE, HBAR, NUMERICAL_TAYLOR, TorusGeometry, check_source,
+                    energy_scale_of)
 from .potential import PotentialParams, internal_terms
 
 
@@ -39,10 +40,6 @@ class OscillatorCoefficients:
     delta_anh: float
     epsilon_const: float
     source: str
-
-    def __post_init__(self) -> None:
-        if self.source not in (CLOSED_FORM, NUMERICAL_TAYLOR):
-            raise ValueError(f"unknown coefficient source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -230,15 +227,11 @@ def coefficients_for(
     """Quartic-well coefficients from the route named by source.
 
     The one place a source name selects a route; any name other than
-    NUMERICAL_TAYLOR or CLOSED_FORM raises ValueError.
+    NUMERICAL_TAYLOR or CLOSED_FORM raises ValueError (model.check_source).
     """
-    if source == NUMERICAL_TAYLOR:
+    if check_source(source) == NUMERICAL_TAYLOR:
         return coefficients_numerical(geom, B)
-    if source == CLOSED_FORM:
-        return coefficients_closed_form(geom, B)
-    raise ValueError(
-        f"unknown coefficient source {source!r}; use {NUMERICAL_TAYLOR!r} or {CLOSED_FORM!r}"
-    )
+    return coefficients_closed_form(geom, B)
 
 
 def qubit_for(geom: TorusGeometry, B: float, source: str = NUMERICAL_TAYLOR) -> QubitParameters:

@@ -114,11 +114,14 @@ def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_a
     return sp.diags_array(diagonals, offsets=offsets, shape=(n, n), format="csr")
 
 
-def _fix_signs(vectors: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Deterministic eigenvector sign: the largest-magnitude entry among
-    `rows` is positive."""
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic eigenvector sign: on a periodic grid of n points, the
+    largest-magnitude entry among rows 1 .. (n - 1) // 2 (theta in (0, pi))
+    is positive.  Odd states have |chi(theta)| = |chi(-theta)|, so a rule
+    over the whole ring would leave their sign to roundoff.  For n = 2 the
+    rule reads row 1."""
     out = vectors.copy()
-    window = out[rows]
+    window = out[1 : max(2, (out.shape[0] + 1) // 2)]
     flip = window[np.argmax(np.abs(window), axis=0), np.arange(out.shape[1])] < 0
     out[:, flip] *= -1.0
     return out
@@ -129,9 +132,7 @@ def _residuals(H, energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
-def lowest_eigenpairs(
-    matrix, k: int, shift: float | None = None, sign_rows: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(matrix, k: int, shift: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues (ascending) with orthonormal eigenvectors of a
     real symmetric matrix, dense or sparse.
 
@@ -143,8 +144,8 @@ def lowest_eigenpairs(
 
     shift, if given, must lie strictly below the whole spectrum; it defaults
     to a Gershgorin bound.  Lanczos converges faster the closer it lies to
-    the lowest level.  Each eigenvector's largest-magnitude entry among
-    sign_rows is positive.
+    the lowest level.  Each eigenvector's sign follows _fix_signs, the
+    half-ring rule of solve_sector.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
@@ -186,7 +187,7 @@ def lowest_eigenpairs(
         raise EigensolverError(
             f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
         )
-    return energies, _fix_signs(vectors, sign_rows)
+    return energies, _fix_signs(vectors)
 
 
 def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
@@ -295,16 +296,14 @@ def solve_sector(
     n <= max(600, 2k + 1); they meet the residual contract of
     lowest_eigenpairs, which stays the generic sparse route and the
     reference the tests compare against.  Each
-    wavefunction's largest sample in theta in (0, pi) is positive: odd states
-    have |chi(theta)| = |chi(-theta)|, so a rule over the whole ring would
-    leave their sign to roundoff.
+    wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
     """
     check_loc_threshold(loc_threshold)
     n = disc.n_points
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     energies, vectors = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
-    vectors = _fix_signs(vectors, slice(1, (n + 1) // 2))
+    vectors = _fix_signs(vectors)
     h = disc.spacing
     theta = disc.theta
     inner = (theta >= np.pi / 2) & (theta <= 3 * np.pi / 2)

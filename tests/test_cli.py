@@ -89,8 +89,34 @@ class TestConfigHandling:
         config.write_text(json.dumps({"preset": "fig5", "n_points": "many", "B": "x"}))
         code = main(["--config", str(config), "--output-dir", str(tmp_path / "out"), "potential"])
         assert code == 2
-        assert capsys.readouterr().err.count("\n  - ") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid configuration: ")
+        problems = err[0].removeprefix("error: invalid configuration: ").split("; ")
+        assert [p.split(": ")[0] for p in problems] == ["--n-points, --stencil-order", "--B, --E0"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, named", [
+        (b"5", "--config"),
+        (b"\xff\xfe{}", "--config"),
+        (b"{", "--config"),
+        (b'{"preset": ["fig5"]}', "unknown preset"),
+        (b'{"n_points": 1024.0}', "--n-points, --stencil-order: n_points must be a non-negative integer"),
+        (b'{"stencil_order": true}', "--n-points, --stencil-order: stencil_order must be"),
+        (b'{"seed": 1.5}', "--seed: seed must be a non-negative integer"),
+        (b'{"B": true}', "--B, --E0: B must be a number, got True"),
+        (b'{"loc_threshold": "0.5"}', "--loc-threshold: loc_threshold must be a number"),
+        (b'{"source": "foo"}', "--source: source must be 'numerical_taylor' or 'closed_form'"),
+        (b'{"source": 3}', "--source: source must be a string"),
+    ])
+    @pytest.mark.parametrize("command", ["potential", "spectrum", "qubit-params"])
+    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, command, content, named):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        code, out = run(["--config", str(config), command], tmp_path, "out")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
 
     def test_config_file_and_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -193,7 +219,7 @@ class TestConfigHandling:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(potential, "sample_profile", exhausted)
+        monkeypatch.setattr(potential, "profile_csv", exhausted)
         code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
         assert code == 1
         assert capsys.readouterr().err.strip().splitlines() == [expected]
@@ -545,6 +571,19 @@ README_ERROR_STUDY = {
 
 
 class TestExactHaarMean:
+    @pytest.mark.parametrize("args, zero_error_rows", [
+        (["fidelity", "--range", "0:0.01:3", "--samples", "100"], 1),
+        (["mitigate", "--delta-b", "0", "--samples", "100"], 7),
+    ])
+    def test_oracles_lie_in_unit_interval(self, tmp_path, args, zero_error_rows):
+        # at zero error M = U^dag U carries roundoff, which once gave -4.4e-16
+        code, out = run(["--preset", "fig5", *args], tmp_path)
+        assert code == 0
+        results = json.loads((out / f"{args[0]}.csv.manifest.json").read_text())["results"]
+        for key in ("haar_mean_exact", "worst_case_exact"):
+            assert all(0.0 <= value <= 1.0 for value in results[key])
+            assert all(value <= 1e-15 for value in results[key][:zero_error_rows])
+
     @pytest.mark.parametrize("case", sorted(README_ERROR_STUDY))
     def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch, capsys):
         # the README error-study commands, run with their per-sample values kept:

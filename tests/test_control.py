@@ -6,10 +6,9 @@ import pytest
 
 from torusqubit.control import (
     HADAMARD,
-    GateSpec,
+    Gate,
     PulseSequence,
     apply_sequence,
-    canonical_phase,
     gate_unitary,
     hadamard_sequence,
     phase_gate_sequence,
@@ -24,27 +23,46 @@ from torusqubit.reduction import rabi_frequency
 from test_dynamics import _count_rhs_evals
 
 
-class TestGateSpec:
-    def test_hadamard_matrix(self):
-        gate = GateSpec.hadamard()
-        np.testing.assert_allclose(gate.ideal_matrix, HADAMARD, atol=1e-15)
+class TestGate:
+    @pytest.mark.parametrize("spec, kind, angles", [
+        ("hadamard", "hadamard", ()),
+        ("phase:1.0", "phase", (1.0,)),
+        ("prep:1.2,0.7", "prep", (1.2, 0.7)),
+    ])
+    def test_parse(self, spec, kind, angles):
+        gate = Gate.parse(spec)
+        assert (gate.kind, gate.angles) == (kind, angles)
+        assert gate.drives == (kind != "phase")  # a phase gate is a frame update
 
-    def test_phase_gate_action(self):
-        gate = GateSpec.phase_gate(0.8)
-        np.testing.assert_allclose(
-            gate.ideal_matrix @ np.array([1.0, 1.0]) / math.sqrt(2),
-            np.array([1.0, cmath.exp(0.8j)]) / math.sqrt(2),
-            atol=1e-15,
-        )
+    @pytest.mark.parametrize("spec, rule", [
+        ("cnot", "must be hadamard"),
+        ("hadamard:1", "must be hadamard"),
+        ("phase", "must be hadamard"),
+        ("phase:abc", "must be hadamard"),
+        ("prep:1.2", "must be hadamard"),
+        ("phase:-1", "phase:ETA needs ETA in [0, 2 pi)"),
+        ("phase:6.3", "phase:ETA needs ETA in [0, 2 pi)"),
+        ("prep:0,0.7", "prep:THETA,ETA needs THETA in (0, pi]"),
+        ("prep:1.2,4", "prep:THETA,ETA needs THETA in (0, pi]"),
+    ])
+    def test_parse_rejects(self, spec, rule):
+        with pytest.raises(ValueError) as info:
+            Gate.parse(spec)
+        assert str(info.value).startswith(rule) and str(info.value).endswith(f"got {spec!r}")
 
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            GateSpec("broken", np.array([[1.0, 0.0], [0.0, 2.0]]))
+    @pytest.mark.parametrize("spec", ["hadamard", "phase:1.0", "prep:1.2,0.7"])
+    def test_rwa_sequence_reaches_the_ideal(self, fig5_qubit, spec):
+        gate = Gate.parse(spec)
+        unitary = gate_unitary(gate.sequence(fig5_qubit, 100.0), None)
+        assert gate.fidelity(unitary) == pytest.approx(1.0, abs=1e-12)
 
-    def test_canonical_phase(self):
-        mat = canonical_phase(np.exp(0.7j) * HADAMARD)
-        assert mat[0, 0].imag == pytest.approx(0.0, abs=1e-15)
-        assert mat[0, 0].real > 0
+    @pytest.mark.parametrize("spec, unitary, expected", [
+        ("hadamard", np.eye(2), 0.0),  # Tr H = 0
+        ("phase:1.0", np.diag([1.0, cmath.exp(-1j)]), abs(math.cos(1.0))),  # the opposite phase
+        ("prep:1.2,0.7", np.eye(2), math.sin(0.6) ** 2),  # |<target|0>|^2
+    ])
+    def test_fidelity_of_a_wrong_unitary(self, spec, unitary, expected):
+        assert Gate.parse(spec).fidelity(unitary) == pytest.approx(expected, abs=1e-15)
 
 
 class TestPrepareState:
@@ -149,8 +167,7 @@ class TestPhaseGate:
     def test_action_matches_ideal(self, fig5_qubit, eta, virtual):
         seq = phase_gate_sequence(eta, fig5_qubit, virtual=virtual)
         u = gate_unitary(seq, fig5_qubit)
-        ideal = GateSpec.phase_gate(eta).ideal_matrix
-        assert phase_insensitive_fidelity(ideal, u) >= 1.0 - 1e-12
+        assert Gate("phase", (eta,)).fidelity(u) >= 1.0 - 1e-12
 
     def test_circuit_hadamard_then_phase(self, fig5_qubit):
         # the two-gate circuit reaching (|0> + e^{i eta}|1>)/sqrt(2)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusqubit.model import energy_scale_of
-from torusqubit.potential import PotentialParams, internal_terms, sample_profile, total_internal
+from torusqubit.model import Discretization, energy_scale_of
+from torusqubit.potential import PotentialParams, internal_terms, profile_csv, total_internal
 
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI
 
@@ -113,8 +113,7 @@ class TestVTotal:
             assert _total_si(angle, params) == pytest.approx(sum(_terms_si(angle, params)), rel=1e-14)
 
     def test_symmetric_profile_without_electric_field(self, fig3a_geom):
-        profile = sample_profile(_params(fig3a_geom, B=0.45), 256)
-        values = profile.values
+        values = total_internal(Discretization(256).theta, _params(fig3a_geom, B=0.45))
         # theta -> 2pi - theta maps grid index i -> n - i (mod n)
         np.testing.assert_allclose(values[1:], values[1:][::-1], rtol=1e-12, atol=1e-15)
 
@@ -128,9 +127,9 @@ class TestVTotal:
     def test_minimum_at_pi_for_fig3_geometries(self, fig3a_geom, fig3b_geom):
         for geom in (fig3a_geom, fig3b_geom):
             for B in (0.0, 0.45, 1.0):
-                profile = sample_profile(_params(geom, B=B), 1024)
-                argmin = int(np.argmin(profile.values))
-                assert profile.theta_grid[argmin] == pytest.approx(math.pi, abs=1e-9)
+                theta = Discretization(1024).theta
+                argmin = int(np.argmin(total_internal(theta, _params(geom, B=B))))
+                assert theta[argmin] == pytest.approx(math.pi, abs=1e-9)
 
     def test_m_degeneracy_at_zero_field(self, fig3a_geom):
         theta = np.linspace(0, 2 * np.pi, 64)
@@ -142,24 +141,25 @@ class TestVTotal:
 
 class TestProfile:
     def test_grid_shape(self, fig3a_geom):
-        profile = sample_profile(_params(fig3a_geom), 128)
-        assert len(profile.theta_grid) == 128
-        assert profile.theta_grid[0] == 0.0
-        assert profile.theta_grid[-1] < 2 * np.pi
-        step = 2 * np.pi / 128
-        np.testing.assert_allclose(np.diff(profile.theta_grid), step, rtol=1e-12)
-
-    def test_too_few_points_rejected(self, fig3a_geom):
-        with pytest.raises(ValueError):
-            sample_profile(_params(fig3a_geom), 8)
+        disc = Discretization(128)
+        rows = profile_csv(_params(fig3a_geom), disc).splitlines()[2:]
+        assert len(rows) == 128
+        theta = np.array([float(row.split(",")[0]) for row in rows])
+        np.testing.assert_array_equal(theta, disc.theta)  # the solver's grid, repr round trip
 
     def test_csv_round_trip(self, fig3a_geom):
-        profile = sample_profile(_params(fig3a_geom, B=0.45, E_static=10.0), 64)
-        text = profile.to_csv()
-        lines = text.strip().splitlines()
+        params = _params(fig3a_geom, B=0.45, E_static=10.0)
+        disc = Discretization(64)
+        lines = profile_csv(params, disc).strip().splitlines()
         assert lines[0].startswith("# internal units: energy_scale_J=")
         assert lines[1] == "theta,V_bare,V_E,V_B,V_total"
         assert len(lines) == 2 + 64
-        first = [float(x) for x in lines[2].split(",")]
-        assert first[0] == 0.0
-        assert first[4] == pytest.approx(first[1] + first[2] + first[3], rel=1e-14)
+        columns = np.array([[float(x) for x in line.split(",")] for line in lines[2:]]).T
+        terms = internal_terms(disc.theta, params)
+        np.testing.assert_array_equal(columns[1:4], terms)
+        np.testing.assert_array_equal(columns[4], sum(terms))
+
+    def test_non_finite_total_rejected(self, fig3a_geom):
+        # b^2 overflows: the magnetic term and the total are inf
+        with pytest.raises(ValueError, match="finite"):
+            profile_csv(_params(fig3a_geom, B=1e200), Discretization(64))

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from torusqubit.spectral import (
 )
 
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI, jacobi_eigenvalues
+from test_cli import openblas_dynamic_arch, source_env
 
 ANGSTROM = 1e-10
 THIN_GEOM = TorusGeometry(r_minor=350 * ANGSTROM, R_major=1.05 * 350 * ANGSTROM)
@@ -236,6 +239,17 @@ class TestInvariants:
         shifted_e, shifted_v = lowest_eigenpairs(H + c * np.eye(256), 3)
         np.testing.assert_allclose(shifted_e - energies, c, atol=1e-10)
         np.testing.assert_allclose(shifted_v, vectors, atol=1e-10)
+
+    @pytest.mark.skipif(not openblas_dynamic_arch(),
+                        reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
+    def test_gauge_offset_invariance_on_an_avx2_kernel(self):
+        # with a whole-ring sign rule the odd state's sign followed the kernel's
+        # roundoff, and on Haswell it flipped between the two solves
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestInvariants::test_gauge_offset_invariance"],
+            env=source_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout
 
     def test_m_reflection_symmetry_at_zero_field(self, fig3a_geom, disc1024):
         for m in (1, 2):
