@@ -102,14 +102,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--config {config_path} must hold a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"--config {config_path}: unknown config keys: {sorted(unknown)}")
         file_preset = raw.pop("preset", None)
         merged.update(raw)
 
-    preset = getattr(args, "preset", None) or file_preset
+    flag_preset = getattr(args, "preset", None)
+    preset = flag_preset or file_preset
     if preset is not None:
         if not isinstance(preset, str) or preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+            where = "--preset" if flag_preset else f"--config {config_path}, --preset"
+            raise ConfigError(f"{where}: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         merged = {**PRESETS[preset], **merged}
 
     for field in dataclasses.fields(RunConfig):

@@ -11,8 +11,10 @@ Gate error is the Bures infidelity 1 - |<psi_ideal|psi_real>|^2 for pure
 states, averaged over input states drawn uniformly from the Bloch sphere.
 Each input enters through its Bloch vector n: writing
 M = U_ideal^dag U_pert = c0 I + c . sigma gives <psi|M|psi> = c0 + c . n,
-so a grid point costs a few real elementwise passes over one cached (3, n)
-ensemble.  The same decomposition gives the exact Haar average
+so a grid point costs a few real elementwise passes over the ensemble.  The
+ensemble is streamed in chunks: a sweep draws it once and evaluates every
+grid point on each chunk, so its memory does not depend on the number of
+samples.  The same decomposition gives the exact Haar average
 1 - (|Tr M|^2 + Tr M^dag M) / 6 (Nielsen, Phys. Lett. A 303, 249 (2002)),
 which every report carries beside its Monte-Carlo mean as an oracle, and
 for a unitary M the exact worst case over all inputs 1 - |Tr M|^2 / 4,
@@ -21,10 +23,9 @@ which bounds its Monte-Carlo max.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,32 +119,46 @@ def perturbed_pulse(
     return PulseSequence(pulses=pulses, frame_phase=gate_seq.frame_phase), flags
 
 
-_CHUNK = 32768  # samples per pass; its three scratch buffers stay in cache
+_CHUNK = 32768  # samples per chunk of the stream; its eight buffers stay in cache
 
 
-@functools.lru_cache(maxsize=1)
-def haar_bloch_vectors(n: int, seed: int) -> np.ndarray:
-    """(3, n) read-only Bloch vectors of pure states uniform on the sphere.
+def _haar_stream(n: int, seed: int) -> Iterator[np.ndarray]:
+    """(3, m) Bloch vectors of pure states uniform on the sphere, m <= _CHUNK at a time.
 
-    z is uniform in [-1, 1] and the azimuth uniform in [0, 2 pi), drawn in
-    that order from default_rng(seed), which is the Haar measure for a
-    single qubit.  The last ensemble is cached, so a sweep that averages
-    every grid point over the same (n, seed) draws it once.
+    z is uniform in [-1, 1] and the azimuth uniform in [0, 2 pi), which is
+    the Haar measure for a single qubit.  They are the draws default_rng(seed)
+    makes for n values of z and then n azimuths: z comes from that generator
+    chunk by chunk, and the azimuth from a second copy of its bit generator
+    advanced past the n draws of z.  Each chunk is written over the one
+    before, so the stream holds 32 B per chunk sample, whatever n.
     """
-    rng = np.random.default_rng(seed)
-    # built in place: 24 B per sample kept, 32 B at the peak
-    bloch = np.empty((3, n))
-    x, y, z = bloch
-    z[:] = rng.uniform(-1.0, 1.0, size=n)
-    np.subtract(1.0, z, out=x)  # x holds rho = sqrt((1 - z)(1 + z)) until the azimuth is drawn
-    x *= np.add(z, 1.0, out=y)
-    np.sqrt(x, out=x)
-    azimuth = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    np.sin(azimuth, out=y)
-    y *= x
-    x *= np.cos(azimuth, out=azimuth)
-    bloch.setflags(write=False)
-    return bloch
+    z_rng = np.random.default_rng(seed)
+    azimuth_bits = np.random.PCG64(seed)
+    azimuth_bits.advance(n)
+    azimuth_rng = np.random.Generator(azimuth_bits)
+    size = min(_CHUNK, n)
+    buffer, azimuth_buffer = np.empty((3, size)), np.empty(size)
+    for lo in range(0, n, _CHUNK):
+        bloch = buffer[:, : min(size, n - lo)]
+        x, y, z = bloch
+        azimuth = azimuth_buffer[: z.size]
+        z_rng.random(out=z)  # uniform(-1, 1) draws -1 + 2 r
+        z *= 2.0
+        z -= 1.0
+        np.subtract(1.0, z, out=x)  # x holds rho = sqrt((1 - z)(1 + z)) until the azimuth is drawn
+        x *= np.add(z, 1.0, out=y)
+        np.sqrt(x, out=x)
+        azimuth_rng.random(out=azimuth)  # uniform(0, 2 pi) draws 2 pi r
+        azimuth *= 2.0 * np.pi
+        np.sin(azimuth, out=y)
+        y *= x
+        x *= np.cos(azimuth, out=azimuth)
+        yield bloch
+
+
+def haar_bloch_vectors(n: int, seed: int) -> np.ndarray:
+    """(3, n) Bloch vectors of the ensemble every Monte-Carlo average draws."""
+    return np.hstack([bloch.copy() for bloch in _haar_stream(n, seed)])
 
 
 def _exact_terms(m: np.ndarray) -> tuple[float, float]:
@@ -164,25 +179,23 @@ def _exact_terms(m: np.ndarray) -> tuple[float, float]:
     return float(1 - trace2 / 4), float(1 - (trace2 + frobenius2) / 6)
 
 
-def _ensemble_infidelity(m: np.ndarray, bloch: np.ndarray, s: float) -> np.ndarray:
-    """Per-sample 1 - |<psi|M|psi>|^2 over an ensemble of Bloch vectors n.
+def _infidelity_kernel(m: np.ndarray, s: float) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    """kernel(bloch, out, scratch) writes 1 - |<psi|M|psi>|^2 per Bloch vector n into out.
 
     With M = c0 I + c . sigma and c = p + i q, <psi|M|psi> = c0 + c . n, so
     with a = p . n and b = q . n the infidelity is
     s - a (a + 2 Re c0) - b (b + 2 Im c0), where s = 1 - |c0|^2.  This is
-    exact algebra for any 2x2 M, unitary or not.  Each pass is elementwise
-    over one chunk, written into three scratch buffers: no reduction, so the
-    values do not depend on threads, and no temporary per pass.
+    exact algebra for any 2x2 M, unitary or not.  Each pass is elementwise,
+    written into out and three scratch rows: no reduction, so the values do
+    not depend on threads, and no temporary per pass.
     """
     c0 = (m[0, 0] + m[1, 1]) / 2
     c = np.array([(m[0, 1] + m[1, 0]) / 2, 1j * (m[0, 1] - m[1, 0]) / 2, (m[0, 0] - m[1, 1]) / 2])
     (px, py, pz), (qx, qy, qz) = c.real, c.imag
     re2, im2 = 2.0 * c0.real, 2.0 * c0.imag
-    values = np.empty(bloch.shape[1])
-    scratch = np.empty((3, min(_CHUNK, values.size)))
-    for lo in range(0, values.size, _CHUNK):
-        x, y, z = bloch[:, lo : lo + _CHUNK]
-        out = values[lo : lo + _CHUNK]
+
+    def kernel(bloch: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        x, y, z = bloch
         a, b, t = scratch[:, : out.size]
         np.multiply(px, x, out=a)  # a = (px x + py y) + pz z, b likewise
         a += np.multiply(py, y, out=t)
@@ -196,7 +209,60 @@ def _ensemble_infidelity(m: np.ndarray, bloch: np.ndarray, s: float) -> np.ndarr
         np.add(b, im2, out=t)
         t *= b
         out -= t
-    return values
+
+    return kernel
+
+
+def _error_operator(gate_seq: PulseSequence, qubit_fn: QubitFactory, model: ErrorModel, mode: str,
+                    window: tuple[float, float] | None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """M = U_ideal^dag U_pert of the gate under model, and the window flags."""
+    ideal_qubit = qubit_fn(model.B0, model.E0)
+    pert_seq, flags = perturbed_pulse(gate_seq, qubit_fn, model, window=window)
+    u_ideal = gate_unitary(gate_seq, ideal_qubit, mode=mode)
+    u_pert = gate_unitary(pert_seq, ideal_qubit, mode=mode)
+    return u_ideal.conj().T @ u_pert, flags
+
+
+def _monte_carlo(points: Sequence[tuple[np.ndarray, tuple[str, ...]]], n_samples: int, seed: int,
+                 keep_samples: bool = False) -> list[InfidelityReport]:
+    """One InfidelityReport per (M, flags) point from one pass over the Haar stream.
+
+    Every point's per-sample infidelities are evaluated on each chunk while
+    it is in cache, clipped to [0, 1], and reduced to the chunk's max and
+    pairwise sum; the mean is the pairwise sum of the chunk sums over n.
+    Memory is the chunk's buffers plus 16 B per chunk and point; only
+    keep_samples, for a single point, keeps all n values.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    per_sample = np.empty(n_samples) if keep_samples else None
+    terms = [_exact_terms(m) for m, _ in points]
+    kernels = [_infidelity_kernel(m, s) for (m, _), (s, _) in zip(points, terms)]
+    sums, maxima = np.empty((2, len(points), -(-n_samples // _CHUNK)))
+    values = np.empty(min(_CHUNK, n_samples))
+    scratch = np.empty((3, values.size))
+    for k, bloch in enumerate(_haar_stream(n_samples, seed)):
+        out = values[: bloch.shape[1]]
+        for i, kernel in enumerate(kernels):
+            kernel(bloch, out, scratch)
+            np.clip(out, 0.0, 1.0, out=out)
+            maxima[i, k] = out.max()
+            sums[i, k] = np.add.reduce(out)
+            if per_sample is not None:
+                per_sample[k * _CHUNK : k * _CHUNK + out.size] = out
+    return [
+        InfidelityReport(
+            mean_infidelity=float(np.add.reduce(chunk_sums) / n_samples),
+            max_infidelity=float(chunk_maxima.max()),
+            haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
+            worst_case_exact=min(max(s, 0.0), 1.0),
+            n_samples=n_samples,
+            seed=seed,
+            warnings=flags,
+            per_sample=per_sample,
+        )
+        for (_, flags), (s, exact), chunk_sums, chunk_maxima in zip(points, terms, sums, maxima)
+    ]
 
 
 def average_gate_infidelity(
@@ -213,33 +279,13 @@ def average_gate_infidelity(
 
     The ideal and perturbed evolutions run for the same calibrated gate
     duration; by default both are evaluated with the exact RWA propagators,
-    with a lab-frame flag for cross-checks.  The mean uses numpy pairwise
-    summation, so it is reproducible for a fixed seed regardless of any
-    outer parallelization of scans.  The report also carries the exact Haar
-    mean the Monte Carlo estimates.
+    with a lab-frame flag for cross-checks.  The mean sums chunk by chunk
+    with numpy pairwise summation, so it is reproducible for a fixed seed
+    regardless of any outer parallelization of scans.  The report also
+    carries the exact Haar mean the Monte Carlo estimates.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    ideal_qubit = qubit_fn(model.B0, model.E0)
-    pert_seq, flags = perturbed_pulse(gate_seq, qubit_fn, model, window=window)
-
-    u_ideal = gate_unitary(gate_seq, ideal_qubit, mode=mode)
-    u_pert = gate_unitary(pert_seq, ideal_qubit, mode=mode)
-
-    m = u_ideal.conj().T @ u_pert
-    s, exact = _exact_terms(m)
-    values = _ensemble_infidelity(m, haar_bloch_vectors(n_samples, seed), s)
-    np.clip(values, 0.0, 1.0, out=values)
-    return InfidelityReport(
-        mean_infidelity=float(values.mean()),
-        max_infidelity=float(values.max()),
-        haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
-        worst_case_exact=min(max(s, 0.0), 1.0),
-        n_samples=n_samples,
-        seed=seed,
-        warnings=flags,
-        per_sample=values if keep_samples else None,
-    )
+    point = _error_operator(gate_seq, qubit_fn, model, mode, window)
+    return _monte_carlo([point], n_samples, seed, keep_samples)[0]
 
 
 def field_error_sweep(
@@ -262,12 +308,12 @@ def field_error_sweep(
     against field error; scanning E0 or B0 asks which operating point
     suppresses a fixed error.  For pure drive-amplitude errors no B0 can,
     since the relative Rabi error is field-independent under frozen
-    calibration.
+    calibration.  Every grid point is averaged in one pass over the Haar
+    stream, so each report equals average_gate_infidelity at its point.
     """
-    reports = []
+    operators = []
     for value in grid:
         model = ErrorModel(**{**point, axis: float(value)})
         seq = synthesize(qubit_fn(model.B0, model.E0), model.E0)
-        reports.append(average_gate_infidelity(seq, qubit_fn, model, n_samples, seed,
-                                               mode=mode, window=window))
-    return reports
+        operators.append(_error_operator(seq, qubit_fn, model, mode, window))
+    return _monte_carlo(operators, n_samples, seed)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -99,7 +100,8 @@ class TestConfigHandling:
         (b"5", "--config"),
         (b"\xff\xfe{}", "--config"),
         (b"{", "--config"),
-        (b'{"preset": ["fig5"]}', "unknown preset"),
+        (b'{"preset": ["fig5"]}', "--preset: unknown preset"),
+        (b'{"nonsense": 1}', "--config"),
         (b'{"n_points": 1024.0}', "--n-points, --stencil-order: n_points must be a non-negative integer"),
         (b'{"stencil_order": true}', "--n-points, --stencil-order: stencil_order must be"),
         (b'{"seed": 1.5}', "--seed: seed must be a non-negative integer"),
@@ -117,6 +119,12 @@ class TestConfigHandling:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not out.exists()
+
+    def test_unknown_preset_without_a_file_names_only_the_flag(self):
+        # the parser restricts --preset to PRESETS; a library caller may not
+        args = argparse.Namespace(config=None, preset="fig9")
+        with pytest.raises(ConfigError, match=r"^--preset: unknown preset 'fig9'; choose from"):
+            load_config(args)
 
     def test_config_file_and_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -586,20 +594,29 @@ class TestExactHaarMean:
 
     @pytest.mark.parametrize("case", sorted(README_ERROR_STUDY))
     def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch, capsys):
-        # the README error-study commands, run with their per-sample values kept:
-        # each manifest row's exact Haar mean sits within 5 standard errors
-        # of the Monte-Carlo mean written to the data file
-        original, reports = errors.average_gate_infidelity, []
+        # the README error-study commands, each row recomputed by the public
+        # single-point average with its per-sample values kept: the data file
+        # holds that report's mean and max bit for bit, and the manifest's
+        # exact Haar mean sits within 5 standard errors of the mean
+        original, sweeps = errors.field_error_sweep, []
 
-        def keeping_samples(*args, **kwargs):
-            reports.append(original(*args, **kwargs, keep_samples=True))
-            return reports[-1]
+        def recording(*args, **kwargs):
+            sweeps.append((args, kwargs))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(errors, "average_gate_infidelity", keeping_samples)
+        monkeypatch.setattr(errors, "field_error_sweep", recording)
         args = README_ERROR_STUDY[case]
         command = "fidelity" if "fidelity" in args else "mitigate"
         code, out = run(args, tmp_path)
         assert code == 0
+        [((synthesize, qubit_fn, point, axis, grid, n, seed, mode, window), kwargs)] = sweeps
+        assert kwargs == {}
+        reports = []
+        for value in grid:
+            model = errors.ErrorModel(**{**point, axis: float(value)})
+            seq = synthesize(qubit_fn(model.B0, model.E0), model.E0)
+            reports.append(errors.average_gate_infidelity(seq, qubit_fn, model, n, seed, mode,
+                                                          window, keep_samples=True))
         _, data = read_csv(out / f"{command}.csv")
         manifest = json.loads((out / f"{command}.csv.manifest.json").read_text())
         exact = manifest["results"]["haar_mean_exact"]

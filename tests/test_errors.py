@@ -6,11 +6,13 @@ import pytest
 
 from torusqubit.control import PulseSequence, gate_unitary, hadamard_sequence
 from torusqubit.dynamics import PulseSpec, QuantumState
+from torusqubit import errors
 from torusqubit.errors import (
     _CHUNK,
     ErrorModel,
-    _ensemble_infidelity,
     _exact_terms,
+    _infidelity_kernel,
+    _monte_carlo,
     average_gate_infidelity,
     haar_bloch_vectors,
     field_error_sweep,
@@ -94,15 +96,14 @@ class TestErrorModel:
 class TestHaarStates:
     def test_reproducible(self):
         a = haar_bloch_vectors(100, seed=9)
-        haar_bloch_vectors.cache_clear()
         b = haar_bloch_vectors(100, seed=9)
         assert a is not b
         np.testing.assert_array_equal(a, b)
 
-    def test_read_only(self):
+    def test_no_state_shared_between_draws(self):
         bloch = haar_bloch_vectors(100, seed=9)
-        with pytest.raises(ValueError, match="read-only"):
-            bloch[0, 0] = 1.0
+        bloch[0, 0] = 2.0
+        assert haar_bloch_vectors(100, seed=9)[0, 0] != 2.0
 
     def test_normalized(self):
         bloch = haar_bloch_vectors(1000, seed=1)
@@ -126,6 +127,18 @@ class TestHaarStates:
         coherence = up * down
         kets = np.array([2.0 * coherence.real, 2.0 * coherence.imag, up**2 - np.abs(down) ** 2])
         np.testing.assert_allclose(haar_bloch_vectors(n, seed), kets, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 3, 2**20 + 5])
+    def test_stream_is_the_one_shot_draw(self, n):
+        # chunk by chunk from two generators, the stream draws the states one
+        # default_rng(seed) draws as all of z, then all azimuths, bit for bit
+        seed = 4242
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, size=n)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        rho = np.sqrt((1.0 - z) * (1.0 + z))
+        want = np.array([rho * np.cos(azimuth), np.sin(azimuth) * rho, z])
+        assert np.array_equal(haar_bloch_vectors(n, seed), want)
 
 
 def _random_unitary(rng):
@@ -157,7 +170,8 @@ class TestEnsembleKernel:
         w, v = np.linalg.eigh((h + h.conj().T) / 2)
         m = u.conj().T @ (u @ ((v * np.exp(-1j * eps * w)) @ v.conj().T)) * scale
         bloch = haar_bloch_vectors(300, seed=31)
-        got = _ensemble_infidelity(m, bloch, _exact_terms(m)[0])
+        got = np.empty(300)
+        _infidelity_kernel(m, _exact_terms(m)[0])(bloch, got, np.empty((3, 300)))
         want = _mp_infidelity(m, bloch)
         err = np.array([abs(float(ref - value)) for ref, value in zip(want, got)])
         small = np.array([abs(ref) <= 1e-4 for ref in want])
@@ -165,8 +179,9 @@ class TestEnsembleKernel:
         assert err[small].max(initial=0.0) <= 1e-16
 
     def test_chunked_kernel_is_the_whole_array_expression(self):
-        # the scratch-buffer passes keep the expression's order of operations,
-        # so every value is bit-identical, also in the short last chunk
+        # the scratch-buffer passes over the streamed chunks keep the
+        # expression's order of operations, so every kept (clipped) value is
+        # bit-identical, also in the short last chunk
         n = 2**17 + 3
         assert n % _CHUNK
         rng = np.random.default_rng(17)
@@ -180,8 +195,9 @@ class TestEnsembleKernel:
         x, y, z = bloch
         a = (px * x + py * y) + pz * z
         b = (qx * x + qy * y) + qz * z
-        want = s - a * (a + re2) - b * (b + im2)
-        assert np.array_equal(_ensemble_infidelity(m, bloch, s), want)
+        want = np.clip(s - a * (a + re2) - b * (b + im2), 0.0, 1.0)
+        [report] = _monte_carlo([(m, ())], n, seed=29, keep_samples=True)
+        assert np.array_equal(report.per_sample, want)
 
     def test_exact_haar_mean_is_the_trace_formula(self):
         rng = np.random.default_rng(3)
@@ -241,25 +257,25 @@ class TestAverageGateInfidelity:
 
         n = 10000
         m = u_ideal.conj().T @ u_pert
-        s, exact = _exact_terms(m)
-        mc = float(np.mean(_ensemble_infidelity(m, haar_bloch_vectors(n, seed=21), s)))
+        exact = _exact_terms(m)[1]
+        mc = _monte_carlo([(m, ())], n, seed=21)[0].mean_infidelity
         assert abs(mc - quad) <= 3.0 / math.sqrt(n)
         assert exact == pytest.approx(quad, abs=1e-15)
 
-    def test_peak_memory_per_sample(self, fig5_qubit, qubit_factory):
-        # the first call draws the ensemble: 24 B per sample kept, then the
-        # per-sample infidelities (clipped in place) and three chunk-sized
-        # scratch buffers, 6 B per sample at this n
-        seq = hadamard_sequence(fig5_qubit, 100.0)
-        average_gate_infidelity(seq, qubit_factory, _model(db=5e-3), 8, seed=3)
-        n = 2**17
-        tracemalloc.start()
-        try:
-            average_gate_infidelity(seq, qubit_factory, _model(db=5e-3), n, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 44 * n
+    def test_peak_memory_per_sample(self, qubit_factory):
+        # a sweep holds one chunk of the stream and 16 B per chunk and grid
+        # point: its peak at 2^20 samples is that at one chunk, within 1 MiB
+        def peak(n):
+            tracemalloc.start()
+            try:
+                field_error_sweep(_synth, qubit_factory, point=_point(db=5e-3), axis="E0",
+                                  grid=[100.0, 300.0, 1000.0], n_samples=n, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # imports and caches outside the measurement
+        assert peak(2**20) <= peak(2**15) + 2**20
 
 
 def _synth(qubit, e0):
@@ -285,14 +301,40 @@ class TestMitigationSweep:
         assert all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:]))
         assert min(means) == means[-1]
 
-    def test_ensemble_drawn_once_per_sweep(self, qubit_factory):
-        haar_bloch_vectors.cache_clear()
+    def test_ensemble_drawn_once_per_sweep(self, qubit_factory, monkeypatch):
+        original, streams = errors._haar_stream, []
+
+        def counting(n, seed):
+            streams.append((n, seed))
+            return original(n, seed)
+
+        monkeypatch.setattr(errors, "_haar_stream", counting)
         field_error_sweep(
             _synth, qubit_factory, point=_point(db=5e-3), axis="E0", grid=[100.0, 300.0, 1000.0],
-            n_samples=200, seed=5,
+            n_samples=_CHUNK + 7, seed=5,
         )
-        info = haar_bloch_vectors.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert streams == [(_CHUNK + 7, 5)]
+
+    def test_sweep_row_is_the_single_point_report_over_many_chunks(self, qubit_factory):
+        n = 2 * _CHUNK + 11
+        grid = [100.0, 1000.0]
+        reports = field_error_sweep(_synth, qubit_factory, point=_point(db=5e-3), axis="E0",
+                                    grid=grid, n_samples=n, seed=7)
+        for e0, report in zip(grid, reports):
+            seq = _synth(qubit_factory(0.45, e0), e0)
+            model = ErrorModel(**_point(db=5e-3, E0=e0))
+            assert report == average_gate_infidelity(seq, qubit_factory, model, n, seed=7)
+
+    def test_chunk_sums_against_the_whole_array(self, fig5_qubit, qubit_factory):
+        # the max is exact; the mean sums chunk sums instead of all values
+        # pairwise, which moves it by a few ulp at most
+        seq = hadamard_sequence(fig5_qubit, 100.0)
+        report = average_gate_infidelity(seq, qubit_factory, _model(db=5e-3), 10**6, seed=19,
+                                         keep_samples=True)
+        values = report.per_sample
+        assert values.shape == (10**6,)
+        assert report.max_infidelity == values.max()
+        assert abs(report.mean_infidelity - values.mean()) <= 4 * np.spacing(values.mean())
 
     def test_zero_error_row_is_zero(self, fig5_qubit, qubit_factory):
         reports = field_error_sweep(

@@ -53,6 +53,8 @@ CASES = {
                   "potential", "--E-static", "10"],
     "window": ["--preset", "fig3a", "--n-points", "256", "window"],
     "fidelity": [*FIG5, "fidelity", "--scan", "dB", "--range", "0:0.01:11", "--samples", "2000"],
+    "fidelity-multichunk": [*FIG5, "fidelity", "--scan", "dE", "--range", "0:0.01:3",
+                            "--samples", "100000"],
     "fidelity-labframe": [*FIG5, "fidelity", "--scan", "dB", "--range", "0:0.01:3",
                           "--samples", "500", "--mode", "labframe"],
     "mitigate": [*FIG5, "mitigate", "--delta-b", "0.005", "--samples", "2000"],
