@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
-                    FieldConfig, TorusGeometry, UnitSystem, check_loc_threshold, check_source)
+                    FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
+                    check_loc_threshold, check_positive, check_source)
 
 if TYPE_CHECKING:
     from .control import Gate
@@ -161,30 +162,13 @@ def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.nd
     return np.linspace(lo, hi, n)
 
 
-def _check_count(value: int, arg: str, low: int, high: int | None = None) -> int:
-    """value if it lies in [low, high]; otherwise a ConfigError naming arg."""
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{arg} must be {bounds}, got {value}")
-    return value
-
-
-def _check_finite(value: float, arg: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """value if it is finite and in [low, high]; otherwise a ConfigError naming arg."""
-    if not (math.isfinite(value) and low <= value <= high):
-        if high < math.inf:
-            bound = f" and in [{low:g}, {high:g}]"
-        else:
-            bound = "" if low == -math.inf else f" and >= {low:g}"
-        raise ConfigError(f"{arg} must be finite{bound}, got {value!r}")
-    return value
-
-
-def _check_positive(value: float, arg: str) -> float:
-    """value if it is finite and positive; otherwise a ConfigError naming arg."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{arg} must be finite and positive, got {value!r}")
-    return value
+def _option(rule, value, arg: str, *bounds):
+    """rule(value, arg, *bounds), a range rule of model, with its ValueError
+    re-raised as a ConfigError naming the option arg."""
+    try:
+        return rule(value, arg, *bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -260,7 +244,7 @@ def cmd_potential(args, config: RunConfig) -> Output:
     from .potential import PotentialParams, profile_csv
 
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m,
-                             E_static=_check_finite(args.E_static, "--E-static"))
+                             E_static=_option(check_finite, args.E_static, "--E-static"))
     return Output({"potential.csv": profile_csv(params, config.discretization())})
 
 
@@ -269,7 +253,7 @@ def cmd_spectrum(args, config: RunConfig) -> Output:
     from .spectral import solve_sector
 
     units = UnitSystem.for_geometry(config.geometry())
-    levels = _check_count(args.levels, "--levels", 1, config.n_points)
+    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
     spec = solve_sector(params, config.discretization(), k=levels,
                         loc_threshold=config.loc_threshold)
@@ -306,7 +290,7 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
         raise ConfigError(
             f"--m-list must be comma-separated integers, got {args.m_list!r}"
         ) from None
-    levels = _check_count(args.levels, "--levels", 1, config.n_points)
+    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
                           k=levels, loc_threshold=config.loc_threshold)
     return Output({"sweep_b.csv": _levels_csv(spectra, UnitSystem.for_geometry(config.geometry()))})
@@ -315,7 +299,7 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
 def cmd_window(args, config: RunConfig) -> Output:
     from .spectral import initialization_window
 
-    scan_max = _check_positive(args.scan_max, "--scan-max")
+    scan_max = _option(check_positive, args.scan_max, "--scan-max")
     b_min, b_max = initialization_window(
         config.geometry(), config.discretization(),
         B_scan_max=scan_max, loc_threshold=config.loc_threshold,
@@ -361,20 +345,20 @@ def cmd_evolve(args, config: RunConfig) -> Output:
                            ladder_trajectory, trajectory)
     from .reduction import rabi_frequency
 
-    _check_count(args.samples, "--samples", 2)  # a trajectory has a start and an end
-    _check_finite(args.detuning, "--detuning")
-    _check_finite(args.phase, "--phase")
+    _option(check_count, args.samples, "--samples", 2)  # a trajectory has a start and an end
+    _option(check_finite, args.detuning, "--detuning")
+    _option(check_finite, args.phase, "--phase")
     qubit = config.qubit(config.B)
     if args.rabi is None:
         omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
     elif args.three_level:  # the ladder is driven by a field amplitude E0 >= 0
-        omega_rabi = _check_finite(args.rabi, "--rabi (with --three-level)", low=0.0)
+        omega_rabi = _option(check_finite, args.rabi, "--rabi (with --three-level)", 0.0)
     else:
-        omega_rabi = _check_finite(args.rabi, "--rabi")
+        omega_rabi = _option(check_finite, args.rabi, "--rabi")
     if args.duration is None:
-        duration = math.pi / (2.0 * _check_positive(omega_rabi, "--rabi (or --E0)"))
+        duration = math.pi / (2.0 * _option(check_positive, omega_rabi, "--rabi (or --E0)"))
     else:
-        duration = _check_finite(args.duration, "--duration", low=0.0)
+        duration = _option(check_finite, args.duration, "--duration", 0.0)
     pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
     drive = drive_field(pulse, qubit)
     if duration * abs(drive.omega_rf) >= 2.0 * math.pi * MAX_DRIVE_CYCLES:
@@ -400,12 +384,10 @@ def cmd_gate(args, config: RunConfig) -> Output:
     from .control import gate_unitary
     from .dynamics import TOL_RANGE, drive_field, leakage_probe
 
-    low, high = TOL_RANGE
-    if not low <= args.tol <= high:
-        raise ConfigError(f"--tol must lie in [{low:g}, {high:g}], got {args.tol!r}")
+    _option(check_finite, args.tol, "--tol", *TOL_RANGE)
     gate = _parse_gate(args.gate)
     if gate.drives:
-        _check_positive(config.E0, "--E0")
+        _option(check_positive, config.E0, "--E0")
     qubit = config.qubit(config.B)
     seq = gate.sequence(qubit, config.E0)
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
@@ -439,7 +421,7 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
     """
     from .errors import field_error_sweep
 
-    _check_count(args.samples, "--samples", 1)
+    _option(check_count, args.samples, "--samples", 1)
     gate = _parse_gate(args.gate)
     window = None
     if check_window:
@@ -464,10 +446,10 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
 
     deltas = parse_range(args.range, arg="--range")
     edge = float(max(deltas[0], deltas[-1], key=abs))  # linspace ends at its extremes
-    _check_finite(edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
-    b0 = _check_positive(args.B0 if args.B0 is not None else config.B, "--B0 (or --B)")
-    e0 = _check_positive(args.E0_ref if args.E0_ref is not None else config.E0, "--E0-ref (or --E0)")
-    point = {"delta_B_rel": 0.0, "delta_E_rel": 0.0, "B0": b0, "E0": e0}
+    _option(check_finite, edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
+    point = {"delta_B_rel": 0.0, "delta_E_rel": 0.0,
+             "B0": _option(check_positive, config.B, "--B"),
+             "E0": _option(check_positive, config.E0, "--E0")}
     axis = "delta_B_rel" if args.scan == "dB" else "delta_E_rel"
     return _error_study(args, config, "delta", point, axis, deltas, args.check_window)[0]
 
@@ -475,20 +457,20 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
 def cmd_mitigate(args, config: RunConfig) -> Output:
     from .errors import MAX_RELATIVE_ERROR
 
-    b0 = args.B0 if args.B0 is not None else config.B
     if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference
         spec, arg, spacing = args.e0_range, "--e0-range", args.spacing
-        _check_positive(b0, "--B0 (or --B)")
+        _option(check_positive, config.B, "--B")
     else:
         spec, arg, spacing = args.b0_range, "--b0-range", "linear"
-        _check_positive(config.E0, "--E0")
+        _option(check_positive, config.E0, "--E0")
     grid = parse_range(spec, spacing, arg=arg)
     if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
         raise ConfigError(f"{arg} must be positive and increasing, got {spec!r}")
     for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
-        _check_finite(value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
+        _option(check_finite, value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     key = args.sweep
-    point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": b0, "E0": config.E0}
+    point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": config.B,
+             "E0": config.E0}
     output, reports = _error_study(args, config, key, point, key, grid)
     best = min(range(len(reports)), key=lambda i: reports[i].mean_infidelity)
     value, mean = float(grid[best]), reports[best].mean_infidelity
@@ -500,13 +482,21 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
 # ----------------------------------------------------------------- arg parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors are ConfigErrors, so main reports
+    them as one line and exit code 2; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message.removeprefix("argument "))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global options live on a parent parser shared with every subcommand so
     # they are accepted both before and after the subcommand name; SUPPRESS
     # keeps an unset option from clobbering a value parsed earlier
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--preset", choices=sorted(PRESETS), help="named geometry/field preset")
+    common.add_argument("--preset", help=f"named geometry/field preset: {', '.join(PRESETS)}")
     common.add_argument("--output-dir", dest="output_dir", help="directory for output artifacts")
     common.add_argument("--r", type=float, dest="r", help="minor radius [m]")
     common.add_argument("--R", type=float, dest="R", help="major radius [m]")
@@ -514,12 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--B", type=float, dest="B", help="static magnetic field [T]")
     common.add_argument("--E0", type=float, dest="E0", help="drive amplitude [V/m]")
     common.add_argument("--n-points", type=int, dest="n_points")
-    common.add_argument("--stencil-order", type=int, dest="stencil_order", choices=(2, 4))
+    common.add_argument("--stencil-order", type=int, dest="stencil_order", help="2 or 4")
     common.add_argument("--seed", type=int, dest="seed")
-    common.add_argument("--source", dest="source", choices=(NUMERICAL_TAYLOR, CLOSED_FORM))
+    common.add_argument("--source", dest="source", help=f"{NUMERICAL_TAYLOR} or {CLOSED_FORM}")
     common.add_argument("--loc-threshold", type=float, dest="loc_threshold")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusqubit",
         description="Simulator of a bound-state qubit on a graphene nanotorus",
         parents=[common],
@@ -574,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", default="hadamard")
     p.add_argument("--scan", choices=("dB", "dE"), default="dB")
     p.add_argument("--range", default="0:0.01:11", help="relative error a:b:n")
-    p.add_argument("--B0", type=float, default=None)
-    p.add_argument("--E0-ref", type=float, default=None, dest="E0_ref")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
     p.add_argument("--check-window", action="store_true")
@@ -590,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0-range", default="100:10000:7", dest="e0_range")
     p.add_argument("--b0-range", default="0.4:0.9:6", dest="b0_range")
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p.add_argument("--B0", type=float, default=None)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
     p.set_defaults(func=cmd_mitigate)
@@ -612,10 +599,10 @@ def main(argv: list[str] | None = None) -> int:
     Warnings raised anywhere in the run are recorded in every manifest and
     echoed to stderr in the standard "file:line: Category: message" form.
     """
-    args = build_parser().parse_args(argv)
     code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = build_parser().parse_args(argv)
             config = load_config(args)
             output = args.func(args, config)
             out_dir = Path(getattr(args, "output_dir", "."))

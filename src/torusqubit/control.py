@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QuantumState, PulseSpec, drive_field, labframe_unitary, rwa_unitary
+from .model import check_finite, check_positive
 from .reduction import QubitParameters, rabi_frequency
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -45,8 +46,7 @@ class PulseSequence:
     frame_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.frame_phase):
-            raise ValueError("frame_phase must be finite")
+        check_finite(self.frame_phase, "frame_phase")
         object.__setattr__(self, "pulses", tuple(self.pulses))
 
     @property
@@ -71,9 +71,7 @@ def prepare_state(theta: float, eta: float, qubit: QubitParameters, E0: float) -
         raise ValueError("theta must lie in (0, pi]")
     if not 0.0 <= eta <= math.pi:
         raise ValueError("eta must lie in [0, pi]")
-    omega_rabi = rabi_frequency(qubit.mu_dipole, E0)
-    if omega_rabi <= 0:
-        raise ValueError("drive amplitude must be positive")
+    omega_rabi = check_positive(rabi_frequency(qubit.mu_dipole, E0), "drive amplitude")
     duration = (2.0 / omega_rabi) * math.acos(min(1.0, math.sin(theta / 2)))
     phi = (-eta - math.pi / 2) % (2.0 * math.pi)
     return PulseSequence(
@@ -91,9 +89,7 @@ def hadamard_sequence(qubit: QubitParameters, E0: float, style: str = "tilted") 
 
     "composite": Ry(pi/2) then a pi pulse about x, since X Ry(pi/2) = H.
     """
-    omega_rabi = rabi_frequency(qubit.mu_dipole, E0)
-    if omega_rabi <= 0:
-        raise ValueError("drive amplitude must be positive")
+    omega_rabi = check_positive(rabi_frequency(qubit.mu_dipole, E0), "drive amplitude")
     if style == "tilted":
         return PulseSequence(
             pulses=(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HBAR, FieldConfig
+from .model import HBAR, FieldConfig, check_count, check_finite
 from .reduction import QubitParameters, rabi_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,11 +91,9 @@ class PulseSpec:
     duration: float  # [s]
 
     def __post_init__(self) -> None:
-        for name in ("rabi_Omega", "detuning_Delta", "phase_phi", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
+        for name in ("rabi_Omega", "detuning_Delta", "phase_phi"):
+            check_finite(getattr(self, name), name)
+        check_finite(self.duration, "duration", low=0.0)
 
 
 @dataclass(frozen=True)
@@ -301,9 +299,7 @@ def _drive_propagators(
     before the drift can overflow (for the fig5 ladder the compounded
     roundoff is 2.9e-5 at 5.6e10 periods and 8.2e-3 at 5.6e13).
     """
-    low, high = TOL_RANGE
-    if not low <= tol <= high:
-        raise ValueError(f"tol must lie in [{low:g}, {high:g}], got {tol!r}")
+    check_finite(tol, "tol", *TOL_RANGE)
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError("t must be finite and non-negative")
@@ -425,8 +421,7 @@ def ladder_trajectory(
     Same model as leakage_probe; returns (times, amplitudes) with one row of
     three complex amplitudes per sample time.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    check_count(n_samples, "n_samples", 2)
     if initial is None:
         initial = QuantumState.ground(dim=3)
     if initial.amplitudes.size != 3:
@@ -464,8 +459,7 @@ def trajectory(
 
     Same shape as ladder_trajectory: one row of amplitudes per sample time.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    check_count(n_samples, "n_samples", 2)
     times = np.linspace(0.0, pulse.duration, n_samples)
     amplitudes = [evolve_rwa(state, replace(pulse, duration=float(time))).amplitudes
                   for time in times]

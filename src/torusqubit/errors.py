@@ -23,13 +23,13 @@ which bounds its Monte-Carlo max.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .control import PulseSequence, gate_unitary
+from .model import check_count, check_finite, check_positive
 from .reduction import QubitParameters
 
 QubitFactory = Callable[[float, float], QubitParameters]  # (B, E0) -> parameters
@@ -47,12 +47,9 @@ class ErrorModel:
 
     def __post_init__(self) -> None:
         for name in ("delta_B_rel", "delta_E_rel"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or abs(value) > MAX_RELATIVE_ERROR:
-                raise ValueError(f"{name} must be finite and within "
-                                 f"[-{MAX_RELATIVE_ERROR}, {MAX_RELATIVE_ERROR}]")
-        if self.B0 <= 0 or self.E0 <= 0:
-            raise ValueError("reference fields must be positive")
+            check_finite(getattr(self, name), name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
+        check_positive(self.B0, "B0")
+        check_positive(self.E0, "E0")
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ def _monte_carlo(points: Sequence[tuple[np.ndarray, tuple[str, ...]]], n_samples
     Memory is the chunk's buffers plus 16 B per chunk and point; only
     keep_samples, for a single point, keeps all n values.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_count(n_samples, "n_samples", 1)
     per_sample = np.empty(n_samples) if keep_samples else None
     terms = [_exact_terms(m) for m, _ in points]
     kernels = [_infidelity_kernel(m, s) for (m, _), (s, _) in zip(points, terms)]

@@ -1,5 +1,7 @@
-"""Physical constants, internal unit system, and the shared device, field
-and grid types that a run configuration is validated with.
+"""Physical constants, internal unit system, the shared device, field and
+grid types that a run configuration is validated with, and the range rules
+(check_finite, check_positive, check_count) that every layer and the CLI
+check a scalar argument with.
 
 Every downstream module works in an internal unit system tied to the device
 geometry: energies in units of hbar^2 / (2 m* r^2), lengths in units of the
@@ -41,14 +43,12 @@ class TorusGeometry:
     effective_mass_ratio: float = 0.3
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_minor) and math.isfinite(self.R_major)):
-            raise ValueError("radii must be finite")
-        if not 0.0 < self.r_minor < self.R_major:
+        check_positive(self.r_minor, "r_minor")
+        if not self.r_minor < check_finite(self.R_major, "R_major"):
             raise ValueError(
                 f"need 0 < r_minor < R_major, got r={self.r_minor!r}, R={self.R_major!r}"
             )
-        if not (math.isfinite(self.effective_mass_ratio) and self.effective_mass_ratio > 0):
-            raise ValueError("effective_mass_ratio must be finite and positive")
+        check_positive(self.effective_mass_ratio, "effective_mass_ratio")
 
     @property
     def effective_mass(self) -> float:
@@ -74,13 +74,8 @@ class FieldConfig:
     phi: float = 0.0  # drive phase [rad]
 
     def __post_init__(self) -> None:
-        for name in ("B", "E0", "omega_rf", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.B < 0:
-            raise ValueError("B must be non-negative")
-        if self.E0 < 0:
-            raise ValueError("E0 must be non-negative")
+        for name, low in (("B", 0.0), ("E0", 0.0), ("omega_rf", -math.inf), ("phi", -math.inf)):
+            check_finite(getattr(self, name), name, low)
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
@@ -92,8 +87,7 @@ class Discretization:
     stencil_order: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_points < 64:
-            raise ValueError("n_points must be >= 64")
+        check_count(self.n_points, "n_points", 64)
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
 
@@ -104,6 +98,32 @@ class Discretization:
     @property
     def theta(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
+
+
+def check_finite(value: float, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """value if it is finite and in [low, high]; otherwise a ValueError naming it."""
+    if not (math.isfinite(value) and low <= value <= high):
+        if high < math.inf:
+            bound = f" and in [{low:g}, {high:g}]"
+        else:
+            bound = "" if low == -math.inf else f" and >= {low:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return value
+
+
+def check_positive(value: float, name: str) -> float:
+    """value if it is finite and positive; otherwise a ValueError naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def check_count(value: int, name: str, low: int, high: int | None = None) -> int:
+    """value if it lies in [low, high]; otherwise a ValueError naming it."""
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 def check_loc_threshold(value: float) -> float:
@@ -140,9 +160,7 @@ class UnitSystem:
 
     def __post_init__(self) -> None:
         for name in ("energy_scale", "length_scale", "time_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            check_positive(getattr(self, name), name)
 
     @classmethod
     def for_geometry(cls, geom: TorusGeometry) -> "UnitSystem":
@@ -153,9 +171,7 @@ class UnitSystem:
         """An internal energy in joules; "energy" is the only kind converted."""
         if kind != "energy":
             raise ValueError(f"unknown quantity kind {kind!r}; only 'energy' is converted")
-        if not math.isfinite(value):
-            raise ValueError("cannot convert non-finite value")
-        return value * self.energy_scale
+        return check_finite(value, "internal energy") * self.energy_scale
 
 
 def magnetic_parameter(geom: TorusGeometry, B: float) -> float:
@@ -165,9 +181,7 @@ def magnetic_parameter(geom: TorusGeometry, B: float) -> float:
     the paramagnetic level shift is -2*m*b and the diamagnetic confinement
     b^2 (R/r + cos(theta))^2, both in internal energy units.
     """
-    if B < 0:
-        raise ValueError("B must be non-negative")
-    return E_CHARGE * B * geom.r_minor**2 / (2.0 * HBAR)
+    return E_CHARGE * check_finite(B, "B", low=0.0) * geom.r_minor**2 / (2.0 * HBAR)
 
 
 def electric_parameter(geom: TorusGeometry, E_static: float) -> float:

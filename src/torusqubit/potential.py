@@ -8,12 +8,11 @@ energy units (see `model.UnitSystem`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Discretization, TorusGeometry, UnitSystem, electric_parameter,
+from .model import (Discretization, TorusGeometry, UnitSystem, check_finite, electric_parameter,
                     magnetic_parameter)
 
 
@@ -29,11 +28,8 @@ class PotentialParams:
     def __post_init__(self) -> None:
         if not isinstance(self.m_orbital, (int, np.integer)):
             raise TypeError("m_orbital must be an integer")
-        for name in ("B", "E_static"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.B < 0:
-            raise ValueError("B must be non-negative")
+        check_finite(self.B, "B", low=0.0)
+        check_finite(self.E_static, "E_static")
 
 
 def internal_terms(theta, params: PotentialParams):

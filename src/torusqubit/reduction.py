@@ -22,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import (CLOSED_FORM, E_CHARGE, HBAR, NUMERICAL_TAYLOR, TorusGeometry, check_source,
-                    energy_scale_of)
+from .model import (CLOSED_FORM, E_CHARGE, HBAR, NUMERICAL_TAYLOR, TorusGeometry, check_finite,
+                    check_positive, check_source, energy_scale_of)
 from .potential import PotentialParams, internal_terms
 
 
@@ -55,8 +55,7 @@ class QubitParameters:
     source: str
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError("omega must be finite and positive")
+        check_positive(self.omega, "omega")
 
     @property
     def anharmonicity_ratio(self) -> float:
@@ -72,8 +71,7 @@ class QubitParameters:
 
 def coefficients_closed_form(geom: TorusGeometry, B: float) -> OscillatorCoefficients:
     """Literal evaluation of the closed-form well-coefficient expressions."""
-    if B < 0:
-        raise ValueError("B must be non-negative")
+    check_finite(B, "B", low=0.0)
     r = geom.r_minor
     R = geom.R_major
     mstar = geom.effective_mass
@@ -179,8 +177,7 @@ def qubit_parameters(
     |alpha|/(hbar omega) must be resolvable for the two-level truncation to
     make sense; a warning is issued when it drops below 1e-6.
     """
-    if coeffs.beta_sq <= 0:
-        raise ValueError(f"beta_sq must be positive, got {coeffs.beta_sq!r}")
+    check_positive(coeffs.beta_sq, "beta_sq")
     mstar = geom.effective_mass
     r = geom.r_minor
     omega = math.sqrt(coeffs.beta_sq) / (mstar * r)
@@ -216,9 +213,7 @@ def _dipole_from_spread(s: float, r_minor: float) -> float:
 
 def rabi_frequency(mu: float, E0: float) -> float:
     """Rabi rate Omega = mu E0 / hbar [rad/s]; linear in the drive amplitude."""
-    if E0 < 0:
-        raise ValueError("E0 must be non-negative")
-    return mu * E0 / HBAR
+    return mu * check_finite(E0, "E0", low=0.0) / HBAR
 
 
 def coefficients_for(

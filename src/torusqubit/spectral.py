@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_loc_threshold
+from .model import (DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_count,
+                    check_loc_threshold)
 from .potential import PotentialParams, total_internal
 
-_DENSE_CUTOFF = 600  # below this size a dense solve is cheaper than ARPACK
+_DENSE_CUTOFF = 600  # largest dense solve of lowest_eigenpairs; Ritz basis cap (or 2k + 1)
 _RITZ_START = 32  # smallest Fourier cutoff of a sector solve
 _RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
 
@@ -155,8 +156,7 @@ def lowest_eigenpairs(matrix, k: int, shift: float | None = None) -> tuple[np.nd
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    check_count(k, "k", 1, n)
     if (H != H.T).nnz:
         raise ValueError("matrix must be exactly symmetric")
 
@@ -300,8 +300,7 @@ def solve_sector(
     """
     check_loc_threshold(loc_threshold)
     n = disc.n_points
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    check_count(k, "k", 1, n)
     energies, vectors = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
     vectors = _fix_signs(vectors)
     h = disc.spacing

@@ -120,8 +120,45 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["--n-points", "abc", "potential"], "error: --n-points: invalid int value: 'abc'"),
+        (["spectrum", "--levels", "x"], "error: --levels: invalid int value: 'x'"),
+        (["gate", "--mode", "foo"], "error: --mode: invalid choice: 'foo'"),
+        ([], "error: the following arguments are required: command"),
+        (["foo"], "error: command: invalid choice: 'foo'"),
+    ])
+    def test_parse_error_is_one_line(self, tmp_path, capsys, args, named):
+        code, out = run(args, tmp_path, "out")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(named)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["-h"], ["spectrum", "-h"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exited:
+            main(args)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: torusqubit")
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("preset", "fig9", "--preset: unknown preset 'fig9'"),
+        ("source", "foo", "--source: source must be 'numerical_taylor' or 'closed_form'"),
+        ("stencil_order", 3, "--n-points, --stencil-order: stencil_order must be 2 or 4"),
+    ])
+    def test_flag_and_file_share_one_check(self, tmp_path, capsys, key, value, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        for args in ([flag, str(value), "potential"], ["--config", str(config), "potential"]):
+            code, out = run(args, tmp_path, "out")
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+            assert not out.exists()
+
     def test_unknown_preset_without_a_file_names_only_the_flag(self):
-        # the parser restricts --preset to PRESETS; a library caller may not
+        # a library caller skips the parser, whose --preset is any string
         args = argparse.Namespace(config=None, preset="fig9")
         with pytest.raises(ConfigError, match=r"^--preset: unknown preset 'fig9'; choose from"):
             load_config(args)
@@ -244,8 +281,8 @@ class TestConfigHandling:
         (["--n-points", "64", "spectrum", "--levels", "65"], "--levels"),
         (["sweep-b", "--b-range", "0:0.1:2", "--levels", "0"], "--levels"),
         (["evolve", "--samples", "0"], "--samples"),
-        (["fidelity", "--B0", "nan"], "--B0"),
-        (["fidelity", "--E0-ref", "nan"], "--E0-ref"),
+        (["--B", "0", "fidelity"], "--B"),
+        (["--E0", "0", "fidelity"], "--E0"),
         (["fidelity", "--samples", "0"], "--samples"),
         (["mitigate", "--samples", "0"], "--samples"),
         (["gate", "--mode", "labframe", "--tol", "1e-3"], "--tol"),
@@ -428,7 +465,7 @@ class TestWarningsInManifest:
     def test_window_exit_flags_recorded(self, tmp_path, capsys):
         code, out = run(
             ["--preset", "fig5", "--n-points", "256", "fidelity", "--check-window",
-             "--B0", "0.95", "--range", "0:0.05:2", "--samples", "50"],
+             "--B", "0.95", "--range", "0:0.05:2", "--samples", "50"],
             tmp_path,
         )
         assert code == 0

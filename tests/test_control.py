@@ -111,6 +111,11 @@ class TestPrepareState:
 
 
 class TestHadamard:
+    @pytest.mark.parametrize("style", ["tilted", "composite"])
+    def test_zero_drive_rejected(self, fig5_qubit, style):
+        with pytest.raises(ValueError, match="^drive amplitude must be finite and positive"):
+            hadamard_sequence(fig5_qubit, 0.0, style)
+
     def test_maps_ground_to_plus(self, fig5_qubit):
         seq = hadamard_sequence(fig5_qubit, 100.0)
         out = apply_sequence(QuantumState.ground(), seq)

@@ -52,6 +52,21 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(np.array([1.0, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            QuantumState(np.array([bad, 0.0]))
+
+    def test_two_level_paths_reject_a_three_level_state(self, fig5_qubit):
+        ladder = QuantumState.ground(dim=3)
+        field = FieldConfig(B=0.45, E0=100.0, omega_rf=fig5_qubit.omega)
+        with pytest.raises(ValueError, match="evolve_rwa expects a two-level state"):
+            evolve_rwa(ladder, PulseSpec(1e9, 0.0, 0.0, 1e-9))
+        with pytest.raises(ValueError, match="evolve_labframe expects a two-level state"):
+            evolve_labframe(ladder, fig5_qubit, field, 1e-12)
+        with pytest.raises(ValueError, match="bloch expects a two-level state"):
+            bloch(ladder)
+
 
 class TestEvolveRwa:
     def test_identity_for_zero_pulse(self):
@@ -232,6 +247,11 @@ class TestDriveField:
 
 
 class TestLadderTrajectory:
+    def test_two_level_initial_state_rejected(self, fig5_qubit):
+        field = FieldConfig(B=0.45, E0=100.0, omega_rf=fig5_qubit.omega)
+        with pytest.raises(ValueError, match="needs a three-level state"):
+            ladder_trajectory(fig5_qubit, field, 1e-12, 2, initial=QuantumState.ground())
+
     def test_populations_sum_to_one(self, fig5_qubit):
         from torusqubit.dynamics import ladder_trajectory
 

@@ -93,6 +93,13 @@ class TestErrorModel:
             ErrorModel(delta_B_rel=0.0, delta_E_rel=0.0, B0=-1.0, E0=100.0)
 
 
+class TestInfidelityReport:
+    def test_mean_above_max_rejected(self):
+        with pytest.raises(ValueError, match="mean <= max"):
+            errors.InfidelityReport(mean_infidelity=0.2, max_infidelity=0.1, haar_mean_exact=0.2,
+                                    worst_case_exact=0.3, n_samples=10, seed=0)
+
+
 class TestHaarStates:
     def test_reproducible(self):
         a = haar_bloch_vectors(100, seed=9)

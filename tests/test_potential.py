@@ -139,6 +139,13 @@ class TestVTotal:
             np.testing.assert_array_equal(plus, minus)
 
 
+class TestParams:
+    @pytest.mark.parametrize("m", [0.5, 1.0, "0"])
+    def test_non_integer_m_rejected(self, fig3a_geom, m):
+        with pytest.raises(TypeError, match="m_orbital must be an integer"):
+            PotentialParams(geom=fig3a_geom, m_orbital=m)
+
+
 class TestProfile:
     def test_grid_shape(self, fig3a_geom):
         disc = Discretization(128)

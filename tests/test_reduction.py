@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusqubit import reduction
 from torusqubit.model import energy_scale_of
 from torusqubit.potential import PotentialParams
 from torusqubit.reduction import (
@@ -53,6 +54,18 @@ class TestNumericalTaylor:
         assert abs(d4 / 24.0) < 1e-10
         assert f0 == 0.0
         assert odd < 1e-12
+
+    def test_odd_term_rejected(self, fig3a_geom, monkeypatch):
+        # a sin(theta) term, like a static electric field, is odd about pi
+        internal_terms = reduction.internal_terms
+
+        def tilted(theta, params):
+            bare, elec, mag = internal_terms(theta, params)
+            return bare + 1e-3 * math.sin(theta), elec, mag
+
+        monkeypatch.setattr(reduction, "internal_terms", tilted)
+        with pytest.raises(ValueError, match="odd derivatives at theta=pi are not negligible"):
+            coefficients_numerical(fig3a_geom, 0.45)
 
     def test_round_trip_on_reconstructed_polynomial(self, fig3a_geom):
         # rebuild the quartic from the closed-form coefficients and feed it

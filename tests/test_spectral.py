@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from torusqubit import spectral
 from torusqubit.model import TorusGeometry, UnitSystem
 from torusqubit.potential import PotentialParams, total_internal
 from torusqubit.spectral import (
@@ -84,6 +85,17 @@ class TestBuildHamiltonian:
 
 
 class TestLowestEigenpairs:
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            lowest_eigenpairs(np.ones((3, 4)), 1)
+
+    def test_non_finite_potential_rejected(self, fig3a_geom):
+        # b^2 overflows: the magnetic term is inf on the whole grid
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="potential evaluated to non-finite values"):
+                spectral._grid_potential(PotentialParams(geom=fig3a_geom, B=1e200),
+                                         Discretization(64))
+
     def test_two_by_two_analytic(self):
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
         energies, vectors = lowest_eigenpairs(H, 2)
@@ -374,7 +386,7 @@ class TestStructuredSolve:
     def test_k_range(self, fig3a_geom):
         params = PotentialParams(geom=fig3a_geom)
         for k in (0, 65):
-            with pytest.raises(ValueError, match="1 <= k <= 64"):
+            with pytest.raises(ValueError, match=rf"^k must be in \[1, 64\], got {k}$"):
                 solve_sector(params, Discretization(64), k=k)
 
     def test_residual_contract_enforced(self, fig3a_geom, monkeypatch):
