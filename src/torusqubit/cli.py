@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -484,7 +485,15 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose parse errors are ConfigErrors, so main reports
-    them as one line and exit code 2; subparsers inherit the class."""
+    them as one line and exit code 2; subparsers inherit the class.
+
+    A negative number with an exponent, as in `--delta-b -5e-3`, is read as
+    an option's value: argparse's own pattern knows no exponent, so it took
+    such a value for an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         raise ConfigError(message.removeprefix("argument "))

@@ -23,6 +23,7 @@ refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +90,18 @@ def _stencil(disc: Discretization) -> tuple[float, ...]:
     return (30.0 * c, -16.0 * c, 1.0 * c)
 
 
+@functools.lru_cache(maxsize=16)
+def _grid(disc: Discretization) -> tuple[np.ndarray, slice]:
+    """disc.theta, read-only, and its rows in the trapping sector theta in
+    [pi/2, 3pi/2]; a sweep computes them once."""
+    theta = disc.theta
+    theta.flags.writeable = False
+    rows = np.flatnonzero((theta >= np.pi / 2) & (theta <= 3 * np.pi / 2))
+    return theta, slice(int(rows[0]), int(rows[-1]) + 1)
+
+
 def _grid_potential(params: PotentialParams, disc: Discretization) -> np.ndarray:
-    v = np.asarray(total_internal(disc.theta, params), dtype=float)
+    v = np.asarray(total_internal(_grid(disc)[0], params), dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential evaluated to non-finite values")
     return v
@@ -203,11 +214,67 @@ def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
     return (16.0 * half - np.sin(q * h) ** 2) / (3.0 * h**2)
 
 
-def _half_sum(sums: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> np.ndarray:
-    """(sums[p - q] + sign * sums[p + q]) / 2 for every pair (p, q), the
-    frequency indices taken modulo the grid size."""
-    n = sums.size
-    return 0.5 * (sums[(p[:, None] - q) % n] + sign * sums[(p[:, None] + q) % n])
+@dataclass(frozen=True)
+class _RitzBasis:
+    """Read-only setup of a Ritz solve in the grid Fourier modes q <= cutoff.
+
+    Entry (a, b) of the Ritz matrix of diag(v) is
+    0.5 * (sums[first[a, b]] + sums[second[a, b]]) * scale[a, b], where sums
+    stacks the cosine sums, the sine sums and their negatives (blocks of n,
+    in that order) at the frequency indices (p - q) mod n and (p + q) mod n
+    of the two modes p and q.  A cosine-sine entry is negated through its
+    scale, which is exact.
+    """
+
+    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff
+    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine
+    norm_c: np.ndarray  # (cos_q.size, 1) normalizations of the cosines
+    first: np.ndarray
+    second: np.ndarray
+    scale: np.ndarray
+    kinetic: np.ndarray  # kinetic-stencil eigenvalue of each mode: the Ritz diagonal
+    top: np.ndarray  # mask of the modes in the top quarter of the frequencies
+
+
+@functools.lru_cache(maxsize=16)
+def _ritz_basis(disc: Discretization, cutoff: int) -> _RitzBasis:
+    """The _RitzBasis of the modes q <= cutoff on disc, one per (n, order,
+    cutoff); a sweep builds it once."""
+    n = disc.n_points
+    cos_q = np.arange(cutoff + 1)
+    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
+    norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
+    norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)[:, None]
+
+    def layout(cc, cs, ss):
+        """The Ritz matrix of its cosine-cosine, cosine-sine and sine-sine blocks."""
+        return np.block([[cc, cs], [cs.T, ss]])
+
+    first = layout((cos_q[:, None] - cos_q) % n, n + (cos_q[:, None] - sin_q) % n,
+                   (sin_q[:, None] - sin_q) % n)
+    second = layout((cos_q[:, None] + cos_q) % n, 3 * n + (cos_q[:, None] + sin_q) % n,
+                    2 * n + (sin_q[:, None] + sin_q) % n)
+    scale = layout(norm_c * norm_c.T, np.broadcast_to(-norm_c * norm_s, (cos_q.size, sin_q.size)),
+                   np.full((sin_q.size, sin_q.size), norm_s**2))
+    freq = np.concatenate([cos_q, sin_q])
+    basis = _RitzBasis(cos_q, sin_q, norm_c, first, second, scale,
+                       _kinetic_eigenvalues(disc, freq), freq > 0.75 * cutoff)
+    for array in vars(basis).values():
+        array.flags.writeable = False
+    return basis
+
+
+def _apply_operator(stencil: tuple[float, ...], diagonal: np.ndarray,
+                    vectors: np.ndarray) -> np.ndarray:
+    """The periodic stencil operator with the given diagonal applied to the
+    columns of vectors, each neighbour row taken from a slice."""
+    n, reach = vectors.shape[0], len(stencil) - 1
+    # the rows -reach .. n - 1 + reach of the periodic grid
+    ring = np.concatenate([vectors[n - reach :], vectors, vectors[:reach]])
+    applied = diagonal[:, None] * vectors
+    for d, coupling in enumerate(stencil[1:], start=1):
+        applied += coupling * (ring[reach - d : reach - d + n] + ring[reach + d : reach + d + n])
+    return applied
 
 
 def _sector_eigenpairs(
@@ -235,45 +302,43 @@ def _sector_eigenpairs(
     """
     n = disc.n_points
     f = np.fft.rfft(v)
-    # sum_j v_j cos(q theta_j) and sum_j v_j sin(q theta_j) for q = 0 .. n-1
-    cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
-    sin_sums = np.concatenate([-f.imag, f.imag[1 : (n + 1) // 2][::-1]])
+    # sum_j v_j cos(q theta_j) and sum_j v_j sin(q theta_j) for q = 0 .. n-1,
+    # then their negatives: the sums of _RitzBasis
+    sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1],
+                           -f.imag, f.imag[1 : (n + 1) // 2][::-1]])
+    sums = np.concatenate([sums, -sums])
     cap = max(_DENSE_CUTOFF, 2 * k + 1)
     limit = n // 2 if n <= cap else (cap - 1) // 2
     cutoff = min(max(_RITZ_START, k), limit)
-    norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
     while True:
-        cos_q = np.arange(cutoff + 1)
-        sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)  # no Nyquist sine
-        norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)
-        cc = _half_sum(cos_sums, cos_q, cos_q, 1.0) * np.outer(norm_c, norm_c)
-        ss = _half_sum(cos_sums, sin_q, sin_q, -1.0) * norm_s**2
-        cs = -_half_sum(sin_sums, cos_q, sin_q, -1.0) * (norm_c[:, None] * norm_s)
-        ritz = np.block([[cc, cs], [cs.T, ss]])
-        freq = np.concatenate([cos_q, sin_q])
-        ritz[np.diag_indices_from(ritz)] += _kinetic_eigenvalues(disc, freq)
+        basis = _ritz_basis(disc, cutoff)
+        ritz = sums[basis.first]
+        ritz += sums[basis.second]
+        ritz *= 0.5
+        ritz *= basis.scale
+        ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
         energies, coeffs = np.linalg.eigh(ritz)
         energies, coeffs = energies[:k], coeffs[:, :k]
-        tail = float(np.max(np.sum(coeffs[freq > 0.75 * cutoff] ** 2, axis=0)))
+        tail = float(np.max(np.sum(coeffs[basis.top] ** 2, axis=0)))
         converged = cutoff == n // 2 or tail <= _RITZ_TAIL
         if converged or cutoff == limit:
             break
         cutoff = min(2 * cutoff, limit)
 
+    modes = basis.cos_q.size
     spectrum = np.zeros((n // 2 + 1, k), dtype=complex)
-    spectrum[cos_q] = coeffs[: cos_q.size] / norm_c[:, None]
-    spectrum[sin_q] -= 1j * coeffs[cos_q.size :] / norm_s
+    spectrum[basis.cos_q] = coeffs[:modes] / basis.norm_c
+    spectrum[basis.sin_q] -= 1j * coeffs[modes:] / math.sqrt(2.0 / n)  # the sine normalization
     vectors = np.fft.irfft(spectrum, n, axis=0)
 
     stencil = _stencil(disc)
-    applied = (stencil[0] + v)[:, None] * vectors
-    for d, coupling in enumerate(stencil[1:], start=1):
-        applied += coupling * (np.roll(vectors, d, axis=0) + np.roll(vectors, -d, axis=0))
+    diagonal = stencil[0] + v
+    applied = _apply_operator(stencil, diagonal, vectors)
     worst = float(np.linalg.norm(applied - vectors * energies, axis=0).max())
-    tol = 1e-9 * (float(np.abs(stencil[0] + v).max()) + 2.0 * sum(map(abs, stencil[1:])))
+    tol = 1e-9 * (float(np.abs(diagonal).max()) + 2.0 * sum(map(abs, stencil[1:])))
     if not converged:
         raise EigensolverError(
-            f"Fourier basis reached its cap of {freq.size} modes with Ritz tail weight"
+            f"Fourier basis reached its cap of {ritz.shape[0]} modes with Ritz tail weight"
             f" {tail:.3e}; residual {worst:.3e}", residual=worst
         )
     if worst > tol:
@@ -301,22 +366,20 @@ def solve_sector(
     check_loc_threshold(loc_threshold)
     n = disc.n_points
     check_count(k, "k", 1, n)
-    energies, vectors = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
-    vectors = _fix_signs(vectors)
-    h = disc.spacing
-    theta = disc.theta
-    inner = (theta >= np.pi / 2) & (theta <= 3 * np.pi / 2)
+    energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
+    waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
+    localizations = np.sum(waves[:, _grid(disc)[1]] ** 2, axis=1)
+    waves /= math.sqrt(disc.spacing)
     barrier = float(total_internal(0.0, params))
 
     states = []
     for i in range(k):
-        energy = float(energies[i])
-        loc = float(np.sum(vectors[inner, i] ** 2))
+        energy, loc = float(energies[i]), float(localizations[i])
         states.append(BoundState(
             m_orbital=params.m_orbital,
             level_index=i,
             energy=energy,
-            wavefunction=vectors[:, i] / math.sqrt(h),
+            wavefunction=waves[i],
             localization=loc,
             # bound: below the theta=0 barrier and localized in the trapping sector
             bound=energy < barrier and loc >= loc_threshold,
@@ -374,8 +437,11 @@ def initialization_window(
 ) -> tuple[float, float]:
     """Field interval [B_min, B_max] with exactly two bound m=0 states.
 
-    A coarse scan over [0, B_scan_max] locates the first region with a
-    two-state count; both edges are then bisected to tol_T.  Raises
+    A coarse scan of n_coarse points over [0, B_scan_max], in increasing
+    field, locates the first region with a two-state count.  It stops at
+    the first point past that region with more than two bound states, and
+    solves no point beyond it; it runs to B_scan_max only when no such
+    point exists.  Both edges are then bisected to tol_T.  Raises
     WindowNotFoundError when the two-state condition never occurs.
     """
 
@@ -385,9 +451,15 @@ def initialization_window(
         return solve_sector(params, disc, loc_threshold=loc_threshold).n_bound
 
     grid = np.linspace(0.0, B_scan_max, n_coarse)
-    counts = [count(float(B)) for B in grid]
-
-    first_two = next((i for i, c in enumerate(counts) if c == 2), None)
+    counts: list[int] = []
+    first_two = past = None
+    for i, B in enumerate(grid):
+        counts.append(count(float(B)))
+        if first_two is None and counts[i] == 2:
+            first_two = i
+        elif first_two is not None and counts[i] > 2:
+            past = i
+            break
     if first_two is None:
         raise WindowNotFoundError(
             f"no field in [0, {B_scan_max}] T yields exactly two bound m=0 states"
@@ -405,7 +477,6 @@ def initialization_window(
                 lo = mid
         return lo, hi
 
-    past = next((i for i in range(first_two, len(counts)) if counts[i] > 2), None)
     b_min = bisect(first_two, lambda c: c >= 2)[1] if first_two else 0.0
     b_max = bisect(past, lambda c: c != 2)[0] if past is not None else float(grid[-1])
     return b_min, b_max

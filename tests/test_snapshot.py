@@ -52,6 +52,8 @@ CASES = {
     "potential": ["--preset", "fig3a", "--B", "0.45", "--n-points", "64",
                   "potential", "--E-static", "10"],
     "window": ["--preset", "fig3a", "--n-points", "256", "window"],
+    "sweep-b": ["--preset", "fig3a", "--n-points", "256", "sweep-b", "--b-range", "0:1.5:7",
+                "--m-list", "0,1,-1"],
     "fidelity": [*FIG5, "fidelity", "--scan", "dB", "--range", "0:0.01:11", "--samples", "2000"],
     "fidelity-multichunk": [*FIG5, "fidelity", "--scan", "dE", "--range", "0:0.01:3",
                             "--samples", "100000"],

@@ -228,6 +228,50 @@ class TestWindow:
         with pytest.raises(WindowNotFoundError):
             initialization_window(fig3a_geom, disc1024, B_scan_max=0.05, n_coarse=6)
 
+    @staticmethod
+    def _full_scan(geom, disc, scan_max, n_coarse=41, tol=1e-3):
+        """Window edges and solve count of a coarse scan that reads every
+        grid point before bisecting both edges."""
+        solves = []
+
+        def count(B):
+            solves.append(B)
+            return solve_sector(PotentialParams(geom=geom, B=B), disc).n_bound
+
+        grid = np.linspace(0.0, scan_max, n_coarse)
+        counts = [count(float(B)) for B in grid]
+        first_two = counts.index(2)
+        past = next((i for i in range(first_two, n_coarse) if counts[i] > 2), None)
+
+        def bisect(i, beyond):
+            lo, hi = float(grid[i - 1]), float(grid[i])
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if beyond(count(mid)) else (mid, hi)
+            return lo, hi
+
+        b_min = bisect(first_two, lambda c: c >= 2)[1]
+        b_max = bisect(past, lambda c: c != 2)[0] if past is not None else float(grid[-1])
+        unread = 0 if past is None else n_coarse - 1 - past  # coarse points past the stop
+        return (b_min, b_max), len(solves), unread
+
+    @pytest.mark.parametrize("scan_max", [0.8, 1.8, 2.2])
+    def test_scan_stops_past_the_window(self, fig3a_geom, monkeypatch, scan_max):
+        # at 0.8 T the scan never leaves the window, so it reads every point
+        disc = Discretization(256)
+        edges, full_solves, unread = self._full_scan(fig3a_geom, disc, scan_max)
+        solves = []
+
+        def counting(params, *args, **kwargs):
+            solves.append(params.B)
+            return solve_sector(params, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_sector", counting)
+        assert initialization_window(fig3a_geom, disc, B_scan_max=scan_max) == edges
+        assert len(solves) == full_solves - unread
+        assert (unread > 0) == (scan_max > 1.0)
+        assert max(solves) <= edges[1] + scan_max / 40
+
 
 class TestInvariants:
     def test_convergence_order_h2(self, fig3a_geom):
@@ -417,6 +461,83 @@ class TestStructuredSolve:
         assert str(info.value).startswith(
             "eigensolve failed at B=0.45, m=0: Fourier basis reached its cap of 65 modes")
         assert info.value.residual == info.value.__cause__.residual > 0.0
+
+
+class TestAssemblyReference:
+    """The sector solve's setup tables, in-place fills and single reductions
+    against the per-call arithmetic they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("geom, n, order, e_static", [
+        ("fig3a", 64, 2, 0.0),
+        ("fig3a", 1025, 4, 400.0),
+        ("thin", 1024, 2, -300.0),  # grows the basis: several cutoffs
+    ])
+    def test_ritz_matrix_matches_block_assembly(self, fig3a_geom, monkeypatch, geom, n, order,
+                                                e_static):
+        eigh, matrices = np.linalg.eigh, []
+
+        def recording_eigh(matrix):
+            matrices.append(matrix.copy())
+            return eigh(matrix)
+
+        monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", recording_eigh)
+        params = PotentialParams(geom=fig3a_geom if geom == "fig3a" else THIN_GEOM, B=0.45,
+                                 E_static=e_static)
+        disc = Discretization(n, order)
+        solve_sector(params, disc)
+
+        f = np.fft.rfft(spectral._grid_potential(params, disc))
+        cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
+        sin_sums = np.concatenate([-f.imag, f.imag[1 : (n + 1) // 2][::-1]])
+
+        def half_sum(sums, p, q, sign):
+            return 0.5 * (sums[(p[:, None] - q) % n] + sign * sums[(p[:, None] + q) % n])
+
+        norm_s = math.sqrt(2.0 / n)
+        for ritz in matrices:
+            cutoff = next(c for c in range(n) if c + 1 + min(c, (n - 1) // 2) == ritz.shape[0])
+            cos_q = np.arange(cutoff + 1)
+            sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
+            norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)
+            cc = half_sum(cos_sums, cos_q, cos_q, 1.0) * np.outer(norm_c, norm_c)
+            ss = half_sum(cos_sums, sin_q, sin_q, -1.0) * norm_s**2
+            cs = -half_sum(sin_sums, cos_q, sin_q, -1.0) * (norm_c[:, None] * norm_s)
+            expected = np.block([[cc, cs], [cs.T, ss]])
+            freq = np.concatenate([cos_q, sin_q])
+            expected[np.diag_indices_from(expected)] += spectral._kinetic_eigenvalues(disc, freq)
+            assert ritz.tobytes() == expected.tobytes()
+        assert len(matrices) == (3 if geom == "thin" else 1)
+
+    def test_ritz_setup_is_shared_and_read_only(self):
+        basis = spectral._ritz_basis(Discretization(1024, 4), 32)
+        # one table per (n, order, cutoff)
+        assert spectral._ritz_basis(Discretization(1024, 4), 32) is basis
+        assert spectral._ritz_basis(Discretization(1024, 2), 32) is not basis
+        assert not any(array.flags.writeable for array in vars(basis).values())
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_operator_from_slices_matches_roll(self, order):
+        rng = np.random.default_rng(3)
+        vectors, v = rng.standard_normal((65, 3)), rng.standard_normal(65)
+        stencil = spectral._stencil(Discretization(65, order))
+        expected = (stencil[0] + v)[:, None] * vectors
+        for d, coupling in enumerate(stencil[1:], start=1):
+            expected += coupling * (np.roll(vectors, d, axis=0) + np.roll(vectors, -d, axis=0))
+        applied = spectral._apply_operator(stencil, stencil[0] + v, vectors)
+        assert applied.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_levels_match_per_level_loop(self, fig3a_geom, n):
+        disc = Discretization(n)
+        params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=200.0)
+        spec = solve_sector(params, disc, k=9)
+        _, vectors = spectral._sector_eigenpairs(spectral._grid_potential(params, disc), disc, 9)
+        vectors = spectral._fix_signs(vectors)
+        inner = (disc.theta >= np.pi / 2) & (disc.theta <= 3 * np.pi / 2)
+        for i, state in enumerate(spec.states):
+            assert state.localization == float(np.sum(vectors[inner, i] ** 2))
+            wavefunction = vectors[:, i] / math.sqrt(disc.spacing)
+            assert state.wavefunction.tobytes() == wavefunction.tobytes()
 
 
 class TestFourierRitzAccuracy:
