@@ -5,7 +5,9 @@ discretized with central differences on a uniform periodic grid, giving a
 real symmetric matrix with cyclic corner entries.  The grid Fourier modes
 cos(q theta) and sin(q theta) are exact eigenvectors of its kinetic part, so
 each orbital sector is solved by Rayleigh-Ritz in the lowest of those modes,
-in numpy alone and with no n x n matrix unless n <= max(600, 2k + 1).  The
+in numpy alone and with no n x n matrix unless n <= max(600, 2k + 1).  At
+zero static electric field the potential is mirror-symmetric, and the cosine
+and sine modes are solved as two blocks, so every state is even or odd.  The
 levels are classified as bound or ring-delocalized, and sweeps over the
 external magnetic field locate the qubit initialization window (the field
 interval with exactly two bound m=0 states).  build_hamiltonian and
@@ -34,7 +36,12 @@ from .model import (DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_
 from .potential import PotentialParams, total_internal
 
 _DENSE_CUTOFF = 600  # largest dense solve of lowest_eigenpairs; Ritz basis cap (or 2k + 1)
-_RITZ_START = 32  # smallest Fourier cutoff of a sector solve
+# smallest Fourier cutoff of a sector solve.  Over fig3a and fig3b at n = 1024,
+# B in [0, 2.2] T and m in {0, +-1}, the worst Ritz tail at 24 is 1.3e-21 and
+# 2.4e-17 against _RITZ_TAIL (at 20, 2.2e-11 for fig3b).  Each parity block
+# then has at most 25 modes: LAPACK's eigh stays below its divide-and-conquer
+# crossover (SMLSIZ = 25) and runs QL/QR, and a threaded BLAS wakes no worker
+_RITZ_START = 24
 _RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
 
 
@@ -216,18 +223,21 @@ def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RitzBasis:
-    """Read-only setup of a Ritz solve in the grid Fourier modes q <= cutoff.
+    """Read-only setup of one Ritz block: the grid Fourier modes q <= cutoff
+    of one parity, or of both.
 
-    Entry (a, b) of the Ritz matrix of diag(v) is
+    Entry (a, b) of the block's Ritz matrix of diag(v) is
     0.5 * (sums[first[a, b]] + sums[second[a, b]]) * scale[a, b], where sums
     stacks the cosine sums, the sine sums and their negatives (blocks of n,
     in that order) at the frequency indices (p - q) mod n and (p + q) mod n
     of the two modes p and q.  A cosine-sine entry is negated through its
-    scale, which is exact.
+    scale, which is exact.  The even block holds the cosines alone, the odd
+    block the sines alone, and the whole basis both; each block's entries
+    equal those of the whole basis bit for bit.
     """
 
-    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff
-    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine
+    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff (none in the odd block)
+    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine (none in the even block)
     norm_c: np.ndarray  # (cos_q.size, 1) normalizations of the cosines
     first: np.ndarray
     second: np.ndarray
@@ -237,12 +247,13 @@ class _RitzBasis:
 
 
 @functools.lru_cache(maxsize=16)
-def _ritz_basis(disc: Discretization, cutoff: int) -> _RitzBasis:
-    """The _RitzBasis of the modes q <= cutoff on disc, one per (n, order,
-    cutoff); a sweep builds it once."""
+def _ritz_basis(disc: Discretization, cutoff: int, parity: int = 0) -> _RitzBasis:
+    """The _RitzBasis of the modes q <= cutoff on disc: the cosines for
+    parity 1, the sines for parity -1, both for 0.  One per (n, order,
+    cutoff, parity); a sweep builds it once."""
     n = disc.n_points
-    cos_q = np.arange(cutoff + 1)
-    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
+    cos_q = np.arange(cutoff + 1 if parity >= 0 else 0)
+    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1 if parity <= 0 else 1)
     norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
     norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)[:, None]
 
@@ -278,7 +289,7 @@ def _apply_operator(stencil: tuple[float, ...], diagonal: np.ndarray,
 
 
 def _sector_eigenpairs(
-    v: np.ndarray, disc: Discretization, k: int
+    v: np.ndarray, disc: Discretization, k: int, mirror: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs (ascending, unit-norm grid vectors) of the periodic
     stencil operator plus diag(v), by Rayleigh-Ritz in grid Fourier modes.
@@ -287,14 +298,19 @@ def _sector_eigenpairs(
     sin(q theta_j) (1/sqrt(n) for q = 0 and the Nyquist cosine) are
     eigenvectors of the kinetic part.  One FFT of v gives every element
     <mode|diag(v)|mode'> through cos a cos b = [cos(a-b) + cos(a+b)]/2 and its
-    sine analogues, so the (2K+1)^2 Ritz matrix of the modes q <= K costs no
-    n x n work (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  K
-    starts at max(32, k) and doubles until the k Ritz vectors carry at most
-    1e-14 of weight in the top quarter of the frequencies; at K = n // 2 the
-    basis is complete and the solve exact.  The basis never exceeds
-    max(_DENSE_CUTOFF, 2k + 1) modes, the largest square matrix the sparse
-    route of lowest_eigenpairs builds (its dense branch, or the workspace of
-    ARPACK's 2k + 1 Lanczos vectors).
+    sine analogues, so the Ritz matrix of the modes q <= K costs no n x n
+    work (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  When v is
+    mirror-symmetric, v(theta_j) = v(theta_{n-j}) (mirror), the cosine-sine
+    block holds only roundoff and is never formed: the cosine block (K + 1
+    modes) and the sine block (K modes) are solved apart, and their levels
+    merged by a stable sort, even first on an exact tie, so every vector is
+    even or odd by construction.  Otherwise one block holds all 2K + 1 modes.
+    K starts at max(_RITZ_START, k) and doubles until the k merged Ritz
+    vectors carry at most 1e-14 of weight in the top quarter of the
+    frequencies; at K = n // 2 the basis is complete and the solve exact.
+    The basis never exceeds max(_DENSE_CUTOFF, 2k + 1) modes, the largest
+    square matrix the sparse route of lowest_eigenpairs builds (its dense
+    branch, or the workspace of ARPACK's 2k + 1 Lanczos vectors).
 
     The contract is that of lowest_eigenpairs, ||H v - lambda v|| <= 1e-9
     ||H||_inf, checked on the grid; EigensolverError carries the worst
@@ -310,26 +326,37 @@ def _sector_eigenpairs(
     cap = max(_DENSE_CUTOFF, 2 * k + 1)
     limit = n // 2 if n <= cap else (cap - 1) // 2
     cutoff = min(max(_RITZ_START, k), limit)
+    parities = (1, -1) if mirror else (0,)
     while True:
-        basis = _ritz_basis(disc, cutoff)
-        ritz = sums[basis.first]
-        ritz += sums[basis.second]
-        ritz *= 0.5
-        ritz *= basis.scale
-        ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
-        energies, coeffs = np.linalg.eigh(ritz)
-        energies, coeffs = energies[:k], coeffs[:, :k]
-        tail = float(np.max(np.sum(coeffs[basis.top] ** 2, axis=0)))
+        blocks, levels, tails = [], [], []
+        for parity in parities:
+            basis = _ritz_basis(disc, cutoff, parity)
+            ritz = sums[basis.first]
+            ritz += sums[basis.second]
+            ritz *= 0.5
+            ritz *= basis.scale
+            ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
+            values, coeffs = np.linalg.eigh(ritz)
+            blocks.append((basis, coeffs[:, :k]))
+            levels.append(values[:k])
+            tails.append(np.sum(coeffs[basis.top, :k] ** 2, axis=0))
+        levels = np.concatenate(levels)
+        order = np.argsort(levels, kind="stable")[:k]
+        tail = float(np.max(np.concatenate(tails)[order]))
         converged = cutoff == n // 2 or tail <= _RITZ_TAIL
         if converged or cutoff == limit:
             break
         cutoff = min(2 * cutoff, limit)
 
-    modes = basis.cos_q.size
-    spectrum = np.zeros((n // 2 + 1, k), dtype=complex)
-    spectrum[basis.cos_q] = coeffs[:modes] / basis.norm_c
-    spectrum[basis.sin_q] -= 1j * coeffs[modes:] / math.sqrt(2.0 / n)  # the sine normalization
-    vectors = np.fft.irfft(spectrum, n, axis=0)
+    columns = []
+    for basis, coeffs in blocks:
+        spectrum = np.zeros((n // 2 + 1, coeffs.shape[1]), dtype=complex)
+        spectrum[basis.cos_q] = coeffs[: basis.cos_q.size] / basis.norm_c
+        # the sine normalization is sqrt(2 / n)
+        spectrum[basis.sin_q] -= 1j * coeffs[basis.cos_q.size :] / math.sqrt(2.0 / n)
+        columns.append(spectrum)
+    vectors = np.fft.irfft(np.concatenate(columns, axis=1)[:, order], n, axis=0)
+    energies = levels[order]
 
     stencil = _stencil(disc)
     diagonal = stencil[0] + v
@@ -337,8 +364,9 @@ def _sector_eigenpairs(
     worst = float(np.linalg.norm(applied - vectors * energies, axis=0).max())
     tol = 1e-9 * (float(np.abs(diagonal).max()) + 2.0 * sum(map(abs, stencil[1:])))
     if not converged:
+        modes = sum(basis.kinetic.size for basis, _ in blocks)
         raise EigensolverError(
-            f"Fourier basis reached its cap of {ritz.shape[0]} modes with Ritz tail weight"
+            f"Fourier basis reached its cap of {modes} modes with Ritz tail weight"
             f" {tail:.3e}; residual {worst:.3e}", residual=worst
         )
     if worst > tol:
@@ -358,15 +386,17 @@ def solve_sector(
 
     The eigenpairs come from Rayleigh-Ritz in the grid Fourier modes
     (_sector_eigenpairs), in numpy alone and with no n x n matrix unless
-    n <= max(600, 2k + 1); they meet the residual contract of
-    lowest_eigenpairs, which stays the generic sparse route and the
-    reference the tests compare against.  Each
+    n <= max(600, 2k + 1), in parity blocks when params.E_static == 0; they
+    meet the residual contract of lowest_eigenpairs, which stays the generic
+    sparse route and the reference the tests compare against.  Each
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
     """
     check_loc_threshold(loc_threshold)
     n = disc.n_points
     check_count(k, "k", 1, n)
-    energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k)
+    # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
+    energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k,
+                                            mirror=params.E_static == 0)
     waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
     localizations = np.sum(waves[:, _grid(disc)[1]] ** 2, axis=1)
     waves /= math.sqrt(disc.spacing)

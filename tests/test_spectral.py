@@ -463,6 +463,106 @@ class TestStructuredSolve:
         assert info.value.residual == info.value.__cause__.residual > 0.0
 
 
+def _recorded_eigh_sizes(monkeypatch) -> list[int]:
+    """The row counts of the matrices the sector solve hands to eigh, in call order."""
+    eigh, sizes = np.linalg.eigh, []
+
+    def recording_eigh(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", recording_eigh)
+    return sizes
+
+
+def _parity_reference(params, disc, k):
+    """Energies and unit grid vectors of the k lowest levels of the dense
+    operator with the exactly mirror-symmetrized potential, solved apart in
+    the even and odd subspaces and merged by energy, even first on a tie."""
+    n = disc.n_points
+    mirror = (-np.arange(n)) % n
+    v = spectral._grid_potential(params, disc)
+    H = build_hamiltonian(params, disc).toarray()
+    H[np.diag_indices(n)] += 0.5 * (v[mirror] - v)
+    energies, vectors = [], []
+    for sign, rows in ((1.0, np.arange(n // 2 + 1)), (-1.0, np.arange(1, (n + 1) // 2))):
+        basis = np.zeros((n, rows.size))
+        basis[rows, np.arange(rows.size)] += 1.0
+        basis[mirror[rows], np.arange(rows.size)] += sign
+        basis /= np.linalg.norm(basis, axis=0)
+        w, c = np.linalg.eigh(basis.T @ H @ basis)
+        energies.append(w[:k])
+        vectors.append(basis @ c[:, :k])
+    order = np.argsort(np.concatenate(energies), kind="stable")[:k]
+    return np.concatenate(energies)[order], np.concatenate(vectors, axis=1)[:, order]
+
+
+class TestParitySplit:
+    """At E_static = 0 the sector solve runs its cosine and sine blocks apart."""
+
+    @pytest.mark.parametrize("n", [1024, 1031])
+    @pytest.mark.parametrize("m", [0, 1, -1])
+    @pytest.mark.parametrize("B", [0.0, 0.45, 1.2])
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
+    def test_states_are_parity_pure(self, fig3a_geom, fig3b_geom, preset, B, m, n):
+        geom = fig3a_geom if preset == "fig3a" else fig3b_geom
+        params = PotentialParams(geom=geom, B=B, m_orbital=m)
+        disc = Discretization(n)
+        mirror = (-np.arange(n)) % n
+        parities = set()
+        for state in solve_sector(params, disc, k=6).states:
+            psi = state.wavefunction
+            even = np.abs(psi[mirror] - psi).max()
+            odd = np.abs(psi[mirror] + psi).max()
+            assert min(even, odd) <= 1e-12 * np.abs(psi).max()
+            parities.add(even < odd)
+        assert parities == {True, False}
+
+        # the same levels as one solve of the whole basis
+        v = spectral._grid_potential(params, disc)
+        split, _ = spectral._sector_eigenpairs(v, disc, 6, mirror=True)
+        full, _ = spectral._sector_eigenpairs(v, disc, 6, mirror=False)
+        np.testing.assert_allclose(split, full, rtol=1e-12, atol=0.0)
+
+    def test_exact_tie_puts_the_even_level_first(self):
+        # a constant potential: cos(q theta) and sin(q theta) share each level exactly
+        disc = Discretization(64)
+        energies, vectors = spectral._sector_eigenpairs(np.full(64, 0.7), disc, 5, mirror=True)
+        assert energies[1] == energies[2] and energies[3] == energies[4]
+        mirror = (-np.arange(64)) % 64
+        for i, sign in enumerate([1.0, 1.0, -1.0, 1.0, -1.0]):
+            np.testing.assert_allclose(vectors[mirror, i], sign * vectors[:, i], atol=1e-15)
+
+    def test_parity_broken_solve_is_one_block(self, fig3a_geom, disc1024, monkeypatch):
+        sizes = _recorded_eigh_sizes(monkeypatch)
+        solve_sector(PotentialParams(geom=fig3a_geom, B=0.45, E_static=200.0), disc1024)
+        assert sizes == [2 * spectral._RITZ_START + 1]
+
+    @pytest.mark.parametrize("B", [0.1, 0.125])
+    def test_near_degenerate_pair_matches_symmetrized_potential(self, fig3b_geom, disc1024, B):
+        # levels 4 and 5 are a ring doublet 1.5e-5 (B = 0.1) and 8.5e-5 apart,
+        # which a whole-basis solve can mix by roundoff (a 65-mode one moved
+        # level 5's localization by 2.8e-10); the split solve keeps them pure
+        params = PotentialParams(geom=fig3b_geom, B=B)
+        spec = solve_sector(params, disc1024, k=6)
+        energies, vectors = _parity_reference(params, disc1024, 6)
+        inner = spectral._grid(disc1024)[1]
+        reference = np.sum(vectors[inner] ** 2, axis=0)
+        assert spec.states[5].localization == pytest.approx(reference[5], rel=0.0, abs=1e-12)
+        np.testing.assert_allclose([s.energy for s in spec.states], energies, rtol=1e-10, atol=0.0)
+
+    def test_field_sweeps_converge_in_small_blocks(self, fig3a_geom, fig3b_geom, disc1024,
+                                                   monkeypatch):
+        # the level diagrams and the window: every solve converges at its
+        # first cutoff, in blocks small enough that eigh stays single-threaded
+        sizes = _recorded_eigh_sizes(monkeypatch)
+        fields = np.linspace(0.0, 2.2, 23)
+        spectra = [spec for geom in (fig3a_geom, fig3b_geom)
+                   for spec in sweep_field(geom, [0, 1, -1], fields, disc1024)]
+        assert len(sizes) == 2 * len(spectra)
+        assert max(sizes) <= 25
+
+
 class TestAssemblyReference:
     """The sector solve's setup tables, in-place fills and single reductions
     against the per-call arithmetic they replaced, bit for bit."""
@@ -494,8 +594,14 @@ class TestAssemblyReference:
             return 0.5 * (sums[(p[:, None] - q) % n] + sign * sums[(p[:, None] + q) % n])
 
         norm_s = math.sqrt(2.0 / n)
-        for ritz in matrices:
-            cutoff = next(c for c in range(n) if c + 1 + min(c, (n - 1) // 2) == ritz.shape[0])
+        # at E = 0 each cutoff solves its cosine block, then its sine block;
+        # otherwise one matrix of both
+        split = e_static == 0.0
+        solves = zip(matrices[::2], matrices[1::2]) if split else ((m,) for m in matrices)
+        for recorded in solves:
+            size = recorded[0].shape[0]
+            cutoff = size - 1 if split else next(
+                c for c in range(n) if c + 1 + min(c, (n - 1) // 2) == size)
             cos_q = np.arange(cutoff + 1)
             sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
             norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)
@@ -505,8 +611,11 @@ class TestAssemblyReference:
             expected = np.block([[cc, cs], [cs.T, ss]])
             freq = np.concatenate([cos_q, sin_q])
             expected[np.diag_indices_from(expected)] += spectral._kinetic_eigenvalues(disc, freq)
-            assert ritz.tobytes() == expected.tobytes()
-        assert len(matrices) == (3 if geom == "thin" else 1)
+            # the diagonal blocks of the reference, and no cosine-sine block at E = 0
+            blocks = ((expected[: cos_q.size, : cos_q.size], expected[cos_q.size :, cos_q.size :])
+                      if split else (expected,))
+            assert [m.tobytes() for m in recorded] == [b.tobytes() for b in blocks]
+        assert len(matrices) == (3 if geom == "thin" else 1) * (2 if split else 1)
 
     def test_ritz_setup_is_shared_and_read_only(self):
         basis = spectral._ritz_basis(Discretization(1024, 4), 32)
@@ -578,13 +687,8 @@ class TestFourierRitzAccuracy:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_thin_torus_grows_the_basis(self, monkeypatch, order):
-        eigh, sizes = np.linalg.eigh, []
-
-        def recording_eigh(matrix):
-            sizes.append(matrix.shape[0])
-            return eigh(matrix)
-
-        monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", recording_eigh)
+        sizes = _recorded_eigh_sizes(monkeypatch)
         params = PotentialParams(geom=THIN_GEOM, B=0.45)
         self._check_against_sparse(params, Discretization(1024, order), k=6)
-        assert sizes[0] == 65 and max(sizes) > 65
+        # the cosine and sine blocks of the 24 starting frequencies, then larger ones
+        assert sizes[:2] == [25, 24] and max(sizes) > 25
