@@ -23,6 +23,7 @@ which bounds its Monte-Carlo max.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -163,17 +164,21 @@ def _exact_terms(m: np.ndarray) -> tuple[float, float]:
 
     The first is s = 1 - |c0|^2 of the per-sample formula and, for a
     unitary M, the exact worst case over all inputs; the second is the
-    exact Haar mean.  Evaluated in rational arithmetic and rounded once:
-    both sit near 0 when M is near a unitary times a phase, where a float
-    subtraction from 1 would lose them.
+    exact Haar mean.  Evaluated exactly and rounded once: both sit near 0
+    when M is near a unitary times a phase, where a float subtraction from 1
+    would lose them.  Every double is an integer multiple of 2^-1074, so
+    each part times 2^1100 is an integer, the sums and squares are exact
+    integers, and one int / int true division, correctly rounded, gives
+    each result.
     """
-    from fractions import Fraction  # it loads decimal: only averaging runs pay
-
-    parts = [Fraction(x) for v in m.flat for x in (v.real, v.imag)]
+    scale = 1 << 1100
+    parts = [num * (scale // den) for v in m.flat for x in (v.real, v.imag)
+             for num, den in (x.as_integer_ratio(),)]
     re_tr, im_tr = parts[0] + parts[6], parts[1] + parts[7]
-    trace2 = re_tr * re_tr + im_tr * im_tr
+    trace2 = re_tr * re_tr + im_tr * im_tr  # scaled by scale^2, as is one
     frobenius2 = sum(x * x for x in parts)
-    return float(1 - trace2 / 4), float(1 - (trace2 + frobenius2) / 6)
+    one = scale * scale
+    return (4 * one - trace2) / (4 * one), (6 * one - trace2 - frobenius2) / (6 * one)
 
 
 def _infidelity_kernel(m: np.ndarray, s: float) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
@@ -306,7 +311,9 @@ def field_error_sweep(
     since the relative Rabi error is field-independent under frozen
     calibration.  Every grid point is averaged in one pass over the Haar
     stream, so each report equals average_gate_infidelity at its point.
+    qubit_fn runs once per distinct (B, E0) of the sweep.
     """
+    qubit_fn = functools.cache(qubit_fn)
     operators = []
     for value in grid:
         model = ErrorModel(**{**point, axis: float(value)})

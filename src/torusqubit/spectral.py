@@ -11,8 +11,8 @@ and sine modes are solved as two blocks, so every state is even or odd.  The
 levels are classified as bound or ring-delocalized, and sweeps over the
 external magnetic field locate the qubit initialization window (the field
 interval with exactly two bound m=0 states).  build_hamiltonian and
-lowest_eigenpairs are the generic sparse matrix route, with scipy imported
-inside them; no sector solve uses them.
+lowest_eigenpairs are a dense numpy reference of the same operator, for
+small grids and the tests; no sector solve uses them.
 
 Bound classification uses both an energy criterion (below the barrier at
 theta=0) and a localization criterion (probability weight in the trapping
@@ -35,7 +35,7 @@ from .model import (DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_
                     check_loc_threshold)
 from .potential import PotentialParams, total_internal
 
-_DENSE_CUTOFF = 600  # largest dense solve of lowest_eigenpairs; Ritz basis cap (or 2k + 1)
+_RITZ_CAP = 600  # most modes a Ritz basis may hold (or 2k + 1): bounds an unconverged solve
 # smallest Fourier cutoff of a sector solve.  Over fig3a and fig3b at n = 1024,
 # B in [0, 2.2] T and m in {0, +-1}, the worst Ritz tail at 24 is 1.3e-21 and
 # 2.4e-17 against _RITZ_TAIL (at 20, 2.2e-11 for fig3b).  Each parity block
@@ -114,23 +114,16 @@ def _grid_potential(params: PotentialParams, disc: Discretization) -> np.ndarray
     return v
 
 
-def build_hamiltonian(params: PotentialParams, disc: Discretization) -> sp.csr_array:
-    """Sparse (CSR) real symmetric Hamiltonian in internal units.
+def build_hamiltonian(params: PotentialParams, disc: Discretization) -> np.ndarray:
+    """Dense real symmetric Hamiltonian in internal units, n x n.
 
     Kinetic part: -(d^2/dtheta^2) via central differences with periodic
-    wraparound (the corner entries); potential on the diagonal.
+    wraparound (the corner entries); potential on the diagonal.  It is the
+    operator the residual check of the sector solve applies, column by column.
     """
-    import scipy.sparse as sp
-
-    n = disc.n_points
-    v = _grid_potential(params, disc)
     stencil = _stencil(disc)
-    offsets, diagonals = [0], [stencil[0] + v]
-    for d, coupling in enumerate(stencil[1:], start=1):
-        # neighbours at distance d: two bands plus their cyclic corners
-        offsets += [d, -d, n - d, d - n]
-        diagonals += [coupling] * 4
-    return sp.diags_array(diagonals, offsets=offsets, shape=(n, n), format="csr")
+    return _apply_operator(stencil, stencil[0] + _grid_potential(params, disc),
+                           np.eye(disc.n_points))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -146,61 +139,26 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residuals(H, energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    r = H @ vectors - vectors * energies[np.newaxis, :]
-    return np.linalg.norm(r, axis=0)
-
-
-def lowest_eigenpairs(matrix, k: int, shift: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues (ascending) with orthonormal eigenvectors of a
-    real symmetric matrix, dense or sparse.
+    dense real symmetric matrix, by LAPACK's eigh on the whole matrix.
 
-    The contract is the residual bound ||H v - lambda v|| <= 1e-9 ||H||_inf,
-    not a particular algorithm: small problems are solved densely, larger
-    ones by shift-invert Lanczos with a dense fallback.  Sparse input costs
-    O(nnz) outside the solve itself.  Raises EigensolverError carrying the
-    worst residual if neither path converges.
-
-    shift, if given, must lie strictly below the whole spectrum; it defaults
-    to a Gershgorin bound.  Lanczos converges faster the closer it lies to
-    the lowest level.  Each eigenvector's sign follows _fix_signs, the
-    half-ring rule of solve_sector.
+    The contract is the residual bound ||H v - lambda v|| <= 1e-9 ||H||_inf;
+    EigensolverError carries the worst residual when it fails.  Each
+    eigenvector's sign follows _fix_signs, the half-ring rule of solve_sector.
     """
-    import scipy.linalg as sla
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    H = sp.csr_array(matrix)
+    H = np.asarray(matrix, dtype=float)
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("matrix must be square")
     check_count(k, "k", 1, n)
-    if (H != H.T).nnz:
+    if not np.array_equal(H, H.T):
         raise ValueError("matrix must be exactly symmetric")
 
-    row_sums = abs(H).sum(axis=1)
-    tol = 1e-9 * float(row_sums.max())  # the inf-norm bounds the 2-norm
-    if shift is None:
-        diagonal = H.diagonal()
-        shift = float((diagonal - (row_sums - np.abs(diagonal))).min()) - 1.0
-    energies = vectors = None
-    if n > _DENSE_CUTOFF and k < n - 1:
-        try:
-            # the shift lies below the whole spectrum, so shift-invert "LM"
-            # returns the k smallest pairs
-            v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start for reproducibility
-            w, v = spla.eigsh(H, k=k, sigma=shift, which="LM", v0=v0)
-            order = np.argsort(w)
-            energies, vectors = w[order], v[:, order]
-            if _residuals(H, energies, vectors).max() > tol:
-                energies = vectors = None
-        except (spla.ArpackError, RuntimeError):
-            energies = vectors = None
-
-    if energies is None:
-        energies, vectors = sla.eigh(H.toarray(), subset_by_index=(0, k - 1))
-
-    worst = float(_residuals(H, energies, vectors).max())
+    energies, vectors = np.linalg.eigh(H)
+    energies, vectors = energies[:k], vectors[:, :k]
+    tol = 1e-9 * float(np.abs(H).sum(axis=1).max())  # the inf-norm bounds the 2-norm
+    worst = float(np.linalg.norm(H @ vectors - vectors * energies, axis=0).max())
     if worst > tol:
         raise EigensolverError(
             f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
@@ -308,9 +266,9 @@ def _sector_eigenpairs(
     K starts at max(_RITZ_START, k) and doubles until the k merged Ritz
     vectors carry at most 1e-14 of weight in the top quarter of the
     frequencies; at K = n // 2 the basis is complete and the solve exact.
-    The basis never exceeds max(_DENSE_CUTOFF, 2k + 1) modes, the largest
-    square matrix the sparse route of lowest_eigenpairs builds (its dense
-    branch, or the workspace of ARPACK's 2k + 1 Lanczos vectors).
+    The basis never exceeds max(_RITZ_CAP, 2k + 1) modes: a potential the
+    modes cannot resolve fails after an eigh of at most that order, and a
+    k-level solve always has room for k levels.
 
     The contract is that of lowest_eigenpairs, ||H v - lambda v|| <= 1e-9
     ||H||_inf, checked on the grid; EigensolverError carries the worst
@@ -323,7 +281,7 @@ def _sector_eigenpairs(
     sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1],
                            -f.imag, f.imag[1 : (n + 1) // 2][::-1]])
     sums = np.concatenate([sums, -sums])
-    cap = max(_DENSE_CUTOFF, 2 * k + 1)
+    cap = max(_RITZ_CAP, 2 * k + 1)
     limit = n // 2 if n <= cap else (cap - 1) // 2
     cutoff = min(max(_RITZ_START, k), limit)
     parities = (1, -1) if mirror else (0,)
@@ -386,9 +344,9 @@ def solve_sector(
 
     The eigenpairs come from Rayleigh-Ritz in the grid Fourier modes
     (_sector_eigenpairs), in numpy alone and with no n x n matrix unless
-    n <= max(600, 2k + 1), in parity blocks when params.E_static == 0; they
-    meet the residual contract of lowest_eigenpairs, which stays the generic
-    sparse route and the reference the tests compare against.  Each
+    n <= max(600, 2k + 1) (the Ritz basis cap), in parity blocks when
+    params.E_static == 0; they meet the residual contract of
+    lowest_eigenpairs, the dense reference of the same operator.  Each
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
     """
     check_loc_threshold(loc_threshold)

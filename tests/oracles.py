@@ -1,14 +1,21 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the eigenvalue oracle is
-a hand-rolled cyclic Jacobi diagonalization (no LAPACK), and the ensemble
-infidelity oracle is deterministic quadrature over the Bloch sphere (no
-Monte Carlo, no reuse of the package's sampling).
+a hand-rolled cyclic Jacobi diagonalization (no LAPACK), the large-grid
+reference solve is shift-invert Lanczos (ARPACK) on a sparse assembly of the
+operator, and the ensemble infidelity oracle is deterministic quadrature over
+the Bloch sphere (no Monte Carlo, no reuse of the package's sampling).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from torusqubit import spectral
 
 # CODATA 2018, typed here independently of the package.
 HBAR_SI = 1.054571817e-34
@@ -40,6 +47,42 @@ def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14)
                 a[:, p] = c * cp - s * cq
                 a[:, q] = s * cp + c * cq
     return np.sort(np.diag(a))
+
+
+def sparse_hamiltonian(params, disc) -> sp.csr_array:
+    """spectral.build_hamiltonian in CSR form, from the same stencil and grid
+    potential: the reference operator at grids where n x n floats do not fit."""
+    n = disc.n_points
+    stencil = spectral._stencil(disc)
+    offsets, diagonals = [0], [stencil[0] + spectral._grid_potential(params, disc)]
+    for d, coupling in enumerate(stencil[1:], start=1):
+        # neighbours at distance d: two bands plus their cyclic corners
+        offsets += [d, -d, n - d, d - n]
+        diagonals += [coupling] * 4
+    return sp.diags_array(diagonals, offsets=offsets, shape=(n, n), format="csr")
+
+
+def lanczos_lowest(matrix, k: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenvalues (ascending) and unit eigenvectors of a sparse
+    real symmetric matrix, by shift-invert Lanczos about shift.
+
+    shift must lie strictly below the whole spectrum, so that the k
+    eigenvalues of largest magnitude of (H - shift)^-1 are the k lowest of H;
+    Lanczos converges the faster the closer it lies to the lowest level.
+    """
+    n = matrix.shape[0]
+    v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start for reproducibility
+    energies, vectors = spla.eigsh(matrix, k=k, sigma=shift, which="LM", v0=v0)
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order]
+
+
+def lanczos_reference(params, disc, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """lanczos_lowest on sparse_hamiltonian(params, disc).  Both kinetic
+    stencils are positive semidefinite, so min V - 1 lies below the spectrum;
+    a Gershgorin bound lies far lower and makes fourth-order Lanczos slow."""
+    shift = float(np.min(spectral._grid_potential(params, disc))) - 1.0
+    return lanczos_lowest(sparse_hamiltonian(params, disc), k, shift)
 
 
 def bloch_sphere_states(n_polar: int = 128, n_azimuth: int = 128):

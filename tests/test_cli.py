@@ -568,6 +568,18 @@ class TestNewSurfaces:
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
         assert scipy_modules_after(code) == []
 
+    def test_dense_reference_solve_loads_no_scipy(self):
+        # n = 700 lies above the old 600 cutoff, where the reference solve ran ARPACK
+        code = ("from torusqubit.model import TorusGeometry\n"
+                "from torusqubit.potential import PotentialParams\n"
+                "from torusqubit.spectral import Discretization, build_hamiltonian,"
+                " lowest_eigenpairs\n"
+                "params = PotentialParams(geom=TorusGeometry(3.5e-8, 9e-8), B=0.45)\n"
+                "for n in (64, 700):\n"
+                "    energies, _ = lowest_eigenpairs(build_hamiltonian(params, Discretization(n)), 6)\n"
+                "    assert energies.shape == (6,)")
+        assert scipy_modules_after(code) == []
+
     def test_cli_import_loads_model_alone(self):
         assert modules_after("import torusqubit.cli", "torusqubit", "scipy") == [
             "torusqubit", "torusqubit.cli", "torusqubit.model"]

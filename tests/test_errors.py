@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,28 @@ class TestEnsembleKernel:
         trace_formula = 1.0 - (abs(np.trace(m)) ** 2 + np.trace(m.conj().T @ m).real) / 6.0
         assert _exact_terms(m)[1] == pytest.approx(trace_formula, rel=0.0, abs=1e-15)
 
+    def test_exact_terms_are_the_rational_values_rounded_once(self):
+        # the scaled-integer evaluation against the same algebra in Fraction,
+        # bit for bit: random M over many magnitudes, near-identity M, subnormals
+        def rational(m):
+            parts = [Fraction(x) for v in m.flat for x in (v.real, v.imag)]
+            re_tr, im_tr = parts[0] + parts[6], parts[1] + parts[7]
+            trace2 = re_tr * re_tr + im_tr * im_tr
+            frobenius2 = sum(x * x for x in parts)
+            return float(1 - trace2 / 4), float(1 - (trace2 + frobenius2) / 6)
+
+        rng = np.random.default_rng(41)
+        cases = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex),
+                 np.full((2, 2), 5e-324 + 5e-324j)]
+        for _ in range(200):
+            cases.append(_random_unitary(rng) * 10.0 ** rng.uniform(-300, 100))
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            w, v = np.linalg.eigh((h + h.conj().T) / 2)
+            near = (v * np.exp(-1j * 10.0 ** rng.uniform(-12, -2) * w)) @ v.conj().T
+            cases.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * near * (1.0 + 1e-12 * rng.normal()))
+        for m in cases:
+            assert _exact_terms(m) == rational(m)
+
 
 class TestAverageGateInfidelity:
     def test_zero_error_zero_infidelity(self, fig5_qubit, qubit_factory):
@@ -385,6 +408,32 @@ class TestReferenceFieldSweep:
         floor = means[0]
         assert all(m == pytest.approx(floor, rel=1e-9) for m in means)
         assert len(reports) == 4
+
+
+class TestSweepQubitCache:
+    @pytest.mark.parametrize("axis, grid, distinct", [
+        ("delta_E_rel", [-0.01, 0.0, 0.02], 1),
+        ("delta_B_rel", [-0.01, 0.0, 0.02], 3),
+        ("E0", [100.0, 300.0, 1000.0], 6),
+    ])
+    def test_one_qubit_call_per_distinct_point(self, qubit_factory, axis, grid, distinct):
+        calls = []
+
+        def counting(B, E0):
+            calls.append((B, E0))
+            return qubit_factory(B, E0)
+
+        point = _point(db=5e-3) if axis == "E0" else _point()
+        reports = field_error_sweep(_synth, counting, point=point, axis=axis, grid=grid,
+                                    n_samples=500, seed=3)
+        assert len(calls) == len(set(calls)) == distinct
+        # the sweep without the cache: every point reduced afresh
+        operators = []
+        for value in grid:
+            model = ErrorModel(**{**point, axis: value})
+            seq = _synth(qubit_factory(model.B0, model.E0), model.E0)
+            operators.append(errors._error_operator(seq, qubit_factory, model, "rwa", None))
+        assert reports == _monte_carlo(operators, 500, 3)
 
 
 class TestRelativeErrorSweep:

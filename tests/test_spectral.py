@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from torusqubit import spectral
 from torusqubit.model import TorusGeometry, UnitSystem
@@ -21,7 +22,8 @@ from torusqubit.spectral import (
     sweep_field,
 )
 
-from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI, jacobi_eigenvalues
+from oracles import (E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI, jacobi_eigenvalues, lanczos_lowest,
+                     lanczos_reference, sparse_hamiltonian)
 from test_cli import openblas_dynamic_arch, source_env
 
 ANGSTROM = 1e-10
@@ -30,15 +32,18 @@ THIN_GEOM = TorusGeometry(r_minor=350 * ANGSTROM, R_major=1.05 * 350 * ANGSTROM)
 
 def _kinetic_only(params, disc):
     """Isolate the implemented kinetic stencil by subtracting the potential."""
-    H = build_hamiltonian(params, disc).toarray()
-    v = total_internal(disc.theta, params)
-    return H - np.diag(v)
+    return build_hamiltonian(params, disc) - np.diag(total_internal(disc.theta, params))
+
+
+def _sparse_kinetic_only(params, disc):
+    """_kinetic_only in the sparse assembly, for grids too large for a dense solve."""
+    return sparse_hamiltonian(params, disc) - sp.diags_array(total_internal(disc.theta, params))
 
 
 class TestBuildHamiltonian:
     def test_exact_symmetry(self, fig3a_geom, disc1024):
         params = PotentialParams(geom=fig3a_geom, B=0.45, m_orbital=1)
-        H = build_hamiltonian(params, disc1024).toarray()
+        H = build_hamiltonian(params, disc1024)
         assert np.abs(H - H.T).max() == 0.0
 
     def test_free_particle_spectrum_analytic(self, fig3a_geom):
@@ -55,8 +60,8 @@ class TestBuildHamiltonian:
         # discrete eigenvalues approach k^2 as the grid refines
         params = PotentialParams(geom=fig3a_geom)
         disc = Discretization(n_points=2048)
-        H = _kinetic_only(params, disc)
-        energies, _ = lowest_eigenpairs(H, 5)
+        H = _sparse_kinetic_only(params, disc)
+        energies, _ = lanczos_lowest(H, 5, shift=-1.0)  # the stencil is positive semidefinite
         np.testing.assert_allclose(energies, [0.0, 1.0, 1.0, 4.0, 4.0], rtol=2e-5, atol=1e-9)
 
     def test_harmonic_substitute_matches_oscillator(self, fig3a_geom):
@@ -65,9 +70,9 @@ class TestBuildHamiltonian:
         kappa = 50.0
         disc = Discretization(n_points=1024)
         params = PotentialParams(geom=fig3a_geom)
-        kin = _kinetic_only(params, disc)
-        H = kin + np.diag(0.5 * kappa * (disc.theta - np.pi) ** 2)
-        energies, _ = lowest_eigenpairs(H, 4)
+        kin = _sparse_kinetic_only(params, disc)
+        H = kin + sp.diags_array(0.5 * kappa * (disc.theta - np.pi) ** 2)
+        energies, _ = lanczos_lowest(H, 4, shift=-1.0)  # below the kinetic and the potential minimum
         omega = math.sqrt(2.0 * kappa)
         analytic = omega * (np.arange(4) + 0.5)
         np.testing.assert_allclose(energies, analytic, rtol=1e-4)
@@ -121,11 +126,10 @@ class TestLowestEigenpairs:
         assert np.abs(gram - np.eye(50)).max() < 1e-9
 
     def test_sparse_path_matches_dense(self, fig3a_geom, disc1024):
-        # n=1024 goes through shift-invert; force a dense solve for comparison
+        # the tests' shift-invert Lanczos oracle against a dense LAPACK solve
         params = PotentialParams(geom=fig3a_geom, B=0.45)
-        H = build_hamiltonian(params, disc1024)
-        energies, vectors = lowest_eigenpairs(H, 6)
-        dense_e, _ = sla.eigh(H.toarray(), subset_by_index=(0, 5))
+        energies, _ = lanczos_reference(params, disc1024, 6)
+        dense_e, _ = sla.eigh(build_hamiltonian(params, disc1024), subset_by_index=(0, 5))
         np.testing.assert_allclose(energies, dense_e, rtol=1e-11, atol=1e-11)
 
     def test_asymmetric_rejected(self):
@@ -289,7 +293,7 @@ class TestInvariants:
     def test_gauge_offset_invariance(self, fig3a_geom):
         disc = Discretization(256)
         params = PotentialParams(geom=fig3a_geom, B=0.45)
-        H = build_hamiltonian(params, disc).toarray()
+        H = build_hamiltonian(params, disc)
         c = 7.25
         energies, vectors = lowest_eigenpairs(H, 3)
         shifted_e, shifted_v = lowest_eigenpairs(H + c * np.eye(256), 3)
@@ -315,8 +319,7 @@ class TestInvariants:
                 assert sp.energy == pytest.approx(sm.energy, rel=1e-12, abs=1e-12)
 
     def test_orthonormality_gram_identity(self, fig3a_geom, disc1024):
-        H = build_hamiltonian(PotentialParams(geom=fig3a_geom, B=0.45), disc1024)
-        _, vectors = lowest_eigenpairs(H, 6)
+        _, vectors = lanczos_reference(PotentialParams(geom=fig3a_geom, B=0.45), disc1024, 6)
         gram = vectors.T @ vectors
         assert np.abs(gram - np.eye(6)).max() < 1e-9
 
@@ -342,10 +345,13 @@ class TestStructuredSolve:
 
     @staticmethod
     def _check_against_dense(spec, params, disc):
-        H = build_hamiltonian(params, disc).toarray()
-        ref_e, ref_v = sla.eigh(H)
+        H = build_hamiltonian(params, disc)
         scale = np.abs(H).sum(axis=1).max()
         energies = np.array([s.energy for s in spec.states])
+        # the lowest levels up to two past the computed ones; the last lies
+        # outside every computed level's cluster, so each cluster is whole
+        ref_e, ref_v = sla.eigh(H, subset_by_index=(0, min(energies.size + 1, disc.n_points - 1)))
+        assert ref_e.size == disc.n_points or ref_e[-1] - energies[-1] > 1e-8 * scale
         np.testing.assert_allclose(energies, ref_e[: energies.size], rtol=0, atol=1e-12 * scale)
         for state in spec.states:
             # weight inside the reference eigenspace of that energy: the
@@ -366,8 +372,8 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("e_static", [0.0, -300.0])
-    def test_sparse_shift_invert_matches_dense(self, fig3a_geom, order, e_static):
-        # odd n, above the size where lowest_eigenpairs leaves its dense branch
+    def test_odd_grid_above_the_ritz_cap_matches_dense(self, fig3a_geom, order, e_static):
+        # odd n, above the 600 modes where the Ritz basis stops being the whole grid
         disc = Discretization(1025, order)
         params = PotentialParams(geom=fig3a_geom, B=0.2, E_static=e_static, m_orbital=0)
         self._check_against_dense(solve_sector(params, disc), params, disc)
@@ -448,14 +454,14 @@ class TestStructuredSolve:
 
     def test_basis_cap_raises(self, monkeypatch):
         # the thin torus needs more than the 65 starting modes, here also the cap
-        monkeypatch.setattr("torusqubit.spectral._DENSE_CUTOFF", 65)
+        monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
         params = PotentialParams(geom=THIN_GEOM, B=0.45)
         with pytest.raises(EigensolverError, match="cap of 65 modes") as info:
             solve_sector(params, Discretization(1024), k=6)
         assert info.value.residual > 0.0
 
     def test_sweep_failure_names_its_point(self, monkeypatch):
-        monkeypatch.setattr("torusqubit.spectral._DENSE_CUTOFF", 65)
+        monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
         with pytest.raises(EigensolverError) as info:
             sweep_field(THIN_GEOM, [0], np.array([0.45, 0.5]), Discretization(1024), k=6)
         assert str(info.value).startswith(
@@ -482,7 +488,7 @@ def _parity_reference(params, disc, k):
     n = disc.n_points
     mirror = (-np.arange(n)) % n
     v = spectral._grid_potential(params, disc)
-    H = build_hamiltonian(params, disc).toarray()
+    H = build_hamiltonian(params, disc)
     H[np.diag_indices(n)] += 0.5 * (v[mirror] - v)
     energies, vectors = [], []
     for sign, rows in ((1.0, np.arange(n // 2 + 1)), (-1.0, np.arange(1, (n + 1) // 2))):
@@ -650,21 +656,18 @@ class TestAssemblyReference:
 
 
 class TestFourierRitzAccuracy:
-    """solve_sector against the sparse route of lowest_eigenpairs."""
+    """solve_sector against shift-invert Lanczos on the sparse operator."""
 
     @staticmethod
     def _check_against_sparse(params, disc, k):
-        H = build_hamiltonian(params, disc)
+        H = sparse_hamiltonian(params, disc)
         scale = float(abs(H).sum(axis=1).max())
         spec = solve_sector(params, disc, k=k)
         energies = np.array([s.energy for s in spec.states])
         vectors = np.array([s.wavefunction for s in spec.states]).T * math.sqrt(disc.spacing)
         residual = np.linalg.norm(H @ vectors - vectors * energies, axis=0)
         assert residual.max() <= 1e-13 * scale
-        # both kinetic stencils are positive semidefinite, so min V - 1 lies
-        # below the spectrum; Gershgorin's bound makes fourth-order Lanczos slow
-        shift = float(np.min(total_internal(disc.theta, params))) - 1.0
-        reference, _ = lowest_eigenpairs(H, k, shift=shift)
+        reference, _ = lanczos_reference(params, disc, k)
         assert np.abs(energies - reference).max() <= 1e-11 * scale
 
     @pytest.mark.parametrize("n", [64, 1025, 8192])
