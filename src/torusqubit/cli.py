@@ -73,9 +73,9 @@ class RunConfig:
     def discretization(self) -> Discretization:
         return Discretization(self.n_points, self.stencil_order)
 
-    def qubit(self, B: float, E0: float | None = None) -> QubitParameters:
+    def qubit(self, B: float) -> QubitParameters:
         """Two-level parameters at field B from the configured coefficient
-        route; E0 is unused and present so this is an errors.QubitFactory."""
+        route; an errors.QubitFactory."""
         from .reduction import qubit_for
 
         return qubit_for(self.geometry(), B, self.source)
@@ -487,13 +487,12 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose parse errors are ConfigErrors, so main reports
     them as one line and exit code 2; subparsers inherit the class.
 
-    A negative number with an exponent, as in `--delta-b -5e-3`, is read as
-    an option's value: argparse's own pattern knows no exponent, so it took
-    such a value for an option name."""
+    An argument starting "-DIGIT" or "-.DIGIT" is a value, as in `--delta-b -5e-3`
+    or `--range -0.01:0.01:5`: no option name starts so."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ConfigError(message.removeprefix("argument "))

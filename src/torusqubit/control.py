@@ -229,12 +229,6 @@ def gate_unitary(
     return unitary
 
 
-def apply_sequence(
-    state: QuantumState,
-    seq: PulseSequence,
-    qubit: QubitParameters | None = None,
-    mode: str = "rwa",
-    tol: float = 1e-9,
-) -> QuantumState:
-    """Evolve a two-level state through a sequence by its gate_unitary."""
-    return QuantumState(gate_unitary(seq, qubit, mode=mode, tol=tol) @ state.amplitudes)
+def apply_sequence(state: QuantumState, seq: PulseSequence) -> QuantumState:
+    """Evolve a two-level state through a sequence by its RWA gate_unitary."""
+    return QuantumState(gate_unitary(seq, None) @ state.amplitudes)

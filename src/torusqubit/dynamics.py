@@ -401,9 +401,9 @@ def leakage_probe(
     t: float,
     tol: float = 1e-9,
     initial: QuantumState | None = None,
-    n_samples: int = 400,
 ) -> float:
-    """Max population of the second excited level over a drive of duration t.
+    """Max population of the second excited level over a drive of duration t,
+    read at 400 evenly spaced times.
 
     The three-level ladder is (0, hbar*omega, 2*hbar*omega + 12*alpha): the
     12*alpha shift is the second difference of first-order quartic-term
@@ -411,7 +411,7 @@ def leakage_probe(
     transition is detuned from the drive.  Drive matrix elements follow the
     dipole coupling e E r (s X - s^3/6 X^3) truncated to three levels.
     """
-    _, amplitudes = ladder_trajectory(qubit, field, t, n_samples, tol=tol, initial=initial)
+    _, amplitudes = ladder_trajectory(qubit, field, t, 400, tol=tol, initial=initial)
     return float(np.max(np.abs(amplitudes[:, 2]) ** 2))
 
 

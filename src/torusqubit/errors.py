@@ -2,7 +2,9 @@
 
 Error semantics: the calibration (segment durations, drive frequencies,
 phases, frame phases) is frozen at the reference point (B0, E0); only the
-physical Hamiltonian parameters shift.  A relative magnetic error dB moves
+physical Hamiltonian parameters shift.  The two-level reduction depends on
+the static field alone, so a QubitFactory takes B; the drive E0 enters
+only through the Rabi rate.  A relative magnetic error dB moves
 the qubit frequency and the dipole moment, so it shows up as a detuning
 error Delta_err = omega(B0(1+dB)) - omega(B0) plus a Rabi-rate error; a
 relative electric error dE rescales the Rabi rate only.
@@ -33,7 +35,7 @@ from .control import PulseSequence, gate_unitary
 from .model import check_count, check_finite, check_positive
 from .reduction import QubitParameters
 
-QubitFactory = Callable[[float, float], QubitParameters]  # (B, E0) -> parameters
+QubitFactory = Callable[[float], QubitParameters]  # B -> parameters
 MAX_RELATIVE_ERROR = 0.1  # largest |dB| or |dE| an error model accepts
 
 
@@ -93,9 +95,9 @@ def perturbed_pulse(
     perturbed field leaves it, a warning flag is attached (the two-level
     model itself is then suspect).
     """
-    ideal = qubit_fn(model.B0, model.E0)
+    ideal = qubit_fn(model.B0)
     b_pert = model.B0 * (1.0 + model.delta_B_rel)
-    pert = qubit_fn(b_pert, model.E0)
+    pert = qubit_fn(b_pert)
 
     delta_err = pert.omega - ideal.omega
     rabi_scale = (pert.mu_dipole / ideal.mu_dipole) * (1.0 + model.delta_E_rel)
@@ -218,7 +220,7 @@ def _infidelity_kernel(m: np.ndarray, s: float) -> Callable[[np.ndarray, np.ndar
 def _error_operator(gate_seq: PulseSequence, qubit_fn: QubitFactory, model: ErrorModel, mode: str,
                     window: tuple[float, float] | None) -> tuple[np.ndarray, tuple[str, ...]]:
     """M = U_ideal^dag U_pert of the gate under model, and the window flags."""
-    ideal_qubit = qubit_fn(model.B0, model.E0)
+    ideal_qubit = qubit_fn(model.B0)
     pert_seq, flags = perturbed_pulse(gate_seq, qubit_fn, model, window=window)
     u_ideal = gate_unitary(gate_seq, ideal_qubit, mode=mode)
     u_pert = gate_unitary(pert_seq, ideal_qubit, mode=mode)
@@ -311,12 +313,12 @@ def field_error_sweep(
     since the relative Rabi error is field-independent under frozen
     calibration.  Every grid point is averaged in one pass over the Haar
     stream, so each report equals average_gate_infidelity at its point.
-    qubit_fn runs once per distinct (B, E0) of the sweep.
+    qubit_fn runs once per distinct B of the sweep.
     """
     qubit_fn = functools.cache(qubit_fn)
     operators = []
     for value in grid:
         model = ErrorModel(**{**point, axis: float(value)})
-        seq = synthesize(qubit_fn(model.B0, model.E0), model.E0)
+        seq = synthesize(qubit_fn(model.B0), model.E0)
         operators.append(_error_operator(seq, qubit_fn, model, mode, window))
     return _monte_carlo(operators, n_samples, seed)

@@ -13,6 +13,7 @@ parameters explicit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ class TorusGeometry:
                 f"need 0 < r_minor < R_major, got r={self.r_minor!r}, R={self.R_major!r}"
             )
         check_positive(self.effective_mass_ratio, "effective_mass_ratio")
+        # the unit conversions divide by these, and r_minor**2 past the range raises OverflowError
+        r_sq = check_finite(self.r_minor * self.r_minor, "r_minor^2", sys.float_info.min)
+        check_finite(self.effective_mass * r_sq, "m* r_minor^2", sys.float_info.min)
+        check_finite(energy_scale_of(self), "energy scale", sys.float_info.min)
 
     @property
     def effective_mass(self) -> float:

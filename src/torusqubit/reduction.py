@@ -101,10 +101,9 @@ def _richardson(samples: list[float]) -> float:
     return table[0]
 
 
-def _even_derivatives(
-    f: Callable[[float], float], x0: float, h0: float = 0.4, levels: int = 5
-) -> tuple[float, float, float, float]:
-    """(f(x0), f''(x0), f''''(x0), odd_residual) by Richardson extrapolation.
+def _even_derivatives(f: Callable[[float], float], x0: float) -> tuple[float, float, float, float]:
+    """(f(x0), f''(x0), f''''(x0), odd_residual) by Richardson extrapolation
+    over the steps h = 0.4, 0.2, ..., 0.025 rad.
 
     odd_residual is the first/third central-derivative magnitude at the
     coarsest step (where roundoff amplification by 1/h^3 is negligible),
@@ -116,8 +115,8 @@ def _even_derivatives(
     f0 = f(x0)
     d2, d4 = [], []
     odd = 0.0
-    for level in range(levels):
-        h = h0 / 2**level
+    for level in range(5):
+        h = 0.4 / 2**level
         fp1, fm1 = f(x0 + h), f(x0 - h)
         fp2, fm2 = f(x0 + 2 * h), f(x0 - 2 * h)
         d2.append((fp1 - 2.0 * f0 + fm1) / h**2)
@@ -132,10 +131,8 @@ def _even_derivatives(
     return f0, d2_best, d4_best, odd / scale
 
 
-def coefficients_numerical(
-    geom: TorusGeometry, B: float, m: int = 0
-) -> OscillatorCoefficients:
-    """Quartic-well coefficients from the implemented potential itself.
+def coefficients_numerical(geom: TorusGeometry, B: float) -> OscillatorCoefficients:
+    """Quartic-well coefficients of the m=0 well from the implemented potential itself.
 
     Richardson-extrapolated central derivatives of V_bare + V_B at theta=pi
     give c0 + c2 theta_pi^2 + c4 theta_pi^4; the mapping to the oscillator
@@ -143,7 +140,7 @@ def coefficients_numerical(
     derivatives do not vanish, which would signal a symmetry-breaking
     (electric-field-like) contamination of the inputs.
     """
-    params = PotentialParams(geom=geom, B=B, m_orbital=m)
+    params = PotentialParams(geom=geom, B=B)
 
     def v(theta: float) -> float:
         bare, _, mag = internal_terms(theta, params)

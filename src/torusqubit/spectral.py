@@ -375,6 +375,18 @@ def solve_sector(
     return Spectrum(params=params, states=tuple(states), barrier_energy=barrier)
 
 
+def _solve_point(geom: TorusGeometry, disc: Discretization, field: str, value: float, m: int,
+                 k: int, loc_threshold: float) -> Spectrum:
+    """solve_sector of sector m with the static field named by field, "B" or
+    "E", at value; an EigensolverError is re-raised naming the point."""
+    params = PotentialParams(geom=geom, m_orbital=m, **{"B" if field == "B" else "E_static": value})
+    try:
+        return solve_sector(params, disc, k=k, loc_threshold=loc_threshold)
+    except EigensolverError as exc:
+        raise EigensolverError(f"eigensolve failed at {field}={value!r}, m={m}: {exc}",
+                               residual=exc.residual) from exc
+
+
 def sweep_field(
     geom: TorusGeometry,
     m_list: list[int],
@@ -397,48 +409,32 @@ def sweep_field(
         raise ValueError("field range must be monotone")
     if field not in ("B", "E"):
         raise ValueError("field must be 'B' or 'E'")
-
-    spectra: list[Spectrum] = []
-    for value in values:
-        for m in m_list:
-            if field == "B":
-                params = PotentialParams(geom=geom, B=float(value), m_orbital=m)
-            else:
-                params = PotentialParams(geom=geom, E_static=float(value), m_orbital=m)
-            try:
-                spectra.append(solve_sector(params, disc, k=k, loc_threshold=loc_threshold))
-            except EigensolverError as exc:
-                raise EigensolverError(
-                    f"eigensolve failed at {field}={float(value)!r}, m={m}: {exc}",
-                    residual=exc.residual,
-                ) from exc
-    return spectra
+    return [_solve_point(geom, disc, field, float(value), m, k, loc_threshold)
+            for value in values for m in m_list]
 
 
 def initialization_window(
     geom: TorusGeometry,
     disc: Discretization,
     B_scan_max: float = 2.0,
-    n_coarse: int = 41,
-    tol_T: float = 1e-3,
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> tuple[float, float]:
     """Field interval [B_min, B_max] with exactly two bound m=0 states.
 
-    A coarse scan of n_coarse points over [0, B_scan_max], in increasing
-    field, locates the first region with a two-state count.  It stops at
-    the first point past that region with more than two bound states, and
-    solves no point beyond it; it runs to B_scan_max only when no such
-    point exists.  Both edges are then bisected to tol_T.  Raises
+    A coarse scan of 41 points over [0, B_scan_max], in increasing field,
+    locates the first region with a two-state count.  It stops at the first
+    point past that region with more than two bound states, and solves no
+    point beyond it; it runs to B_scan_max only when no such point exists.
+    Both edges are then bisected to 1e-3 T.  Every point is solved as a
+    sweep_field point is, so an eigensolve failure names its field.  Raises
     WindowNotFoundError when the two-state condition never occurs.
     """
 
     def count(B: float) -> int:
         """Number of bound states in the m=0 sector at field B."""
-        params = PotentialParams(geom=geom, B=B, m_orbital=0)
-        return solve_sector(params, disc, loc_threshold=loc_threshold).n_bound
+        return _solve_point(geom, disc, "B", B, 0, 6, loc_threshold).n_bound
 
-    grid = np.linspace(0.0, B_scan_max, n_coarse)
+    grid = np.linspace(0.0, B_scan_max, 41)
     counts: list[int] = []
     first_two = past = None
     for i, B in enumerate(grid):
@@ -455,9 +451,9 @@ def initialization_window(
         )
 
     def bisect(i: int, beyond) -> tuple[float, float]:
-        """Shrink [grid[i-1], grid[i]] to tol_T; beyond(count) marks the upper side."""
+        """Shrink [grid[i-1], grid[i]] to 1e-3 T; beyond(count) marks the upper side."""
         lo, hi = float(grid[i - 1]), float(grid[i])
-        while hi - lo > tol_T:
+        while hi - lo > 1e-3:
             mid = 0.5 * (lo + hi)
             if beyond(count(mid)):
                 hi = mid

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,8 @@ class TestConfigHandling:
         (["potential", "--E-static", "nan"], "--E-static"),
         (["sweep-b", "--b-range=-1:1:3"], "--b-range"),
         (["sweep-b", "--b-range", "1:1:3"], "--b-range"),
+        (["mitigate", "--e0-range", "-1:5:3"], "--e0-range with log spacing needs positive"),
+        (["sweep-b", "--b-range", "-1:1:3"], "--b-range must be non-negative"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -332,6 +335,48 @@ class TestConfigHandling:
         assert run([*common, "--delta-b=-5e-3"], tmp_path, "joined")[0] == 0
         assert ((tmp_path / "spaced" / "mitigate.csv").read_bytes()
                 == (tmp_path / "joined" / "mitigate.csv").read_bytes())
+
+    @pytest.mark.parametrize("args, dest, value", [
+        (["fidelity", "--range", "-0.01:0.01:5"], "range", "-0.01:0.01:5"),
+        (["mitigate", "--e0-range", "-1:5:3"], "e0_range", "-1:5:3"),
+        (["sweep-b", "--b-range", "-1:1:3"], "b_range", "-1:1:3"),
+        (["mitigate", "--delta-b", "-5e-3"], "delta_b", -5e-3),
+        (["mitigate", "--delta-b", "-.005"], "delta_b", -0.005),
+    ])
+    def test_negative_number_start_is_a_value(self, args, dest, value):
+        # argparse's own pattern reads only a plain negative number as a value
+        assert getattr(cli.build_parser().parse_args(args), dest) == value
+
+    @pytest.mark.parametrize("args, message", [
+        (["mitigate", "-x"], "unrecognized arguments: -x"),
+        (["mitigate", "--delta-b", "-x"], "--delta-b: expected one argument"),
+    ])
+    def test_dash_letter_is_an_option_name(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cli.build_parser().parse_args(args)
+
+    def test_negative_range_start_runs(self, tmp_path):
+        code, out = run(["--preset", "fig5", "fidelity", "--range", "-0.01:0.01:5",
+                         "--samples", "50"], tmp_path)
+        assert code == 0
+        _, data = read_csv(out / "fidelity.csv")
+        assert [float(row[0]) for row in data] == np.linspace(-0.01, 0.01, 5).tolist()
+
+    @pytest.mark.parametrize("args", [
+        ["--mass-ratio", "1e-300", "potential"],
+        ["--r", "1e-150", "--R", "2e-150", "potential"],
+        ["--r", "1e150", "--R", "2e150", "potential"],
+        ["--r", "1e160", "--R", "2e160", "potential"],
+        ["--r", "1e300", "--R", "1e301", "spectrum"],
+    ])
+    def test_geometry_past_the_double_range_is_config_error(self, tmp_path, capsys, args):
+        # r^2, m* r^2 or the energy scale would underflow or overflow
+        code, out = run(args, tmp_path, "out")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: invalid configuration: --r, --R, --mass-ratio: ")
+        assert not out.exists()
 
     def test_negative_radius_with_exponent_is_config_error(self, tmp_path, capsys):
         code, out = run(["--r", "-3.5e-8", "potential"], tmp_path, "out")
@@ -681,7 +726,7 @@ class TestExactHaarMean:
         reports = []
         for value in grid:
             model = errors.ErrorModel(**{**point, axis: float(value)})
-            seq = synthesize(qubit_fn(model.B0, model.E0), model.E0)
+            seq = synthesize(qubit_fn(model.B0), model.E0)
             reports.append(errors.average_gate_infidelity(seq, qubit_fn, model, n, seed, mode,
                                                           window, keep_samples=True))
         _, data = read_csv(out / f"{command}.csv")

@@ -414,14 +414,14 @@ class TestSweepQubitCache:
     @pytest.mark.parametrize("axis, grid, distinct", [
         ("delta_E_rel", [-0.01, 0.0, 0.02], 1),
         ("delta_B_rel", [-0.01, 0.0, 0.02], 3),
-        ("E0", [100.0, 300.0, 1000.0], 6),
+        ("E0", [100.0, 300.0, 1000.0], 2),  # B0 and B0 (1 + dB), whatever E0
     ])
     def test_one_qubit_call_per_distinct_point(self, qubit_factory, axis, grid, distinct):
         calls = []
 
-        def counting(B, E0):
-            calls.append((B, E0))
-            return qubit_factory(B, E0)
+        def counting(B):
+            calls.append(B)
+            return qubit_factory(B)
 
         point = _point(db=5e-3) if axis == "E0" else _point()
         reports = field_error_sweep(_synth, counting, point=point, axis=axis, grid=grid,
@@ -431,7 +431,7 @@ class TestSweepQubitCache:
         operators = []
         for value in grid:
             model = ErrorModel(**{**point, axis: value})
-            seq = _synth(qubit_factory(model.B0, model.E0), model.E0)
+            seq = _synth(qubit_factory(model.B0), model.E0)
             operators.append(errors._error_operator(seq, qubit_factory, model, "rwa", None))
         assert reports == _monte_carlo(operators, 500, 3)
 

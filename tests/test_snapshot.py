@@ -15,9 +15,15 @@ Tolerances:
 
 Manifests are not compared: they hold a creation timestamp.
 
-After an intended change of output, rewrite the references with
+After an intended change of output, rewrite the references of the cases
+whose output changed, named as in CASES, with
 
-    PYTHONPATH=src python tests/test_snapshot.py
+    PYTHONPATH=src python tests/test_snapshot.py CASE [CASE ...]
+
+Only the named cases are rewritten, and an unknown name rewrites nothing.
+A rewrite of a Monte-Carlo case takes its values from this machine's BLAS
+kernel, which can move them by roundoff alone, so name only the cases the
+change is meant to move.
 """
 
 import csv
@@ -97,9 +103,13 @@ def test_matches_snapshot(case, tmp_path, capsys):
             assert produced[name].read_bytes() == path.read_bytes(), f"{case}/{name}"
 
 
-def _rewrite() -> None:
-    for case, argv in CASES.items():
-        out = SNAPSHOTS / case
+def _rewrite(cases: list[str]) -> None:
+    unknown = sorted(set(cases) - set(CASES))
+    if not cases or unknown:
+        problem = f"unknown cases {unknown}" if unknown else "name the cases to rewrite"
+        raise SystemExit(f"{problem}; choose from {', '.join(sorted(CASES))}")
+    for case in cases:
+        argv, out = CASES[case], SNAPSHOTS / case
         shutil.rmtree(out, ignore_errors=True)
         if main([*argv, "--output-dir", str(out)]) != 0:
             raise SystemExit(f"{case} failed")
@@ -108,4 +118,4 @@ def _rewrite() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(_rewrite())
+    sys.exit(_rewrite(sys.argv[1:]))

@@ -144,6 +144,19 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError):
             lowest_eigenpairs(H, 5)
 
+    def test_residual_failure_raises(self, fig3a_geom, monkeypatch):
+        H = build_hamiltonian(PotentialParams(geom=fig3a_geom, B=0.45), Discretization(64))
+        eigh = np.linalg.eigh
+
+        def perturbed_eigh(matrix):
+            values, vectors = eigh(matrix)
+            return values, vectors + 1e-3 * np.roll(vectors, 1, axis=0)
+
+        monkeypatch.setattr("torusqubit.spectral.np.linalg.eigh", perturbed_eigh)
+        with pytest.raises(EigensolverError, match="exceeds contract") as info:
+            lowest_eigenpairs(H, 3)
+        assert info.value.residual > 1e-9 * np.abs(H).sum(axis=1).max()
+
 
 class TestBoundClassification:
     def test_single_bound_state_at_zero_field(self, fig3a_geom, disc1024):
@@ -230,7 +243,7 @@ class TestWindow:
 
     def test_scan_below_onset_fails(self, fig3a_geom, disc1024):
         with pytest.raises(WindowNotFoundError):
-            initialization_window(fig3a_geom, disc1024, B_scan_max=0.05, n_coarse=6)
+            initialization_window(fig3a_geom, disc1024, B_scan_max=0.05)
 
     @staticmethod
     def _full_scan(geom, disc, scan_max, n_coarse=41, tol=1e-3):
@@ -466,6 +479,14 @@ class TestStructuredSolve:
             sweep_field(THIN_GEOM, [0], np.array([0.45, 0.5]), Discretization(1024), k=6)
         assert str(info.value).startswith(
             "eigensolve failed at B=0.45, m=0: Fourier basis reached its cap of 65 modes")
+        assert info.value.residual == info.value.__cause__.residual > 0.0
+
+    def test_window_failure_names_its_point(self, monkeypatch):
+        monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
+        with pytest.raises(EigensolverError) as info:
+            initialization_window(THIN_GEOM, Discretization(1024))
+        assert str(info.value).startswith(
+            "eigensolve failed at B=0.0, m=0: Fourier basis reached its cap of 65 modes")
         assert info.value.residual == info.value.__cause__.residual > 0.0
 
 
