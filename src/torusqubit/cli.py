@@ -1,7 +1,8 @@
 """Command-line front end: config handling, subcommands, reproducible artifacts.
 
-Each subcommand computes its machine-readable data files (CSV or JSON) and
-returns them; `main` alone writes them, each with a sidecar manifest
+Each subcommand computes its machine-readable data files (CSV or JSON,
+serialized by `_csv` or `_json_dumps`, which both refuse NaN and infinities)
+and returns them; `main` alone writes them, each with a sidecar manifest
 recording the resolved configuration, software version, unit scales, and
 every warning raised during the run.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
@@ -135,8 +136,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 kinds = (int, float) if kind is float else kind
                 if isinstance(value, bool) or not isinstance(value, kinds) or kind is int and value < 0:
                     raise TypeError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+                setattr(config, key, kind(value))  # so a real key is a float, however spelled
             check()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             flags = ", ".join("--" + _FLAG_DESTS.get(key, key).replace("_", "-") for key in keys)
             problems.append(f"{flags}: {exc}")
     if problems:
@@ -187,6 +189,24 @@ def _json_dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _csv(header: list[str], rows, comment: str | None = None) -> str:
+    """The one serializer for CSV data files: the "# comment" line, if any, the
+    header, then one line per row of integers, booleans (true/false) and reals
+    (repr(float(v))).  NaN and infinities raise ValueError, as in _json_dumps."""
+
+    def field(value) -> str:
+        if isinstance(value, (int, np.integer, np.bool_)):  # digits, or true/false
+            return str(value).lower()
+        if not math.isfinite(value := float(value)):
+            raise ValueError(f"CSV values must be finite, got {value!r}")
+        return repr(value)
+
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines += [",".join(map(field, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_artifacts(
     out_dir: Path, command: str, config: RunConfig, output: Output, raised: list[str]
 ) -> None:
@@ -227,26 +247,29 @@ def _parse_gate(spec: str) -> Gate:
 
 
 def _levels_csv(spectra, units: UnitSystem) -> str:
-    lines = ["# B in T, energy in J", "B,m,n,energy,bound,localization"]
-    for spec in spectra:
-        for state in spec.states:
-            energy_j = units.from_internal(state.energy, "energy")
-            lines.append(
-                f"{spec.params.B!r},{state.m_orbital},{state.level_index},{energy_j!r},"
-                f"{str(state.bound).lower()},{state.localization!r}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [(spec.params.B, state.m_orbital, state.level_index,
+             units.from_internal(state.energy, "energy"), state.bound, state.localization)
+            for spec in spectra for state in spec.states]
+    return _csv(["B", "m", "n", "energy", "bound", "localization"], rows, "B in T, energy in J")
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_potential(args, config: RunConfig) -> Output:
-    from .potential import PotentialParams, profile_csv
+    """The potential terms on the solver's grid, in the internal units its comment names."""
+    from .potential import PotentialParams, internal_terms
 
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m,
                              E_static=_option(check_finite, args.E_static, "--E-static"))
-    return Output({"potential.csv": profile_csv(params, config.discretization())})
+    theta = config.discretization().theta
+    bare, elec, mag = internal_terms(theta, params)
+    units = UnitSystem.for_geometry(params.geom)
+    comment = (f"internal units: energy_scale_J={units.energy_scale!r},"
+               f" length_scale_m={units.length_scale!r}, time_scale_s={units.time_scale!r}")
+    rows = zip(theta, bare, elec, mag, bare + elec + mag)
+    return Output({"potential.csv": _csv(["theta", "V_bare", "V_E", "V_B", "V_total"], rows,
+                                         comment)})
 
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
@@ -311,13 +334,13 @@ def cmd_window(args, config: RunConfig) -> Output:
 
 
 def cmd_qubit_params(args, config: RunConfig) -> Output:
-    from .reduction import coefficients_for, rabi_frequency
+    from .reduction import coefficients_for, qubit_parameters, rabi_frequency
 
     geom = config.geometry()
-    qubit = config.qubit(config.B)
     routes = {source: coefficients_for(geom, config.B, source)
               for source in (NUMERICAL_TAYLOR, CLOSED_FORM)}
-    coeffs = routes[qubit.source]
+    coeffs = routes[config.source]
+    qubit = qubit_parameters(coeffs, geom, config.B)
     omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
     payload = {
         "B_T": config.B,
@@ -361,23 +384,25 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     else:
         duration = _option(check_finite, args.duration, "--duration", 0.0)
     pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
-    drive = drive_field(pulse, qubit)
-    if duration * abs(drive.omega_rf) >= 2.0 * math.pi * MAX_DRIVE_CYCLES:
-        raise ConfigError(f"--duration must span fewer than 2^63 drive periods, got {duration!r}")
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
+        drive = drive_field(pulse, qubit)
+        if duration * abs(drive.omega_rf) >= 2.0 * math.pi * MAX_DRIVE_CYCLES:
+            raise ConfigError(
+                f"--duration must span fewer than 2^63 drive periods, got {duration!r}")
         times, amplitudes = ladder_trajectory(qubit, drive, duration, args.samples)
     else:
         times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
     populations = np.abs(amplitudes) ** 2
-    lines = ["# t in s", "t,x,y,z," + ",".join(f"p{i}" for i in range(populations.shape[1]))]
+    rows = []
     for time, amp, pops in zip(times, amplitudes, populations):
         # Bloch point of the normalized projection onto the qubit subspace.
         # A two-level state is its own projection; it is not divided by its
         # norm, which differs from 1 by roundoff.
         projection = amp[:2] / math.sqrt(pops[0] + pops[1]) if amp.size == 3 else amp
         point = bloch(QuantumState(projection))
-        lines.append(",".join(repr(float(v)) for v in (time, point.x, point.y, point.z, *pops)))
-    return Output({"trajectory.csv": "\n".join(lines) + "\n"},
+        rows.append((time, point.x, point.y, point.z, *pops))
+    header = ["t", "x", "y", "z", *(f"p{i}" for i in range(populations.shape[1]))]
+    return Output({"trajectory.csv": _csv(header, rows, "t in s")},
                   {"pulse": dataclasses.asdict(pulse)})
 
 
@@ -432,12 +457,11 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
                                        loc_threshold=config.loc_threshold)
     reports = field_error_sweep(gate.sequence, config.qubit, point, axis, grid, args.samples,
                                 config.seed, args.mode, window)
-    lines = [f"{key},mean_infidelity,max_infidelity"]
-    for value, report in zip(grid, reports):
+    for report in reports:
         for flag in report.warnings:
             warnings.warn(flag)
-        lines.append(f"{float(value)!r},{report.mean_infidelity!r},{report.max_infidelity!r}")
-    return Output({f"{args.command}.csv": "\n".join(lines) + "\n"},
+    rows = [(value, r.mean_infidelity, r.max_infidelity) for value, r in zip(grid, reports)]
+    return Output({f"{args.command}.csv": _csv([key, "mean_infidelity", "max_infidelity"], rows)},
                   {"haar_mean_exact": [r.haar_mean_exact for r in reports],
                    "worst_case_exact": [r.worst_case_exact for r in reports]}), reports
 
@@ -617,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
             write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)))
         except (ConfigError, OSError) as exc:
             code, error = 2, exc
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
             code, error = 1, exc
         except MemoryError as exc:  # numpy's message names the failed allocation
             code, error = 1, f"out of memory: {exc}" if str(exc) else "out of memory"

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Discretization, TorusGeometry, UnitSystem, check_finite, electric_parameter,
-                    magnetic_parameter)
+from .model import TorusGeometry, check_finite, electric_parameter, magnetic_parameter
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,3 @@ def total_internal(theta, params: PotentialParams):
     """Sum of the three terms in internal energy units (used by the solver)."""
     bare, elec, mag = internal_terms(theta, params)
     return bare + elec + mag
-
-
-def profile_csv(params: PotentialParams, disc: Discretization) -> str:
-    """CSV of theta,V_bare,V_E,V_B,V_total (internal units) on the solver's
-    grid disc.theta.
-
-    The leading comment line records the unit scales so the file is
-    self-describing in SI.  Raises ValueError if the total is not finite,
-    which it is not wherever any term is not.
-    """
-    theta = disc.theta
-    bare, elec, mag = internal_terms(theta, params)
-    total = bare + elec + mag
-    if not np.all(np.isfinite(total)):
-        raise ValueError("profile values must be finite")
-    units = UnitSystem.for_geometry(params.geom)
-    lines = [f"# internal units: energy_scale_J={units.energy_scale!r},"
-             f" length_scale_m={units.length_scale!r}, time_scale_s={units.time_scale!r}",
-             "theta,V_bare,V_E,V_B,V_total"]
-    lines += [",".join(repr(float(v)) for v in row) for row in zip(theta, bare, elec, mag, total)]
-    return "\n".join(lines) + "\n"

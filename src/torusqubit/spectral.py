@@ -402,15 +402,10 @@ def sweep_field(
     or a static electric field "E".  Eigensolver failures propagate with the
     offending field value attached.
     """
-    values = np.asarray(field_values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least 2 field samples")
-    if not (np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)):
-        raise ValueError("field range must be monotone")
     if field not in ("B", "E"):
         raise ValueError("field must be 'B' or 'E'")
     return [_solve_point(geom, disc, field, float(value), m, k, loc_threshold)
-            for value in values for m in m_list]
+            for value in field_values for m in m_list]
 
 
 def initialization_window(

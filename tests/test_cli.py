@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusqubit import cli, dynamics, errors, potential
+from torusqubit import cli, dynamics, errors, potential, spectral
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 
 
@@ -111,6 +113,8 @@ class TestConfigHandling:
         (b'{"loc_threshold": "0.5"}', "--loc-threshold: loc_threshold must be a number"),
         (b'{"source": "foo"}', "--source: source must be 'numerical_taylor' or 'closed_form'"),
         (b'{"source": 3}', "--source: source must be a string"),
+        pytest.param(b'{"B": 1' + b"0" * 400 + b"}", "--B, --E0: int too large to convert to float",
+                     id="B-past-the-double-range"),
     ])
     @pytest.mark.parametrize("command", ["potential", "spectrum", "qubit-params"])
     def test_malformed_config_file_is_one_line(self, tmp_path, capsys, command, content, named):
@@ -164,6 +168,25 @@ class TestConfigHandling:
         args = argparse.Namespace(config=None, preset="fig9")
         with pytest.raises(ConfigError, match=r"^--preset: unknown preset 'fig9'; choose from"):
             load_config(args)
+
+    def test_integer_spelling_of_a_real_key_writes_the_same_bytes(self, tmp_path):
+        # a real key is a float once loaded, so the data file and manifest
+        # depend on its value, not on how the JSON spelled it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "fig3a", "B": 0, "n_points": 256}))
+        outs = [run([*args, "spectrum", "--levels", "2"], tmp_path, sub)
+                for sub, args in (("file", ["--config", str(config)]),
+                                  ("flags", ["--preset", "fig3a", "--B", "0", "--n-points", "256"]))]
+        assert [code for code, _ in outs] == [0, 0]
+        (_, file_out), (_, flag_out) = outs
+        data = [(out / "spectrum.csv").read_bytes() for out in (file_out, flag_out)]
+        assert data[0] == data[1] and data[0].splitlines()[2].startswith(b"0.0,0,0,")
+        manifests = [json.loads((out / "spectrum.csv.manifest.json").read_text())
+                     for out in (file_out, flag_out)]
+        for manifest in manifests:
+            del manifest["created"]
+        assert manifests[0] == manifests[1] and manifests[0]["config"]["B"] == 0.0
+        assert isinstance(manifests[0]["config"]["B"], float)
 
     def test_config_file_and_flag_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -223,6 +246,30 @@ class TestConfigHandling:
         assert "not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, layer, patch", [
+        (["--n-points", "256", "sweep-b", "--b-range", "0.4:0.5:2"], spectral, "sweep_field"),
+        (["evolve"], dynamics, "trajectory"),
+    ])
+    def test_non_finite_csv_value_writes_no_artifact(self, tmp_path, capsys, monkeypatch,
+                                                     args, layer, patch):
+        # one NaN in one row of the data file: the CSV writer refuses it, as strict JSON does
+        computed = getattr(layer, patch)
+
+        def poisoned(*args, **kwargs):
+            result = computed(*args, **kwargs)
+            if patch == "trajectory":
+                times, amplitudes = result
+                return np.where(np.arange(times.size) == 1, np.nan, times), amplitudes
+            state = dataclasses.replace(result[1].states[0], localization=math.nan)
+            return [result[0], dataclasses.replace(result[1], states=(state,))]
+
+        monkeypatch.setattr(layer, patch, poisoned)
+        code, out = run(["--preset", "fig5", *args], tmp_path, "out")
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: CSV values must be finite, got nan"]
+        assert not out.exists()
+
     def test_non_unitary_long_drive_writes_no_artifact(self, tmp_path, capsys):
         # ~3e18 drive periods: the per-period roundoff compounds far past the guard
         code, out = run(["--preset", "fig5", "evolve", "--three-level", "--duration", "5e7"],
@@ -266,7 +313,7 @@ class TestConfigHandling:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(potential, "profile_csv", exhausted)
+        monkeypatch.setattr(potential, "internal_terms", exhausted)
         code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
         assert code == 1
         assert capsys.readouterr().err.strip().splitlines() == [expected]
@@ -319,6 +366,7 @@ class TestConfigHandling:
         (["sweep-b", "--b-range", "1:1:3"], "--b-range"),
         (["mitigate", "--e0-range", "-1:5:3"], "--e0-range with log spacing needs positive"),
         (["sweep-b", "--b-range", "-1:1:3"], "--b-range must be non-negative"),
+        (["evolve", "--three-level", "--duration", "1e12"], "--duration must span fewer than 2^63"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -378,6 +426,30 @@ class TestConfigHandling:
             "error: invalid configuration: --r, --R, --mass-ratio: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, exception", [
+        (["--r", "1e-100", "--R", "2e-100"], "float division by zero"),
+        (["--r", "1e100", "--R", "2e100", "--mass-ratio", "1e-250"], "Numerical result out of range"),
+    ])
+    def test_closed_form_arithmetic_error_is_runtime_error(self, tmp_path, capsys, args,
+                                                           exception):
+        # a geometry inside the double range whose (R - r)^4 underflows or overflows
+        code, out = run([*args, "qubit-params"], tmp_path, "out")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and exception in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--preset", "fig5", "evolve", "--rabi", "-1e9", "--duration", "1e-9"],
+        ["evolve", "--rabi", "1e9", "--duration", "1e9"],
+    ])
+    def test_rwa_evolve_builds_no_lab_frame_drive(self, tmp_path, capsys, args):
+        # a negative Rabi rate is a phase flip, and the RWA rotation has no drive periods
+        code, out = run([*args, "--samples", "5"], tmp_path)
+        assert code == 0, capsys.readouterr().err
+        header, data = read_csv(out / "trajectory.csv")
+        assert header == ["t", "x", "y", "z", "p0", "p1"] and len(data) == 5
+
     def test_negative_radius_with_exponent_is_config_error(self, tmp_path, capsys):
         code, out = run(["--r", "-3.5e-8", "potential"], tmp_path, "out")
         assert code == 2
@@ -387,6 +459,15 @@ class TestConfigHandling:
 
 
 class TestArtifacts:
+    def test_csv_writer_spells_each_kind_once(self):
+        rows = [(1, True, 0.5), (np.int64(-2), np.bool_(False), np.float64(0.1)), (0, False, 0)]
+        assert cli._csv(["a", "b", "c"], rows, "note") == (
+            "# note\na,b,c\n1,true,0.5\n-2,false,0.1\n0,false,0\n")
+        assert cli._csv(["x"], [(np.float32(0.5),), (1e-300,)]) == "x\n0.5\n1e-300\n"
+        for value in (math.inf, -np.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match="^CSV values must be finite"):
+                cli._csv(["x"], [(1.0,), (value,)])
+
     def test_potential_profile_symmetric(self, tmp_path):
         code, out = run(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path)
         assert code == 0

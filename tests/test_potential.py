@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from torusqubit.cli import main
 from torusqubit.model import Discretization, energy_scale_of
-from torusqubit.potential import PotentialParams, internal_terms, profile_csv, total_internal
+from torusqubit.potential import PotentialParams, internal_terms, total_internal
 
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI
 
@@ -147,26 +148,37 @@ class TestParams:
 
 
 class TestProfile:
-    def test_grid_shape(self, fig3a_geom):
-        disc = Discretization(128)
-        rows = profile_csv(_params(fig3a_geom), disc).splitlines()[2:]
+    """`potential` samples internal_terms on the solver's grid and writes it as CSV."""
+
+    @staticmethod
+    def _profile(tmp_path, *args):
+        code = main(["--preset", "fig3a", *args, "--output-dir", str(tmp_path)])
+        assert code == 0
+        return (tmp_path / "potential.csv").read_text().splitlines()
+
+    def test_grid_shape(self, tmp_path):
+        rows = self._profile(tmp_path, "--n-points", "128", "potential")[2:]
         assert len(rows) == 128
         theta = np.array([float(row.split(",")[0]) for row in rows])
-        np.testing.assert_array_equal(theta, disc.theta)  # the solver's grid, repr round trip
+        np.testing.assert_array_equal(theta, Discretization(128).theta)  # repr round trip
 
-    def test_csv_round_trip(self, fig3a_geom):
-        params = _params(fig3a_geom, B=0.45, E_static=10.0)
-        disc = Discretization(64)
-        lines = profile_csv(params, disc).strip().splitlines()
+    def test_csv_round_trip(self, tmp_path, fig3a_geom):
+        lines = self._profile(tmp_path, "--n-points", "64", "--B", "0.45", "potential",
+                              "--E-static", "10")
         assert lines[0].startswith("# internal units: energy_scale_J=")
         assert lines[1] == "theta,V_bare,V_E,V_B,V_total"
         assert len(lines) == 2 + 64
         columns = np.array([[float(x) for x in line.split(",")] for line in lines[2:]]).T
-        terms = internal_terms(disc.theta, params)
+        params = _params(fig3a_geom, B=0.45, E_static=10.0)
+        terms = internal_terms(Discretization(64).theta, params)
         np.testing.assert_array_equal(columns[1:4], terms)
         np.testing.assert_array_equal(columns[4], sum(terms))
 
-    def test_non_finite_total_rejected(self, fig3a_geom):
-        # b^2 overflows: the magnetic term and the total are inf
-        with pytest.raises(ValueError, match="finite"):
-            profile_csv(_params(fig3a_geom, B=1e200), Discretization(64))
+    def test_non_finite_total_rejected(self, tmp_path, capsys):
+        # b^2 overflows: the magnetic term and the total are inf, which the CSV writer refuses
+        out = tmp_path / "out"
+        code = main(["--preset", "fig3a", "--B", "1e200", "potential", "--output-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: CSV values must be finite, got inf"]
+        assert not out.exists()

@@ -218,12 +218,6 @@ class TestSweep:
         analytic = E_CHARGE_SI * HBAR_SI / (0.3 * ELECTRON_MASS_SI)
         assert slope == pytest.approx(analytic, rel=5e-3)
 
-    def test_monotonicity_required(self, fig3a_geom, disc1024):
-        with pytest.raises(ValueError):
-            sweep_field(fig3a_geom, [0], np.array([0.1, 0.0, 0.2]), disc1024)
-        with pytest.raises(ValueError):
-            sweep_field(fig3a_geom, [0], np.array([0.1]), disc1024)
-
     def test_two_bound_state_region_exists(self, fig3a_geom, disc1024):
         spectra = sweep_field(fig3a_geom, [0], np.array([0.45, 0.6]), disc1024)
         assert all(s.n_bound == 2 for s in spectra)
