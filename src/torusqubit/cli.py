@@ -7,7 +7,10 @@ recording the resolved configuration, software version, unit scales, and
 every warning raised during the run.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
 subcommand imports the layers it runs, so a cold process loads only those;
-every option is checked before the first of them is called.
+every option is checked before the first of them is called.  Importing this
+module loads `model` and no numpy; numpy is imported where arrays are made,
+so `qubit-params` (scalar algebra on `math`), `--help` and every
+configuration error run without it.
 
 Presets name the geometries and operating point used throughout:
 fig3a (r=350 A, R=900 A), fig3b (r=350 A, R=3600 A), and fig5
@@ -28,14 +31,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
                     FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
                     check_loc_threshold, check_positive, check_source)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .control import Gate
     from .errors import InfidelityReport
     from .reduction import QubitParameters
@@ -158,11 +161,11 @@ def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.nd
         raise ConfigError(f"{arg} endpoints must be finite, got {spec!r}")
     if n < 2:
         raise ConfigError(f"{arg} needs at least 2 points, got {spec!r}")
-    if spacing == "log":
-        if lo <= 0 or hi <= 0:
-            raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if spacing == "log" and (lo <= 0 or hi <= 0):
+        raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
+    import numpy as np
+
+    return np.geomspace(lo, hi, n) if spacing == "log" else np.linspace(lo, hi, n)
 
 
 def _option(rule, value, arg: str, *bounds):
@@ -193,6 +196,7 @@ def _csv(header: list[str], rows, comment: str | None = None) -> str:
     """The one serializer for CSV data files: the "# comment" line, if any, the
     header, then one line per row of integers, booleans (true/false) and reals
     (repr(float(v))).  NaN and infinities raise ValueError, as in _json_dumps."""
+    import numpy as np
 
     def field(value) -> str:
         if isinstance(value, (int, np.integer, np.bool_)):  # digits, or true/false
@@ -302,6 +306,8 @@ def cmd_spectrum(args, config: RunConfig) -> Output:
 
 
 def cmd_sweep_b(args, config: RunConfig) -> Output:
+    import numpy as np
+
     from .spectral import sweep_field
 
     values = parse_range(args.b_range, arg="--b-range")
@@ -365,6 +371,8 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
 
 
 def cmd_evolve(args, config: RunConfig) -> Output:
+    import numpy as np
+
     from .dynamics import (MAX_DRIVE_CYCLES, PulseSpec, QuantumState, bloch, drive_field,
                            ladder_trajectory, trajectory)
     from .reduction import rabi_frequency
@@ -480,6 +488,8 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
+    import numpy as np
+
     from .errors import MAX_RELATIVE_ERROR
 
     if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference

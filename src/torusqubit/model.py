@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # CODATA 2018 values (SI).  Frozen on purpose: reproducibility of derived
 # numbers beats configurability for this artifact.
@@ -98,10 +100,12 @@ class Discretization:
 
     @property
     def spacing(self) -> float:
-        return 2.0 * np.pi / self.n_points
+        return TWO_PI / self.n_points
 
     @property
     def theta(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(self.n_points) * self.spacing
 
 

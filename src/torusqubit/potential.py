@@ -3,14 +3,15 @@
 V_bare is the curvature-induced trapping potential; V_E and V_B add the
 static electric and magnetic field contributions.  `internal_terms` is the
 one place the field parameters enter; every value here is in internal
-energy units (see `model.UnitSystem`).
+energy units (see `model.UnitSystem`).  A float angle is evaluated with
+`math`, an array of angles with numpy, so a scalar caller never loads numpy.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import TorusGeometry, check_finite, electric_parameter, magnetic_parameter
 
@@ -25,14 +26,15 @@ class PotentialParams:
     m_orbital: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m_orbital, (int, np.integer)):
+        if not isinstance(self.m_orbital, numbers.Integral):  # numpy's integers too
             raise TypeError("m_orbital must be an integer")
         check_finite(self.B, "B", low=0.0)
         check_finite(self.E_static, "E_static")
 
 
 def internal_terms(theta, params: PotentialParams):
-    """(V_bare, V_E, V_B) at angle(s) theta, in internal energy units.
+    """(V_bare, V_E, V_B) at angle(s) theta, in internal energy units:
+    floats for a float theta, arrays for an array of angles.
 
     With rho = R/r, c = cos(theta), s = sin(theta), b = e B r^2 / (2 hbar)
     and f = e E r / energy_scale:
@@ -43,7 +45,12 @@ def internal_terms(theta, params: PotentialParams):
     b = magnetic_parameter(params.geom, params.B)
     f = electric_parameter(params.geom, params.E_static)
     m = params.m_orbital
-    c, s = np.cos(theta), np.sin(theta)
+    if isinstance(theta, float):
+        c, s = math.cos(theta), math.sin(theta)
+    else:
+        import numpy as np
+
+        c, s = np.cos(theta), np.sin(theta)
     x = rho + c
     bare = (-0.25 * rho * rho + m * m + 0.25 * s**2 + 0.5 * (rho * c + 1.0)) / (x * x)
     return bare, -f * s, b * b * x * x - 2.0 * m * b

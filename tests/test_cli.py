@@ -375,6 +375,17 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith(f"error: {name}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_range_bound_is_inclusive(self, tmp_path, capsys, sign):
+        # errors.MAX_RELATIVE_ERROR = 0.1 is accepted, the next double past it is not
+        past = repr(math.nextafter(0.1, 1.0))
+        for edge, exit_code in (("0.1", 0), (past, 2)):
+            spec = f"{sign}{edge}:0:2" if sign else f"0:{edge}:2"
+            code, _ = run(["--preset", "fig5", "fidelity", f"--range={spec}", "--samples", "10"],
+                          tmp_path, edge)
+            assert code == exit_code, spec
+        assert capsys.readouterr().err.strip().endswith(
+            f"--range must be finite and in [-0.1, 0.1], got {sign}{past}")
 
     def test_negative_value_with_exponent_is_a_value(self, tmp_path):
         # argparse's own pattern has no exponent, so it read -5e-3 as an option
@@ -726,12 +737,33 @@ class TestNewSurfaces:
          ["control", "dynamics", "errors", "potential", "reduction"]),
     ])
     def test_subcommand_loads_only_its_layers(self, tmp_path, args, layers):
-        # each subcommand imports the layers it runs, and none loads scipy
+        # each subcommand imports the layers it runs, and none loads scipy;
+        # every one that builds arrays loads numpy, and qubit-params does not
         argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
         expected = ["torusqubit", "torusqubit.cli", "torusqubit.model",
                     *(f"torusqubit.{layer}" for layer in layers)]
-        assert modules_after(code, "torusqubit", "scipy") == sorted(expected)
+        loaded = modules_after(code, "torusqubit", "scipy", "numpy")
+        assert [m for m in loaded if not m.startswith("numpy")] == sorted(expected)
+        assert ("numpy" in loaded) == (args[0] != "qubit-params")
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["--preset", "fig5", "qubit-params"], 0),
+        (["--preset", "fig3b", "--B", "0", "qubit-params"], 0),  # the warning path
+        (["--help"], 0),
+        (["spectrum", "--help"], 0),
+        (["--n-points", "10", "spectrum"], 2),
+        (["--preset", "fig9", "fidelity"], 2),
+    ])
+    def test_scalar_run_loads_no_numpy(self, tmp_path, args, exit_code):
+        # the reduction is scalar algebra on math, and help and configuration
+        # errors end before any layer is imported
+        argv = [*args, "--output-dir", str(tmp_path)]
+        code = ("import torusqubit.cli\n"
+                f"try:\n    code = torusqubit.cli.main({argv!r})\n"
+                "except SystemExit as exc:\n    code = exc.code\n"
+                f"assert code == {exit_code}, code")
+        assert modules_after(code, "numpy") == []
 
     def test_evolve_three_level(self, tmp_path):
         code, out = run(

@@ -93,6 +93,15 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(delta_B_rel=0.0, delta_E_rel=0.0, B0=-1.0, E0=100.0)
 
+    @pytest.mark.parametrize("axis", ["db", "de"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_range_bound_is_inclusive(self, axis, sign):
+        # MAX_RELATIVE_ERROR = 0.1 is accepted, the next double past it is not
+        assert errors.MAX_RELATIVE_ERROR == 0.1
+        _model(**{axis: sign * 0.1})
+        with pytest.raises(ValueError, match=r"must be finite and in \[-0\.1, 0\.1\]"):
+            _model(**{axis: sign * math.nextafter(0.1, 1.0)})
+
 
 class TestInfidelityReport:
     def test_mean_above_max_rejected(self):

@@ -54,6 +54,7 @@ CASES = {
     "gate-phase-leakage": [*FIG5, "gate", "--gate", "phase:1.0", "--leakage"],
     "gate-phase-labframe": [*FIG5, "gate", "--gate", "phase:1.0", "--mode", "labframe"],
     "qubit-params": [*FIG5, "qubit-params"],
+    "qubit-params-fig3b-b0": ["--preset", "fig3b", "--B", "0", "qubit-params"],
     "spectrum": [*FIG5, "--n-points", "256", "spectrum"],
     "potential": ["--preset", "fig3a", "--B", "0.45", "--n-points", "64",
                   "potential", "--E-static", "10"],

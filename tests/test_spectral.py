@@ -467,6 +467,23 @@ class TestStructuredSolve:
             solve_sector(params, Discretization(1024), k=6)
         assert info.value.residual > 0.0
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_basis_cap_leaves_room_for_k_levels(self, mirror):
+        # k = _RITZ_CAP // 2 + 1 levels on n = 2k points: the cap of 2k + 1
+        # modes admits the complete basis, so a rough potential that no
+        # truncated basis resolves is solved exactly
+        k = spectral._RITZ_CAP // 2 + 1
+        n = 2 * k
+        v = np.random.default_rng(7).uniform(-1.0, 1.0, n)
+        if mirror:
+            v = 0.5 * (v + v[(-np.arange(n)) % n])
+        disc = Discretization(n)
+        energies, _ = spectral._sector_eigenpairs(v, disc, k, mirror=mirror)
+        stencil = spectral._stencil(disc)
+        dense = spectral._apply_operator(stencil, stencil[0] + v, np.eye(n))
+        np.testing.assert_allclose(energies, np.linalg.eigvalsh(dense)[:k], rtol=1e-12,
+                                   atol=1e-12 * np.abs(dense).sum(axis=1).max())
+
     def test_sweep_failure_names_its_point(self, monkeypatch):
         monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
         with pytest.raises(EigensolverError) as info:
