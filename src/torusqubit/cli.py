@@ -6,11 +6,14 @@ and returns them; `main` alone writes them, each with a sidecar manifest
 recording the resolved configuration, software version, unit scales, and
 every warning raised during the run.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
-subcommand imports the layers it runs, so a cold process loads only those;
-every option is checked before the first of them is called.  Importing this
-module loads `model` and no numpy; numpy is imported where arrays are made,
-so `qubit-params` (scalar algebra on `math`), `--help` and every
-configuration error run without it.
+subcommand imports the layers it runs, so a cold process loads only those,
+and checks each option against the bounds in `model` before its first layer
+import.  Three checks need a layer and follow its import: `--gate`, read by
+`control.Gate.parse`; `evolve`'s default Rabi rate and duration, from the
+reduction; and the three-level duration limit, from `dynamics.drive_field`.
+Importing this module loads `model` and no numpy; numpy is imported where
+arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
+every configuration error run without it.
 
 Presets name the geometries and operating point used throughout:
 fig3a (r=350 A, R=900 A), fig3b (r=350 A, R=3600 A), and fig5
@@ -32,9 +35,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, NUMERICAL_TAYLOR, Discretization,
-                    FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
-                    check_loc_threshold, check_positive, check_source)
+from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, MAX_DRIVE_CYCLES, MAX_RELATIVE_ERROR,
+                    NUMERICAL_TAYLOR, TOL_RANGE, Discretization, FieldConfig, TorusGeometry,
+                    UnitSystem, check_count, check_finite, check_loc_threshold, check_positive,
+                    check_source)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,10 +266,10 @@ def _levels_csv(spectra, units: UnitSystem) -> str:
 
 def cmd_potential(args, config: RunConfig) -> Output:
     """The potential terms on the solver's grid, in the internal units its comment names."""
+    e_static = _option(check_finite, args.E_static, "--E-static")
     from .potential import PotentialParams, internal_terms
 
-    params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m,
-                             E_static=_option(check_finite, args.E_static, "--E-static"))
+    params = PotentialParams(config.geometry(), config.B, e_static, m_orbital=args.m)
     theta = config.discretization().theta
     bare, elec, mag = internal_terms(theta, params)
     units = UnitSystem.for_geometry(params.geom)
@@ -277,11 +281,11 @@ def cmd_potential(args, config: RunConfig) -> Output:
 
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
+    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     from .potential import PotentialParams
     from .spectral import solve_sector
 
     units = UnitSystem.for_geometry(config.geometry())
-    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
     spec = solve_sector(params, config.discretization(), k=levels,
                         loc_threshold=config.loc_threshold)
@@ -306,11 +310,9 @@ def cmd_spectrum(args, config: RunConfig) -> Output:
 
 
 def cmd_sweep_b(args, config: RunConfig) -> Output:
+    values = parse_range(args.b_range, arg="--b-range")
     import numpy as np
 
-    from .spectral import sweep_field
-
-    values = parse_range(args.b_range, arg="--b-range")
     steps = np.diff(values)
     if not (values.min() >= 0 and (np.all(steps > 0) or np.all(steps < 0))):
         raise ConfigError(f"--b-range must be non-negative and monotone, got {args.b_range!r}")
@@ -321,15 +323,17 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
             f"--m-list must be comma-separated integers, got {args.m_list!r}"
         ) from None
     levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
+    from .spectral import sweep_field
+
     spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
                           k=levels, loc_threshold=config.loc_threshold)
     return Output({"sweep_b.csv": _levels_csv(spectra, UnitSystem.for_geometry(config.geometry()))})
 
 
 def cmd_window(args, config: RunConfig) -> Output:
+    scan_max = _option(check_positive, args.scan_max, "--scan-max")
     from .spectral import initialization_window
 
-    scan_max = _option(check_positive, args.scan_max, "--scan-max")
     b_min, b_max = initialization_window(
         config.geometry(), config.discretization(),
         B_scan_max=scan_max, loc_threshold=config.loc_threshold,
@@ -371,26 +375,26 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
 
 
 def cmd_evolve(args, config: RunConfig) -> Output:
-    import numpy as np
-
-    from .dynamics import (MAX_DRIVE_CYCLES, PulseSpec, QuantumState, bloch, drive_field,
-                           ladder_trajectory, trajectory)
-    from .reduction import rabi_frequency
-
     _option(check_count, args.samples, "--samples", 2)  # a trajectory has a start and an end
     _option(check_finite, args.detuning, "--detuning")
     _option(check_finite, args.phase, "--phase")
+    if args.rabi is not None and args.three_level:  # the ladder's field amplitude E0 is >= 0
+        _option(check_finite, args.rabi, "--rabi (with --three-level)", 0.0)
+    elif args.rabi is not None:
+        _option(check_finite, args.rabi, "--rabi")
+    if args.duration is not None:
+        _option(check_finite, args.duration, "--duration", 0.0)
+    import numpy as np
+
+    from .dynamics import (PulseSpec, QuantumState, bloch, drive_field, ladder_trajectory,
+                           trajectory)
+    from .reduction import rabi_frequency
+
     qubit = config.qubit(config.B)
-    if args.rabi is None:
-        omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
-    elif args.three_level:  # the ladder is driven by a field amplitude E0 >= 0
-        omega_rabi = _option(check_finite, args.rabi, "--rabi (with --three-level)", 0.0)
-    else:
-        omega_rabi = _option(check_finite, args.rabi, "--rabi")
-    if args.duration is None:
+    omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0) if args.rabi is None else args.rabi
+    duration = args.duration
+    if duration is None:
         duration = math.pi / (2.0 * _option(check_positive, omega_rabi, "--rabi (or --E0)"))
-    else:
-        duration = _option(check_finite, args.duration, "--duration", 0.0)
     pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
         drive = drive_field(pulse, qubit)
@@ -415,10 +419,10 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 
 
 def cmd_gate(args, config: RunConfig) -> Output:
-    from .control import gate_unitary
-    from .dynamics import TOL_RANGE, drive_field, leakage_probe
-
     _option(check_finite, args.tol, "--tol", *TOL_RANGE)
+    from .control import gate_unitary
+    from .dynamics import drive_field, leakage_probe
+
     gate = _parse_gate(args.gate)
     if gate.drives:
         _option(check_positive, config.E0, "--E0")
@@ -453,10 +457,10 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
     `<key>,mean_infidelity,max_infidelity` rows, whose manifest lists each
     row's exact oracles.
     """
-    from .errors import field_error_sweep
-
     _option(check_count, args.samples, "--samples", 1)
     gate = _parse_gate(args.gate)
+    from .errors import field_error_sweep
+
     window = None
     if check_window:
         from .spectral import initialization_window
@@ -465,9 +469,6 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
                                        loc_threshold=config.loc_threshold)
     reports = field_error_sweep(gate.sequence, config.qubit, point, axis, grid, args.samples,
                                 config.seed, args.mode, window)
-    for report in reports:
-        for flag in report.warnings:
-            warnings.warn(flag)
     rows = [(value, r.mean_infidelity, r.max_infidelity) for value, r in zip(grid, reports)]
     return Output({f"{args.command}.csv": _csv([key, "mean_infidelity", "max_infidelity"], rows)},
                   {"haar_mean_exact": [r.haar_mean_exact for r in reports],
@@ -475,8 +476,6 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
 
 
 def cmd_fidelity(args, config: RunConfig) -> Output:
-    from .errors import MAX_RELATIVE_ERROR
-
     deltas = parse_range(args.range, arg="--range")
     edge = float(max(deltas[0], deltas[-1], key=abs))  # linspace ends at its extremes
     _option(check_finite, edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
@@ -488,10 +487,8 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
-    import numpy as np
-
-    from .errors import MAX_RELATIVE_ERROR
-
+    for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
+        _option(check_finite, value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference
         spec, arg, spacing = args.e0_range, "--e0-range", args.spacing
         _option(check_positive, config.B, "--B")
@@ -499,10 +496,10 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
         spec, arg, spacing = args.b0_range, "--b0-range", "linear"
         _option(check_positive, config.E0, "--E0")
     grid = parse_range(spec, spacing, arg=arg)
+    import numpy as np
+
     if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
         raise ConfigError(f"{arg} must be positive and increasing, got {spec!r}")
-    for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
-        _option(check_finite, value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     key = args.sweep
     point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": config.B,
              "E0": config.E0}
@@ -643,6 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # record every warning, whatever -W says
         try:
             args = build_parser().parse_args(argv)
             config = load_config(args)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HBAR, FieldConfig, check_count, check_finite
+from .model import HBAR, MAX_DRIVE_CYCLES, TOL_RANGE, FieldConfig, check_count, check_finite
 from .reduction import QubitParameters, rabi_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,10 +37,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _NORM_GUARD = 1e-4  # loose sanity guard; unitarity contracts live in tests
-TOL_RANGE = (1e-12, 1e-6)  # integrator tolerances accepted by the lab-frame paths
 _GAUSS_NODES = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 _MAX_STEPS = 2**13  # step doubling stops once M reaches this, even short of tol
-MAX_DRIVE_CYCLES = 2.0**63  # drive periods in one propagation; cycle counts are int64
 
 
 @dataclass(frozen=True)
@@ -206,16 +204,17 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 def solve_ivp(
-    a0: np.ndarray, a1: np.ndarray, omega_rf: float, phi: float, grid: np.ndarray, tol: float
+    a0: np.ndarray, a1: np.ndarray, omega_rf: float, phi: float, times: np.ndarray, tol: float
 ) -> MagnusSolution:
-    """U(t) at the sorted grid times for dU/dt = (a0 + cos(omega_rf t + phi) a1) U,
-    U(0) = I, with a0 and a1 anti-Hermitian; numpy only.
+    """U(t) at each of the times, in any order and repeats included, for
+    dU/dt = (a0 + cos(omega_rf t + phi) a1) U, U(0) = I, with a0 and a1
+    anti-Hermitian; numpy only.
 
     The scalar part tr(a0)/dim is split off as its exact phase.  M uniform
-    steps over [0, grid[-1]] are exponentiated (_magnus_steps) and
+    steps over [0, max(times)] are exponentiated (_magnus_steps) and
     multiplied (_propagators); M doubles until the results for M and 2M
     agree to tol at every edge of the M steps.  The 2M steps, split at the
-    grid times, then give the result.  The first M, steps of
+    times, then give the result.  The first M, steps of
     h |A| = 4 tol^(1/6) with |A| the spectral norms of the traceless a0 and
     of a1, meets tol at once for the fig5 drives: their one-period error,
     measured at Omega/omega = 1e-3 to 1e-1, is 0.003 to 1.2 times M^-6.
@@ -225,7 +224,7 @@ def solve_ivp(
     dim = a0.shape[0]
     scalar = np.trace(a0) / dim
     a0 = a0 - scalar * np.eye(dim)
-    end = grid[-1]
+    end = times.max()
     angle = end * (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
     m = min(_MAX_STEPS // 2, max(1, math.ceil(angle / (4.0 * tol ** (1.0 / 6.0)))))
     coarse = _propagators(a0, a1, omega_rf, phi, np.linspace(0.0, end, m + 1))
@@ -237,9 +236,9 @@ def solve_ivp(
         if np.abs(fine[::2] - coarse).max() <= tol or m >= _MAX_STEPS:
             break
         coarse = fine
-    edges = _sorted_distinct(np.append(np.linspace(0.0, end, m + 1), grid))
-    u = np.eye(dim) + _propagators(a0, a1, omega_rf, phi, edges)[np.searchsorted(edges, grid)]
-    return MagnusSolution(np.exp(scalar * grid)[:, None, None] * u, nfev + 3 * (edges.size - 1))
+    edges = _sorted_distinct(np.append(np.linspace(0.0, end, m + 1), times))
+    u = np.eye(dim) + _propagators(a0, a1, omega_rf, phi, edges)[np.searchsorted(edges, times)]
+    return MagnusSolution(np.exp(scalar * times)[:, None, None] * u, nfev + 3 * (edges.size - 1))
 
 
 def _check_unitary(u: np.ndarray, periods: float) -> np.ndarray:
@@ -285,7 +284,7 @@ def _drive_propagators(
     H(t) has period T = 2 pi / |omega_rf|, so U(N T + r) = U(r) U_T^N
     (Shirley, Phys. Rev. 138, B979 (1965)).  One solve_ivp call, a
     sixth-order Magnus integration of i hbar dU/dt = H(t) U over [0, T]
-    split at the sorted remainders r_j, gives U_T and every U(r_j); the
+    split at the remainders r_j, gives U_T and every U(r_j); the
     powers U_T^N come by repeated squaring.  The cost is independent of the number of
     cycles N.
 
@@ -322,11 +321,10 @@ def _drive_propagators(
     if end == 0.0:
         return np.broadcast_to(np.eye(dim, dtype=complex), (times.size, dim, dim)).copy()
 
-    grid = _sorted_distinct(np.append(rests, end))
-    sol = solve_ivp((-1j / HBAR) * h0, (-1j / HBAR) * coupling, omega_rf, phi, grid,
-                    tol / max(n_max, 1))
+    sol = solve_ivp((-1j / HBAR) * h0, (-1j / HBAR) * coupling, omega_rf, phi,
+                    np.append(rests, end), tol / max(n_max, 1))
     # sol.y[-1] is U_T whenever a cycle count is nonzero
-    props = sol.y[np.searchsorted(grid, rests)] @ _matrix_powers(sol.y[-1], cycles, longest)
+    props = sol.y[:-1] @ _matrix_powers(sol.y[-1], cycles, longest)
     return _check_unitary(props, longest)
 
 

@@ -26,17 +26,17 @@ which bounds its Monte-Carlo max.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .control import PulseSequence, gate_unitary
-from .model import check_count, check_finite, check_positive
+from .model import MAX_RELATIVE_ERROR, check_count, check_finite, check_positive
 from .reduction import QubitParameters
 
 QubitFactory = Callable[[float], QubitParameters]  # B -> parameters
-MAX_RELATIVE_ERROR = 0.1  # largest |dB| or |dE| an error model accepts
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class InfidelityReport:
     worst_case_exact: float
     n_samples: int
     seed: int
-    warnings: tuple[str, ...] = ()
     per_sample: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -92,8 +91,8 @@ def perturbed_pulse(
     offset) and phases stay frozen; the perturbed qubit frequency shifts
     every segment's detuning by Delta_err, and the Rabi rate is rescaled by
     (mu'/mu)(1 + dE).  If the two-bound-state window is supplied and the
-    perturbed field leaves it, a warning flag is attached (the two-level
-    model itself is then suspect).
+    perturbed field leaves it, a flag says so (the two-level model itself
+    is then suspect); the error averages raise each flag as a warning.
     """
     ideal = qubit_fn(model.B0)
     b_pert = model.B0 * (1.0 + model.delta_B_rel)
@@ -218,18 +217,20 @@ def _infidelity_kernel(m: np.ndarray, s: float) -> Callable[[np.ndarray, np.ndar
 
 
 def _error_operator(gate_seq: PulseSequence, qubit_fn: QubitFactory, model: ErrorModel, mode: str,
-                    window: tuple[float, float] | None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """M = U_ideal^dag U_pert of the gate under model, and the window flags."""
+                    window: tuple[float, float] | None) -> np.ndarray:
+    """M = U_ideal^dag U_pert of the gate under model; each window flag is a warning."""
     ideal_qubit = qubit_fn(model.B0)
     pert_seq, flags = perturbed_pulse(gate_seq, qubit_fn, model, window=window)
+    for flag in flags:
+        warnings.warn(flag)
     u_ideal = gate_unitary(gate_seq, ideal_qubit, mode=mode)
     u_pert = gate_unitary(pert_seq, ideal_qubit, mode=mode)
-    return u_ideal.conj().T @ u_pert, flags
+    return u_ideal.conj().T @ u_pert
 
 
-def _monte_carlo(points: Sequence[tuple[np.ndarray, tuple[str, ...]]], n_samples: int, seed: int,
+def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
                  keep_samples: bool = False) -> list[InfidelityReport]:
-    """One InfidelityReport per (M, flags) point from one pass over the Haar stream.
+    """One InfidelityReport per point M from one pass over the Haar stream.
 
     Every point's per-sample infidelities are evaluated on each chunk while
     it is in cache, clipped to [0, 1], and reduced to the chunk's max and
@@ -239,8 +240,8 @@ def _monte_carlo(points: Sequence[tuple[np.ndarray, tuple[str, ...]]], n_samples
     """
     check_count(n_samples, "n_samples", 1)
     per_sample = np.empty(n_samples) if keep_samples else None
-    terms = [_exact_terms(m) for m, _ in points]
-    kernels = [_infidelity_kernel(m, s) for (m, _), (s, _) in zip(points, terms)]
+    terms = [_exact_terms(m) for m in points]
+    kernels = [_infidelity_kernel(m, s) for m, (s, _) in zip(points, terms)]
     sums, maxima = np.empty((2, len(points), -(-n_samples // _CHUNK)))
     values = np.empty(min(_CHUNK, n_samples))
     scratch = np.empty((3, values.size))
@@ -261,10 +262,9 @@ def _monte_carlo(points: Sequence[tuple[np.ndarray, tuple[str, ...]]], n_samples
             worst_case_exact=min(max(s, 0.0), 1.0),
             n_samples=n_samples,
             seed=seed,
-            warnings=flags,
             per_sample=per_sample,
         )
-        for (_, flags), (s, exact), chunk_sums, chunk_maxima in zip(points, terms, sums, maxima)
+        for (s, exact), chunk_sums, chunk_maxima in zip(terms, sums, maxima)
     ]
 
 

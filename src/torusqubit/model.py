@@ -1,7 +1,8 @@
 """Physical constants, internal unit system, the shared device, field and
-grid types that a run configuration is validated with, and the range rules
+grid types that a run configuration is validated with, the range rules
 (check_finite, check_positive, check_count) that every layer and the CLI
-check a scalar argument with.
+check a scalar argument with, and the bounds those rules are given for a
+relative field error, an integrator tolerance and a drive's length.
 
 Every downstream module works in an internal unit system tied to the device
 geometry: energies in units of hbar^2 / (2 m* r^2), lengths in units of the
@@ -31,6 +32,9 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_LOC_THRESHOLD = 0.6  # bound-state localization cut; see spectral
 CLOSED_FORM = "closed_form"  # the two coefficient routes of reduction
 NUMERICAL_TAYLOR = "numerical_taylor"
+MAX_RELATIVE_ERROR = 0.1  # largest |dB| or |dE| an errors.ErrorModel accepts
+TOL_RANGE = (1e-12, 1e-6)  # integrator tolerances accepted by the lab-frame paths of dynamics
+MAX_DRIVE_CYCLES = 2.0**63  # drive periods in one propagation; cycle counts are int64
 
 
 @dataclass(frozen=True)

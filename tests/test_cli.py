@@ -616,6 +616,19 @@ class TestWarningsInManifest:
         spread = [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
         assert len(spread) == 1
 
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_recorded_whatever_the_interpreter_filters(self, tmp_path, action):
+        # -W ignore would drop the warning from the manifest, -W error would
+        # turn it into a traceback: the run records under its own filter
+        done = subprocess.run([sys.executable, "-W", action, "-m", "torusqubit.cli",
+                               "--preset", "fig3b", "--B", "0", "qubit-params",
+                               "--output-dir", str(tmp_path)],
+                              env=source_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        manifest = json.loads((tmp_path / "qubit_params.json.manifest.json").read_text())
+        assert [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
+
     def test_window_exit_flags_recorded(self, tmp_path, capsys):
         code, out = run(
             ["--preset", "fig5", "--n-points", "256", "fidelity", "--check-window",
@@ -746,6 +759,26 @@ class TestNewSurfaces:
         loaded = modules_after(code, "torusqubit", "scipy", "numpy")
         assert [m for m in loaded if not m.startswith("numpy")] == sorted(expected)
         assert ("numpy" in loaded) == (args[0] != "qubit-params")
+
+    @pytest.mark.parametrize("args", [
+        ["fidelity", "--range", "0:0.5:3"],
+        ["fidelity", "--samples", "0"],
+        ["mitigate", "--delta-b", "0.5"],
+        ["gate", "--tol", "1"],
+        ["sweep-b", "--b-range", "0:1"],
+        ["sweep-b", "--levels", "0"],
+        ["spectrum", "--levels", "0"],
+        ["window", "--scan-max", "-1"],
+        ["evolve", "--samples", "1"],
+        ["potential", "--E-static", "inf"],
+    ], ids=" ".join)
+    def test_option_error_loads_no_layer(self, tmp_path, args):
+        # an option's bounds live in model, so it is checked before the
+        # subcommand imports its first layer
+        argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
+        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 2"
+        assert modules_after(code, "torusqubit") == [
+            "torusqubit", "torusqubit.cli", "torusqubit.model"]
 
     @pytest.mark.parametrize("args, exit_code", [
         (["--preset", "fig5", "qubit-params"], 0),

@@ -107,6 +107,13 @@ class TestLowestEigenpairs:
         np.testing.assert_allclose(energies, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(vectors), np.full((2, 2), 1 / math.sqrt(2)), atol=1e-14)
 
+    @pytest.mark.parametrize("value", [3.0, -2.5])
+    def test_one_by_one(self, value):
+        # a one-point grid has no theta in (0, pi): the sign rule reads row 0
+        energies, vectors = lowest_eigenpairs(np.array([[value]]), 1)
+        assert energies.tolist() == [value]
+        assert vectors.tolist() == [[1.0]]
+
     def test_diagonal_matrix(self):
         rng = np.random.default_rng(3)
         d = rng.normal(size=40)
