@@ -153,9 +153,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.ndarray:
-    """Parse "a:b:n" into n values, linearly or (spacing "log") geometrically
-    spaced; arg names the option in error messages."""
+def parse_range(spec: str, spacing: str = "linear", arg: str = "range",
+                bound: float = math.inf) -> np.ndarray:
+    """Parse "a:b:n" into n values in [-bound, bound], linearly or (spacing
+    "log") geometrically spaced; arg names the option in error messages."""
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -167,6 +168,7 @@ def parse_range(spec: str, spacing: str = "linear", arg: str = "range") -> np.nd
         raise ConfigError(f"{arg} needs at least 2 points, got {spec!r}")
     if spacing == "log" and (lo <= 0 or hi <= 0):
         raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
+    _option(check_finite, max(lo, hi, key=abs), arg, -bound, bound)  # lo and hi are the extremes
     import numpy as np
 
     return np.geomspace(lo, hi, n) if spacing == "log" else np.linspace(lo, hi, n)
@@ -310,19 +312,17 @@ def cmd_spectrum(args, config: RunConfig) -> Output:
 
 
 def cmd_sweep_b(args, config: RunConfig) -> Output:
+    try:
+        m_list = [int(m) for m in args.m_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
+    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     values = parse_range(args.b_range, arg="--b-range")
     import numpy as np
 
     steps = np.diff(values)
     if not (values.min() >= 0 and (np.all(steps > 0) or np.all(steps < 0))):
         raise ConfigError(f"--b-range must be non-negative and monotone, got {args.b_range!r}")
-    try:
-        m_list = [int(m) for m in args.m_list.split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"--m-list must be comma-separated integers, got {args.m_list!r}"
-        ) from None
-    levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     from .spectral import sweep_field
 
     spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
@@ -440,9 +440,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
         "unitary": [[[value.real, value.imag] for value in row] for row in unitary],
         "fidelity_to_ideal": fidelity,
     }
-    if args.leakage:  # a sequence without pulses (a virtual phase gate) drives nothing
+    if args.leakage:  # a virtual phase gate drives nothing
         payload["max_leakage"] = 0.0
-        if seq.pulses:
+        if gate.drives:
             drive = drive_field(seq.pulses[0], qubit)
             payload["max_leakage"] = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
     print(f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
@@ -457,7 +457,6 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
     `<key>,mean_infidelity,max_infidelity` rows, whose manifest lists each
     row's exact oracles.
     """
-    _option(check_count, args.samples, "--samples", 1)
     gate = _parse_gate(args.gate)
     from .errors import field_error_sweep
 
@@ -476,9 +475,8 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
 
 
 def cmd_fidelity(args, config: RunConfig) -> Output:
-    deltas = parse_range(args.range, arg="--range")
-    edge = float(max(deltas[0], deltas[-1], key=abs))  # linspace ends at its extremes
-    _option(check_finite, edge, "--range", -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
+    _option(check_count, args.samples, "--samples", 1)
+    deltas = parse_range(args.range, arg="--range", bound=MAX_RELATIVE_ERROR)
     point = {"delta_B_rel": 0.0, "delta_E_rel": 0.0,
              "B0": _option(check_positive, config.B, "--B"),
              "E0": _option(check_positive, config.E0, "--E0")}
@@ -487,6 +485,7 @@ def cmd_fidelity(args, config: RunConfig) -> Output:
 
 
 def cmd_mitigate(args, config: RunConfig) -> Output:
+    _option(check_count, args.samples, "--samples", 1)
     for value, name in ((args.delta_b, "--delta-b"), (args.delta_e, "--delta-e")):
         _option(check_finite, value, name, -MAX_RELATIVE_ERROR, MAX_RELATIVE_ERROR)
     if args.sweep == "E0":  # the grid replaces E0, so B0 is the fixed reference

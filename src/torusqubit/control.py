@@ -187,22 +187,6 @@ class Gate:
         return phase_insensitive_fidelity(np.diag([1.0, cmath.exp(1j * self.angles[0])]), unitary)
 
 
-def _labframe_segment_unitary(
-    pulse: PulseSpec, qubit: QubitParameters, tol: float
-) -> np.ndarray:
-    """Lab-frame propagator of one segment, rotated into its drive frame.
-
-    The segment's drive (dynamics.drive_field) runs at omega_rf = omega -
-    Delta with the segment clock starting at zero; applying R(t) =
-    exp(i omega_rf t sigma_+ sigma_-) to the lab-frame propagator yields the
-    unitary comparable with the segment's RWA propagator.
-    """
-    field = drive_field(pulse, qubit)
-    unitary = labframe_unitary(qubit, field, pulse.duration, tol=tol)
-    unitary[1] *= np.exp(1j * field.omega_rf * pulse.duration)
-    return unitary
-
-
 def gate_unitary(
     seq: PulseSequence,
     qubit: QubitParameters | None,
@@ -222,7 +206,11 @@ def gate_unitary(
         if mode == "rwa":
             segment = rwa_unitary(pulse)
         else:
-            segment = _labframe_segment_unitary(pulse, qubit, tol)
+            # the drive runs at omega_rf = omega - Delta from t = 0; R(t) = exp(i omega_rf t
+            # sigma_+ sigma_-) makes the lab-frame propagator comparable with the RWA one
+            field = drive_field(pulse, qubit)
+            segment = labframe_unitary(qubit, field, pulse.duration, tol=tol)
+            segment[1] *= np.exp(1j * field.omega_rf * pulse.duration)
         unitary = segment @ unitary
     if seq.frame_phase:
         unitary = np.diag([1.0, cmath.exp(1j * seq.frame_phase)]) @ unitary

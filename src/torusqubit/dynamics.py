@@ -309,7 +309,6 @@ def _drive_propagators(
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError("t must be finite and non-negative")
-    dim = h0.shape[0]
     period = 2.0 * math.pi / abs(omega_rf) if omega_rf else math.inf
     longest = float(times.max()) / period  # a float quotient: inf past the range, no warning
     if not longest < MAX_DRIVE_CYCLES:
@@ -318,9 +317,6 @@ def _drive_propagators(
     cycles = cycles.astype(np.int64)
     n_max = int(cycles.max())
     end = period if n_max else float(rests.max())
-    if end == 0.0:
-        return np.broadcast_to(np.eye(dim, dtype=complex), (times.size, dim, dim)).copy()
-
     sol = solve_ivp((-1j / HBAR) * h0, (-1j / HBAR) * coupling, omega_rf, phi,
                     np.append(rests, end), tol / max(n_max, 1))
     # sol.y[-1] is U_T whenever a cycle count is nonzero

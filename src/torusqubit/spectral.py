@@ -97,18 +97,8 @@ def _stencil(disc: Discretization) -> tuple[float, ...]:
     return (30.0 * c, -16.0 * c, 1.0 * c)
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(disc: Discretization) -> tuple[np.ndarray, slice]:
-    """disc.theta, read-only, and its rows in the trapping sector theta in
-    [pi/2, 3pi/2]; a sweep computes them once."""
-    theta = disc.theta
-    theta.flags.writeable = False
-    rows = np.flatnonzero((theta >= np.pi / 2) & (theta <= 3 * np.pi / 2))
-    return theta, slice(int(rows[0]), int(rows[-1]) + 1)
-
-
 def _grid_potential(params: PotentialParams, disc: Discretization) -> np.ndarray:
-    v = np.asarray(total_internal(_grid(disc)[0], params), dtype=float)
+    v = np.asarray(total_internal(disc.theta, params), dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential evaluated to non-finite values")
     return v
@@ -157,13 +147,21 @@ def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
 
     energies, vectors = np.linalg.eigh(H)
     energies, vectors = energies[:k], vectors[:, :k]
-    tol = 1e-9 * float(np.abs(H).sum(axis=1).max())  # the inf-norm bounds the 2-norm
-    worst = float(np.linalg.norm(H @ vectors - vectors * energies, axis=0).max())
-    if worst > tol:
-        raise EigensolverError(
-            f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
-        )
+    _check_residuals(H @ vectors - vectors * energies, float(np.abs(H).sum(axis=1).max()))
     return energies, _fix_signs(vectors)
+
+
+def _check_residuals(residuals: np.ndarray, norm: float, unconverged: str | None = None) -> None:
+    """The contract of both solvers: each column H v - lambda v of residuals has norm
+    <= 1e-9 norm, where norm >= ||H||_inf >= ||H||_2.  EigensolverError carries the worst
+    norm when the contract fails, or whatever it is when unconverged says why the pairs fail."""
+    worst = float(np.linalg.norm(residuals, axis=0).max())
+    tol = 1e-9 * norm
+    if unconverged is not None:
+        raise EigensolverError(f"{unconverged}; residual {worst:.3e}", residual=worst)
+    if worst > tol:
+        raise EigensolverError(f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}",
+                               residual=worst)
 
 
 def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
@@ -289,10 +287,7 @@ def _sector_eigenpairs(
         blocks, levels, tails = [], [], []
         for parity in parities:
             basis = _ritz_basis(disc, cutoff, parity)
-            ritz = sums[basis.first]
-            ritz += sums[basis.second]
-            ritz *= 0.5
-            ritz *= basis.scale
+            ritz = (sums[basis.first] + sums[basis.second]) * 0.5 * basis.scale
             ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
             values, coeffs = np.linalg.eigh(ritz)
             blocks.append((basis, coeffs[:, :k]))
@@ -318,19 +313,11 @@ def _sector_eigenpairs(
 
     stencil = _stencil(disc)
     diagonal = stencil[0] + v
-    applied = _apply_operator(stencil, diagonal, vectors)
-    worst = float(np.linalg.norm(applied - vectors * energies, axis=0).max())
-    tol = 1e-9 * (float(np.abs(diagonal).max()) + 2.0 * sum(map(abs, stencil[1:])))
-    if not converged:
-        modes = sum(basis.kinetic.size for basis, _ in blocks)
-        raise EigensolverError(
-            f"Fourier basis reached its cap of {modes} modes with Ritz tail weight"
-            f" {tail:.3e}; residual {worst:.3e}", residual=worst
-        )
-    if worst > tol:
-        raise EigensolverError(
-            f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}", residual=worst
-        )
+    unconverged = None if converged else (
+        f"Fourier basis reached its cap of {sum(basis.kinetic.size for basis, _ in blocks)} modes"
+        f" with Ritz tail weight {tail:.3e}")
+    _check_residuals(_apply_operator(stencil, diagonal, vectors) - vectors * energies,
+                     float(np.abs(diagonal).max()) + 2.0 * sum(map(abs, stencil[1:])), unconverged)
     return energies, vectors
 
 
@@ -348,15 +335,23 @@ def solve_sector(
     params.E_static == 0; they meet the residual contract of
     lowest_eigenpairs, the dense reference of the same operator.  Each
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
+    An EigensolverError is re-raised naming the point: B, E unless zero, and m.
     """
     check_loc_threshold(loc_threshold)
-    n = disc.n_points
-    check_count(k, "k", 1, n)
-    # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
-    energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k,
-                                            mirror=params.E_static == 0)
+    check_count(k, "k", 1, disc.n_points)
+    try:
+        # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
+        energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k,
+                                                mirror=params.E_static == 0)
+    except EigensolverError as exc:
+        field = f", E={params.E_static!r}" if params.E_static else ""
+        raise EigensolverError(f"eigensolve failed at B={params.B!r}{field},"
+                               f" m={params.m_orbital}: {exc}", residual=exc.residual) from exc
     waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
-    localizations = np.sum(waves[:, _grid(disc)[1]] ** 2, axis=1)
+    # theta in [pi/2, 3pi/2] as a slice: a row gather would sum in another order
+    theta = disc.theta
+    inner = slice(theta.searchsorted(np.pi / 2), theta.searchsorted(3 * np.pi / 2, "right"))
+    localizations = np.sum(waves[:, inner] ** 2, axis=1)
     waves /= math.sqrt(disc.spacing)
     barrier = float(total_internal(0.0, params))
 
@@ -373,18 +368,6 @@ def solve_sector(
             bound=energy < barrier and loc >= loc_threshold,
         ))
     return Spectrum(params=params, states=tuple(states), barrier_energy=barrier)
-
-
-def _solve_point(geom: TorusGeometry, disc: Discretization, field: str, value: float, m: int,
-                 k: int, loc_threshold: float) -> Spectrum:
-    """solve_sector of sector m with the static field named by field, "B" or
-    "E", at value; an EigensolverError is re-raised naming the point."""
-    params = PotentialParams(geom=geom, m_orbital=m, **{"B" if field == "B" else "E_static": value})
-    try:
-        return solve_sector(params, disc, k=k, loc_threshold=loc_threshold)
-    except EigensolverError as exc:
-        raise EigensolverError(f"eigensolve failed at {field}={value!r}, m={m}: {exc}",
-                               residual=exc.residual) from exc
 
 
 def sweep_field(
@@ -404,7 +387,9 @@ def sweep_field(
     """
     if field not in ("B", "E"):
         raise ValueError("field must be 'B' or 'E'")
-    return [_solve_point(geom, disc, field, float(value), m, k, loc_threshold)
+    key = "B" if field == "B" else "E_static"
+    return [solve_sector(PotentialParams(geom=geom, m_orbital=m, **{key: float(value)}), disc,
+                         k=k, loc_threshold=loc_threshold)
             for value in field_values for m in m_list]
 
 
@@ -420,14 +405,14 @@ def initialization_window(
     locates the first region with a two-state count.  It stops at the first
     point past that region with more than two bound states, and solves no
     point beyond it; it runs to B_scan_max only when no such point exists.
-    Both edges are then bisected to 1e-3 T.  Every point is solved as a
-    sweep_field point is, so an eigensolve failure names its field.  Raises
-    WindowNotFoundError when the two-state condition never occurs.
+    Both edges are then bisected to 1e-3 T; an eigensolve failure names its
+    field (solve_sector).  Raises WindowNotFoundError when the two-state
+    condition never occurs.
     """
 
     def count(B: float) -> int:
         """Number of bound states in the m=0 sector at field B."""
-        return _solve_point(geom, disc, "B", B, 0, 6, loc_threshold).n_bound
+        return solve_sector(PotentialParams(geom=geom, B=B), disc, loc_threshold=loc_threshold).n_bound
 
     grid = np.linspace(0.0, B_scan_max, 41)
     counts: list[int] = []

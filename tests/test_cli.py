@@ -279,6 +279,15 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
         assert not out.exists()
 
+    def test_eigensolve_failure_names_its_point(self, tmp_path, capsys):
+        # no Fourier basis within the cap resolves a sector of so large an m
+        code, out = run(["--preset", "fig5", "spectrum", "--m", "1000000000000"], tmp_path, "out")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: eigensolve failed at B=0.45, m=1000000000000: ")
+        assert not out.exists()
+
     @pytest.mark.skipif(not openblas_dynamic_arch(),
                         reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
     def test_non_unitary_long_drive_on_an_avx2_kernel(self, tmp_path):
@@ -764,6 +773,7 @@ class TestNewSurfaces:
         ["fidelity", "--range", "0:0.5:3"],
         ["fidelity", "--samples", "0"],
         ["mitigate", "--delta-b", "0.5"],
+        ["mitigate", "--samples", "0"],
         ["gate", "--tol", "1"],
         ["sweep-b", "--b-range", "0:1"],
         ["sweep-b", "--levels", "0"],
@@ -774,10 +784,10 @@ class TestNewSurfaces:
     ], ids=" ".join)
     def test_option_error_loads_no_layer(self, tmp_path, args):
         # an option's bounds live in model, so it is checked before the
-        # subcommand imports its first layer
+        # subcommand imports its first layer or numpy
         argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 2"
-        assert modules_after(code, "torusqubit") == [
+        assert modules_after(code, "torusqubit", "numpy") == [
             "torusqubit", "torusqubit.cli", "torusqubit.model"]
 
     @pytest.mark.parametrize("args, exit_code", [

@@ -507,6 +507,16 @@ class TestStructuredSolve:
             "eigensolve failed at B=0.0, m=0: Fourier basis reached its cap of 65 modes")
         assert info.value.residual == info.value.__cause__.residual > 0.0
 
+    def test_electric_failure_names_its_field(self, monkeypatch):
+        # one block of 2K + 1 modes, as the static field breaks the mirror
+        monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
+        with pytest.raises(EigensolverError) as info:
+            solve_sector(PotentialParams(geom=THIN_GEOM, B=0.45, E_static=200.0),
+                         Discretization(1024), k=6)
+        assert str(info.value).startswith("eigensolve failed at B=0.45, E=200.0, m=0:"
+                                          " Fourier basis reached its cap of 65 modes")
+        assert info.value.residual == info.value.__cause__.residual > 0.0
+
 
 def _recorded_eigh_sizes(monkeypatch) -> list[int]:
     """The row counts of the matrices the sector solve hands to eigh, in call order."""
@@ -591,8 +601,8 @@ class TestParitySplit:
         params = PotentialParams(geom=fig3b_geom, B=B)
         spec = solve_sector(params, disc1024, k=6)
         energies, vectors = _parity_reference(params, disc1024, 6)
-        inner = spectral._grid(disc1024)[1]
-        reference = np.sum(vectors[inner] ** 2, axis=0)
+        theta = disc1024.theta
+        reference = np.sum(vectors[(theta >= np.pi / 2) & (theta <= 3 * np.pi / 2)] ** 2, axis=0)
         assert spec.states[5].localization == pytest.approx(reference[5], rel=0.0, abs=1e-12)
         np.testing.assert_allclose([s.energy for s in spec.states], energies, rtol=1e-10, atol=0.0)
 

@@ -1,8 +1,9 @@
-"""The README's "Reproducing the study figures" commands and the fig3a
-`window` command, run in-process at README size and checked by the
-benchmark's checks in bench/checks.py.  Those checks import nothing of
-torusqubit: their constants, geometries and reference formulas are typed
-apart from the program, so a fault in its physics cannot also hide there.
+"""The README's "Reproducing the study figures" commands, the fig3a
+`window` command and the `mitigate --sweep B0` line, run in-process at
+README size and checked by the benchmark's checks in bench/checks.py.
+Those checks import nothing of torusqubit: their constants, geometries and
+reference formulas are typed apart from the program, so a fault in its
+physics cannot also hide there.
 """
 
 import importlib.util
@@ -23,6 +24,8 @@ STUDY = {
     "mitigate": ["--preset", "fig5", "mitigate", "--delta-b", "0.005"],
     "fidelity-dE": ["--preset", "fig5", "fidelity", "--scan", "dE", "--range", "0:0.01:21"],
     "window": ["--preset", "fig3a", "window"],
+    "mitigate-B0": ["--preset", "fig5", "--E0", "1000", "mitigate", "--sweep", "B0",
+                    "--delta-e", "0.005", "--delta-b", "0"],
 }
 
 
@@ -76,3 +79,15 @@ def test_de_scan_is_the_closed_form(checks, study):
 
 def test_stronger_drive_mitigates(checks, study):
     checks.check_mitigation(checks.load_csv(study["mitigate"] / "mitigate.csv"))
+
+
+def test_drive_error_alone_is_flat_in_the_field(checks, study):
+    # with --delta-b 0 only the Rabi rate errs, by 0.5%, and the Hadamard's
+    # error depends on it only relative to the calibrated rate, whatever B0:
+    # every row's exact Haar mean is (2/3) sin^2 chi at dE = 0.005
+    # (checks.hadamard_de_infidelity); the rows spread by 3.07e-11 relative
+    manifest = checks.load_json(study["mitigate-B0"] / "mitigate.csv.manifest.json")
+    haar = manifest["results"]["haar_mean_exact"]
+    assert len(haar) == len(checks.load_csv(study["mitigate-B0"] / "mitigate.csv"))
+    assert max(haar) - min(haar) <= 1e-10 * min(haar)
+    assert haar == pytest.approx([1.44523e-5] * len(haar), rel=1e-5)
