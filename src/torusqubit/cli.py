@@ -15,9 +15,8 @@ Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
 every configuration error run without it.
 
-Presets name the geometries and operating point used throughout:
-fig3a (r=350 A, R=900 A), fig3b (r=350 A, R=3600 A), and fig5
-(fig3a at B=0.45 T, E0=100 V/m).
+PRESETS names the geometries used throughout, fig3a and fig3b, and the
+operating point fig5, which is fig3a at B=0.45 T and E0=100 V/m.
 """
 
 from __future__ import annotations
@@ -49,28 +48,24 @@ if TYPE_CHECKING:
 
 ANGSTROM = 1e-10
 
+_FIG3A = {"r_minor": 350 * ANGSTROM, "R_major": 900 * ANGSTROM}
 PRESETS = {
-    "fig3a": {"r_minor": 350 * ANGSTROM, "R_major": 900 * ANGSTROM},
-    "fig3b": {"r_minor": 350 * ANGSTROM, "R_major": 3600 * ANGSTROM},
-    "fig5": {
-        "r_minor": 350 * ANGSTROM,
-        "R_major": 900 * ANGSTROM,
-        "B": 0.45,
-        "E0": 100.0,
-    },
+    "fig3a": _FIG3A,
+    "fig3b": {**_FIG3A, "R_major": 3600 * ANGSTROM},
+    "fig5": {**_FIG3A, "B": 0.45, "E0": 100.0},
 }
 
 @dataclass
 class RunConfig:
     """Resolved run configuration shared by all subcommands."""
 
-    r_minor: float = 350 * ANGSTROM
-    R_major: float = 900 * ANGSTROM
-    mass_ratio: float = 0.3
+    r_minor: float = _FIG3A["r_minor"]
+    R_major: float = _FIG3A["R_major"]
+    mass_ratio: float = TorusGeometry.effective_mass_ratio
     B: float = 0.0
     E0: float = 100.0
-    n_points: int = 1024
-    stencil_order: int = 2
+    n_points: int = Discretization.n_points
+    stencil_order: int = Discretization.stencil_order
     seed: int = 12345
     source: str = NUMERICAL_TAYLOR
     loc_threshold: float = DEFAULT_LOC_THRESHOLD
@@ -154,9 +149,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def parse_range(spec: str, spacing: str = "linear", arg: str = "range",
-                bound: float = math.inf) -> np.ndarray:
+                bound: float = math.inf, order: str | None = None) -> np.ndarray:
     """Parse "a:b:n" into n values in [-bound, bound], linearly or (spacing
-    "log") geometrically spaced; arg names the option in error messages."""
+    "log") geometrically spaced; arg names the option in error messages.
+    order, "non-negative and monotone" or "positive and increasing", is checked
+    on a and b before numpy loads, then on the grid, which must be strictly monotone."""
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -169,9 +166,17 @@ def parse_range(spec: str, spacing: str = "linear", arg: str = "range",
     if spacing == "log" and (lo <= 0 or hi <= 0):
         raise ConfigError(f"{arg} with log spacing needs positive endpoints, got {spec!r}")
     _option(check_finite, max(lo, hi, key=abs), arg, -bound, bound)  # lo and hi are the extremes
+    ordered = {None: True, "non-negative and monotone": min(lo, hi) >= 0 and lo != hi,
+               "positive and increasing": 0 < lo < hi}
+    misordered = ConfigError(f"{arg} must be {order}, got {spec!r}")
+    if not ordered[order]:
+        raise misordered
     import numpy as np
 
-    return np.geomspace(lo, hi, n) if spacing == "log" else np.linspace(lo, hi, n)
+    values = np.geomspace(lo, hi, n) if spacing == "log" else np.linspace(lo, hi, n)
+    if order is not None and not np.all(np.diff(values) * math.copysign(1.0, hi - lo) > 0):
+        raise misordered  # endpoints a few ulps apart can repeat values
+    return values
 
 
 def _option(rule, value, arg: str, *bounds):
@@ -317,12 +322,7 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
     except ValueError:
         raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
     levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
-    values = parse_range(args.b_range, arg="--b-range")
-    import numpy as np
-
-    steps = np.diff(values)
-    if not (values.min() >= 0 and (np.all(steps > 0) or np.all(steps < 0))):
-        raise ConfigError(f"--b-range must be non-negative and monotone, got {args.b_range!r}")
+    values = parse_range(args.b_range, arg="--b-range", order="non-negative and monotone")
     from .spectral import sweep_field
 
     spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
@@ -494,11 +494,7 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     else:
         spec, arg, spacing = args.b0_range, "--b0-range", "linear"
         _option(check_positive, config.E0, "--E0")
-    grid = parse_range(spec, spacing, arg=arg)
-    import numpy as np
-
-    if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
-        raise ConfigError(f"{arg} must be positive and increasing, got {spec!r}")
+    grid = parse_range(spec, spacing, arg=arg, order="positive and increasing")
     key = args.sweep
     point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": config.B,
              "E0": config.E0}
@@ -554,33 +550,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("potential", help="potential profile CSV", parents=[common])
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help, parents=[common])
+        subparser.set_defaults(func=func)
+        return subparser
+
+    p = command("potential", cmd_potential, "potential profile CSV")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--E-static", type=float, default=0.0, dest="E_static")
-    p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("spectrum", help="lowest eigenpairs of one sector", parents=[common])
+    p = command("spectrum", cmd_spectrum, "lowest eigenpairs of one sector")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--dump-wavefunctions", action="store_true")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("sweep-b", help="bound-state energies vs magnetic field",
-                       parents=[common])
+    p = command("sweep-b", cmd_sweep_b, "bound-state energies vs magnetic field")
     p.add_argument("--b-range", default="0:2:41", help="a:b:n in tesla")
     p.add_argument("--m-list", default="0", help="comma-separated orbital numbers")
     p.add_argument("--levels", type=int, default=6)
-    p.set_defaults(func=cmd_sweep_b)
 
-    p = sub.add_parser("window", help="two-bound-state initialization window",
-                       parents=[common])
+    p = command("window", cmd_window, "two-bound-state initialization window")
     p.add_argument("--scan-max", type=float, default=2.0)
-    p.set_defaults(func=cmd_window)
 
-    p = sub.add_parser("qubit-params", help="two-level reduction report", parents=[common])
-    p.set_defaults(func=cmd_qubit_params)
+    command("qubit-params", cmd_qubit_params, "two-level reduction report")
 
-    p = sub.add_parser("evolve", help="Bloch trajectory CSV for one pulse", parents=[common])
+    p = command("evolve", cmd_evolve, "Bloch trajectory CSV for one pulse")
     p.add_argument("--rabi", type=float, default=None, help="Rabi rate [rad/s]")
     p.add_argument("--detuning", type=float, default=0.0)
     p.add_argument("--phase", type=float, default=0.0)
@@ -588,27 +582,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--three-level", action="store_true", dest="three_level",
                    help="integrate the anharmonic ladder and emit p2")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("gate", help="synthesize and verify a gate", parents=[common])
+    p = command("gate", cmd_gate, "synthesize and verify a gate")
     p.add_argument("--gate", default="hadamard", help="hadamard | phase:ETA | prep:THETA,ETA")
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--leakage", action="store_true", help="also run the three-level probe")
-    p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("fidelity", help="infidelity vs relative field error",
-                       parents=[common])
+    p = command("fidelity", cmd_fidelity, "infidelity vs relative field error")
     p.add_argument("--gate", default="hadamard")
     p.add_argument("--scan", choices=("dB", "dE"), default="dB")
     p.add_argument("--range", default="0:0.01:11", help="relative error a:b:n")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
     p.add_argument("--check-window", action="store_true")
-    p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("mitigate", help="infidelity vs drive amplitude at fixed errors",
-                       parents=[common])
+    p = command("mitigate", cmd_mitigate, "infidelity vs drive amplitude at fixed errors")
     p.add_argument("--gate", default="hadamard")
     p.add_argument("--delta-b", type=float, default=5e-3, dest="delta_b")
     p.add_argument("--delta-e", type=float, default=0.0, dest="delta_e")
@@ -618,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
-    p.set_defaults(func=cmd_mitigate)
 
     return parser
 

@@ -1,10 +1,12 @@
 """Pulse-sequence synthesis for state preparation and single-qubit gates.
 
 Sequences are lists of rotating-frame drive segments (see dynamics.PulseSpec)
-plus an optional trailing frame phase.  The frame phase realizes virtual
-phase gates exactly: it relabels the |1> axis of the rotating frame, which
-is standard practice and costs no evolution time.  A physical detuned-wait
-realization is provided as an alternative.
+plus an optional trailing frame phase.  Each driven gate is one pulse: the
+Hadamard a tilted pulse at detuning -Omega, a preparation a resonant one.
+The frame phase realizes virtual phase gates exactly: it relabels the |1>
+axis of the rotating frame, which is standard practice and costs no
+evolution time.  A physical detuned-wait realization is provided as an
+alternative.
 
 `Gate` is the one home of the gate vocabulary: it parses a gate's name and
 angles, synthesizes its sequence and scores a composed unitary against the
@@ -79,43 +81,25 @@ def prepare_state(theta: float, eta: float, qubit: QubitParameters, E0: float) -
     )
 
 
-def hadamard_sequence(qubit: QubitParameters, E0: float, style: str = "tilted") -> PulseSequence:
-    """Pulse realization of the Hadamard gate.
+def hadamard_sequence(qubit: QubitParameters, E0: float) -> PulseSequence:
+    """The Hadamard gate as one tilted pulse.
 
-    "tilted": one segment at detuning Delta = -Omega, phase 0, duration
+    The segment runs at detuning Delta = -Omega, phase 0, for a duration
     pi / (sqrt(2) Omega).  Its rotation axis is (1, 0, 1)/sqrt(2) (with the
     ground state at z = +1), and the rotation angle is pi, which is the
     Hadamard reflection up to a global phase.
-
-    "composite": Ry(pi/2) then a pi pulse about x, since X Ry(pi/2) = H.
     """
     omega_rabi = check_positive(rabi_frequency(qubit.mu_dipole, E0), "drive amplitude")
-    if style == "tilted":
-        return PulseSequence(
-            pulses=(
-                PulseSpec(
-                    rabi_Omega=omega_rabi,
-                    detuning_Delta=-omega_rabi,
-                    phase_phi=0.0,
-                    duration=math.pi / (math.sqrt(2.0) * omega_rabi),
-                ),
-            )
+    return PulseSequence(
+        pulses=(
+            PulseSpec(
+                rabi_Omega=omega_rabi,
+                detuning_Delta=-omega_rabi,
+                phase_phi=0.0,
+                duration=math.pi / (math.sqrt(2.0) * omega_rabi),
+            ),
         )
-    if style == "composite":
-        quarter = PulseSpec(
-            rabi_Omega=omega_rabi,
-            detuning_Delta=0.0,
-            phase_phi=3.0 * math.pi / 2,  # rotation axis +y
-            duration=math.pi / (2.0 * omega_rabi),
-        )
-        flip = PulseSpec(
-            rabi_Omega=omega_rabi,
-            detuning_Delta=0.0,
-            phase_phi=0.0,
-            duration=math.pi / omega_rabi,
-        )
-        return PulseSequence(pulses=(quarter, flip))
-    raise ValueError(f"unknown Hadamard style {style!r}")
+    )
 
 
 def phase_gate_sequence(

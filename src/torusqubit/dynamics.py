@@ -68,10 +68,6 @@ class QuantumState:
         amp = np.asarray(amplitudes, dtype=complex)
         return cls(amp / np.linalg.norm(amp))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def overlap(self, other: "QuantumState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 

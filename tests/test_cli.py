@@ -225,6 +225,8 @@ class TestConfigHandling:
                 parse_range(spec)
         with pytest.raises(ConfigError, match="--e0-range"):
             parse_range("0:100:3", "log", arg="--e0-range")
+        np.testing.assert_array_equal(parse_range("1:0:3", order="non-negative and monotone"),
+                                      [1.0, 0.5, 0.0])
 
     @pytest.mark.parametrize("flag", ["--E0", "--B", "--mass-ratio"])
     def test_nan_config_rejected_without_artifact(self, tmp_path, capsys, flag):
@@ -376,6 +378,10 @@ class TestConfigHandling:
         (["mitigate", "--e0-range", "-1:5:3"], "--e0-range with log spacing needs positive"),
         (["sweep-b", "--b-range", "-1:1:3"], "--b-range must be non-negative"),
         (["evolve", "--three-level", "--duration", "1e12"], "--duration must span fewer than 2^63"),
+        # endpoints a few ulps apart pass the endpoint rule and repeat grid values
+        (["sweep-b", "--b-range", "0:5e-324:3"], "--b-range must be non-negative and monotone"),
+        (["mitigate", "--spacing", "linear", "--e0-range", "1:1.0000000000000002:5"],
+         "--e0-range must be positive and increasing"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -774,8 +780,11 @@ class TestNewSurfaces:
         ["fidelity", "--samples", "0"],
         ["mitigate", "--delta-b", "0.5"],
         ["mitigate", "--samples", "0"],
+        ["mitigate", "--sweep", "B0", "--b0-range", "0:1:3"],
+        ["mitigate", "--spacing", "linear", "--e0-range", "0:10:3"],
         ["gate", "--tol", "1"],
         ["sweep-b", "--b-range", "0:1"],
+        ["sweep-b", "--b-range", "-1:1:3"],
         ["sweep-b", "--levels", "0"],
         ["spectrum", "--levels", "0"],
         ["window", "--scan-max", "-1"],

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from torusqubit.control import (
     HADAMARD,
@@ -49,6 +50,17 @@ class TestGate:
         with pytest.raises(ValueError) as info:
             Gate.parse(spec)
         assert str(info.value).startswith(rule) and str(info.value).endswith(f"got {spec!r}")
+
+    @given(spec=st.one_of(
+        st.just("hadamard"),
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True).map("phase:{!r}".format),
+        st.tuples(st.floats(0.0, math.pi, exclude_min=True), st.floats(0.0, math.pi)).map(
+            lambda angles: "prep:{!r},{!r}".format(*angles)),
+    ), e0=st.floats(1e-3, 1e6))
+    def test_driven_gate_is_one_pulse(self, fig5_qubit, spec, e0):
+        # cmd_gate's leakage probe drives seq.pulses[0] for the whole sequence
+        gate = Gate.parse(spec)
+        assert len(gate.sequence(fig5_qubit, e0).pulses) == (1 if gate.drives else 0)
 
     @pytest.mark.parametrize("spec", ["hadamard", "phase:1.0", "prep:1.2,0.7"])
     def test_rwa_sequence_reaches_the_ideal(self, fig5_qubit, spec):
@@ -111,10 +123,9 @@ class TestPrepareState:
 
 
 class TestHadamard:
-    @pytest.mark.parametrize("style", ["tilted", "composite"])
-    def test_zero_drive_rejected(self, fig5_qubit, style):
+    def test_zero_drive_rejected(self, fig5_qubit):
         with pytest.raises(ValueError, match="^drive amplitude must be finite and positive"):
-            hadamard_sequence(fig5_qubit, 0.0, style)
+            hadamard_sequence(fig5_qubit, 0.0)
 
     def test_maps_ground_to_plus(self, fig5_qubit):
         seq = hadamard_sequence(fig5_qubit, 100.0)
@@ -128,9 +139,8 @@ class TestHadamard:
         u = gate_unitary(twice, fig5_qubit)
         assert phase_insensitive_fidelity(np.eye(2), u) >= 1.0 - 1e-9
 
-    @pytest.mark.parametrize("style", ["tilted", "composite"])
-    def test_rwa_fidelity(self, fig5_qubit, style):
-        seq = hadamard_sequence(fig5_qubit, 100.0, style=style)
+    def test_rwa_fidelity(self, fig5_qubit):
+        seq = hadamard_sequence(fig5_qubit, 100.0)
         u = gate_unitary(seq, fig5_qubit)
         assert phase_insensitive_fidelity(HADAMARD, u) >= 1.0 - 1e-9
 
@@ -140,10 +150,6 @@ class TestHadamard:
         seq = hadamard_sequence(fig5_qubit, e0)
         u = gate_unitary(seq, fig5_qubit, mode="labframe", tol=1e-10)
         assert phase_insensitive_fidelity(HADAMARD, u) >= 0.999
-
-    def test_unknown_style_rejected(self, fig5_qubit):
-        with pytest.raises(ValueError):
-            hadamard_sequence(fig5_qubit, 100.0, style="fancy")
 
     def test_labframe_cost_independent_of_gate_length(self, fig5_qubit, monkeypatch):
         # E0 = 10 V/m drives ten times as many cycles as 100 V/m (~382 vs ~38)

@@ -46,7 +46,7 @@ class TestQuantumState:
 
     def test_of_normalizes(self):
         state = QuantumState.of(1.0, 1.0)
-        assert state.norm == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestEvolveLabframe:
         t = math.pi / (2 * omega_rabi)
         for tol in (1e-6, 1e-9, 1e-12):
             out = evolve_labframe(QuantumState.ground(), fig5_qubit, field, t, tol=tol)
-            assert abs(out.norm - 1.0) <= 10.0 * tol
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 10.0 * tol
 
     def test_tolerance_domain(self, fig5_qubit):
         field = FieldConfig(B=0.45, E0=1.0, omega_rf=fig5_qubit.omega, phi=0.0)
@@ -277,6 +277,21 @@ class TestLadderTrajectory:
         _, amplitudes = ladder_trajectory(fig5_qubit, field, t, 400, tol=1e-10)
         direct = leakage_probe(fig5_qubit, field, t, tol=1e-10)
         assert float(np.max(np.abs(amplitudes[:, 2]) ** 2)) == pytest.approx(direct, rel=1e-6)
+
+    def test_qubit_coupling_falls_short_of_the_dipole(self, fig5_qubit):
+        # the ladder couples |0> and |1> by e r E0 (s - s^3/2), from
+        # <1|X^3|0> = 3, where the two-level mu has s - s^3/6; so the default
+        # pi/(2 Omega) pulse of `--preset fig5 evolve --three-level` rotates by
+        # ratio * pi/2 and ends at p1 = sin^2(ratio pi/4), not 1/2
+        s = fig5_qubit.zero_point_spread
+        ratio = (s - s**3 / 2) / (s - s**3 / 6)
+        assert ratio == pytest.approx(0.8400, abs=5e-5)
+        omega_rabi = rabi_frequency(fig5_qubit.mu_dipole, 100.0)
+        pulse = _resonant(omega_rabi, 0.0, math.pi / (2 * omega_rabi))
+        field = drive_field(pulse, fig5_qubit)
+        _, amplitudes = ladder_trajectory(fig5_qubit, field, pulse.duration, 2)
+        p1 = abs(amplitudes[-1, 1]) ** 2
+        assert p1 == pytest.approx(math.sin(ratio * math.pi / 4) ** 2, abs=1e-3)
 
 
 def _direct_states(hamiltonian, psi0, times):
