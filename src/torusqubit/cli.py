@@ -13,7 +13,9 @@ import.  Three checks need a layer and follow its import: `--gate`, read by
 reduction; and the three-level duration limit, from `dynamics.drive_field`.
 Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
-every configuration error run without it.
+every configuration error run without it.  `main` sets
+OPENBLAS_THREAD_TIMEOUT=4 unless it is set, so OpenBLAS's idle worker
+threads sleep at once rather than spin 0.1 s of CPU that no subcommand uses.
 
 PRESETS names the geometries used throughout, fig3a and fig3b, and the
 operating point fig5, which is fig3a at B=0.45 T and E0=100 V/m.
@@ -25,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -625,6 +628,10 @@ def main(argv: list[str] | None = None) -> int:
     Warnings raised anywhere in the run are recorded in every manifest and
     echoed to stderr in the standard "file:line: Category: message" form.
     """
+    # Before any layer loads numpy: OpenBLAS's workers, which no subcommand
+    # gives work, then spin 2^4 cycles (the least it takes) before they
+    # sleep, not 2^28.  The thread count, and so every output, is unchanged.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # record every warning, whatever -W says

@@ -193,7 +193,6 @@ def qubit_parameters(
         warnings.warn(
             f"anharmonicity ratio {params.anharmonicity_ratio:.2e} < 1e-6; "
             "the two-level truncation is not resolvable",
-            stacklevel=2,
         )
     return params
 
@@ -203,7 +202,6 @@ def _dipole_from_spread(s: float, r_minor: float) -> float:
         warnings.warn(
             f"zero-point angular spread s={s:.3f} >= 1: the sin(theta) expansion "
             "behind the dipole coupling is invalid (trapping too shallow)",
-            stacklevel=3,
         )
     return E_CHARGE * r_minor * (s - s**3 / 6.0)
 

@@ -626,7 +626,10 @@ class TestWarningsInManifest:
     def test_physics_warning_recorded_once(self, tmp_path, capsys):
         code, out = run(["--preset", "fig3b", "--B", "0", "qubit-params"], tmp_path)
         assert code == 0
-        assert "UserWarning: zero-point angular spread" in capsys.readouterr().err
+        # the location is the line that warns, which no edit of cli.py moves
+        located = re.search(r"^(\S+):\d+: UserWarning: zero-point angular spread",
+                            capsys.readouterr().err, re.MULTILINE)
+        assert located and Path(located[1]).name == "reduction.py"
         manifest = json.loads((out / "qubit_params.json.manifest.json").read_text())
         spread = [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
         assert len(spread) == 1
@@ -675,6 +678,18 @@ class TestReproducibility:
         assert artifacts
         for artifact in artifacts:
             assert artifact.with_suffix(artifact.suffix + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("before, after", [(None, "4"), ("20", "20")])
+    def test_openblas_worker_timeout_default(self, tmp_path, monkeypatch, before, after):
+        # a short idle wait for OpenBLAS's workers, unless the user set one;
+        # no other variable, such as a thread count, is written
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if before is not None:
+            environ["OPENBLAS_THREAD_TIMEOUT"] = before
+        monkeypatch.setattr(os, "environ", environ)
+        expected = {**environ, "OPENBLAS_THREAD_TIMEOUT": after}
+        assert run(["--preset", "fig5", "qubit-params"], tmp_path)[0] == 0
+        assert environ == expected
 
 
 class TestNewSurfaces:

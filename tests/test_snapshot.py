@@ -13,7 +13,9 @@ Tolerances:
   infidelity carries about 8e-16 of roundoff, so a change of the kernel's
   arithmetic moves the mean and the max by that much.
 
-Manifests are not compared: they hold a creation timestamp.
+Manifests are not compared: they hold a creation timestamp.  Four byte-rule
+cases also run as fresh `python -m torusqubit.cli` processes at two BLAS
+threads, the way a user and the benchmark run them.
 
 After an intended change of output, rewrite the references of the cases
 whose output changed, named as in CASES, with
@@ -28,12 +30,14 @@ change is meant to move.
 
 import csv
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_cli import source_env
 from torusqubit.cli import main
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
@@ -83,10 +87,8 @@ def _rows(path: Path) -> tuple[list[list[str]], np.ndarray]:
     return text, values
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_matches_snapshot(case, tmp_path, capsys):
-    assert main([*CASES[case], "--output-dir", str(tmp_path)]) == 0
-    produced, expected = _data_files(tmp_path), _data_files(SNAPSHOTS / case)
+def _assert_matches(case: str, directory: Path) -> None:
+    produced, expected = _data_files(directory), _data_files(SNAPSHOTS / case)
     assert sorted(produced) == sorted(expected)
     for name, path in expected.items():
         if "--three-level" in CASES[case]:
@@ -102,6 +104,24 @@ def test_matches_snapshot(case, tmp_path, capsys):
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0.0, atol=MONTE_CARLO_ATOL)
         else:
             assert produced[name].read_bytes() == path.read_bytes(), f"{case}/{name}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_snapshot(case, tmp_path, capsys):
+    assert main([*CASES[case], "--output-dir", str(tmp_path)]) == 0
+    _assert_matches(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", ["gate-labframe-leakage", "spectrum", "sweep-b", "window"])
+def test_cold_process_matches_snapshot(case, tmp_path):
+    # numpy is loaded before main runs in-process; only a fresh process loads
+    # it after main has set OpenBLAS's worker timeout, here at two BLAS threads
+    env = source_env(OPENBLAS_NUM_THREADS="2")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    done = subprocess.run([sys.executable, "-m", "torusqubit.cli", *CASES[case],
+                           "--output-dir", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    _assert_matches(case, tmp_path)
 
 
 def _rewrite(cases: list[str]) -> None:
