@@ -8,9 +8,10 @@ every warning raised during the run.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
 subcommand imports the layers it runs, so a cold process loads only those,
 and checks each option against the bounds in `model` before its first layer
-import.  Three checks need a layer and follow its import: `--gate`, read by
-`control.Gate.parse`; `evolve`'s default Rabi rate and duration, from the
-reduction; and the three-level duration limit, from `dynamics.drive_field`.
+import.  Checks that need a layer follow its import: `--gate`, read by
+`control.Gate.parse`; a driven gate's Rabi rate, from its synthesizer;
+`evolve`'s default Rabi rate and duration, from the reduction, and its
+rotation angle and three-level duration limit, from `dynamics`.
 Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
 every configuration error run without it.  `main` sets
@@ -37,9 +38,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, MAX_DRIVE_CYCLES, MAX_RELATIVE_ERROR,
-                    NUMERICAL_TAYLOR, TOL_RANGE, Discretization, FieldConfig, TorusGeometry,
-                    UnitSystem, check_count, check_finite, check_loc_threshold, check_positive,
+from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, MAX_RELATIVE_ERROR, NUMERICAL_TAYLOR,
+                    TOL_RANGE, Discretization, FieldConfig, TorusGeometry, UnitSystem, check_count,
+                    check_finite, check_loc_threshold, check_periods, check_positive,
                     check_source)
 
 if TYPE_CHECKING:
@@ -394,16 +395,19 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     from .reduction import rabi_frequency
 
     qubit = config.qubit(config.B)
-    omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0) if args.rabi is None else args.rabi
+    omega_rabi = args.rabi if args.rabi is not None else _option(
+        check_finite, rabi_frequency(qubit.mu_dipole, config.E0), "--rabi (or --E0)")
     duration = args.duration
     if duration is None:
         duration = math.pi / (2.0 * _option(check_positive, omega_rabi, "--rabi (or --E0)"))
-    pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
+    try:
+        pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
+    except ValueError as exc:  # past the checks above, the rotation angle or duration overflows
+        arg = "--duration" if args.duration is not None else "--rabi (or --E0)"  # pi / (2 Omega)
+        raise ConfigError(f"{arg}: {exc}") from None
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
         drive = drive_field(pulse, qubit)
-        if duration * abs(drive.omega_rf) >= 2.0 * math.pi * MAX_DRIVE_CYCLES:
-            raise ConfigError(
-                f"--duration must span fewer than 2^63 drive periods, got {duration!r}")
+        _option(check_periods, duration, "--duration", drive.omega_rf)
         times, amplitudes = ladder_trajectory(qubit, drive, duration, args.samples)
     else:
         times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
@@ -427,10 +431,11 @@ def cmd_gate(args, config: RunConfig) -> Output:
     from .dynamics import drive_field, leakage_probe
 
     gate = _parse_gate(args.gate)
-    if gate.drives:
-        _option(check_positive, config.E0, "--E0")
     qubit = config.qubit(config.B)
-    seq = gate.sequence(qubit, config.E0)
+    try:
+        seq = gate.sequence(qubit, config.E0)
+    except ValueError as exc:  # Gate.parse checked the angles: E0's Rabi rate under/overflows
+        raise ConfigError(f"--E0: {exc}") from None
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
     fidelity = gate.fidelity(unitary)
     payload = {
@@ -502,7 +507,9 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     point = {"delta_B_rel": args.delta_b, "delta_E_rel": args.delta_e, "B0": config.B,
              "E0": config.E0}
     output, reports = _error_study(args, config, key, point, key, grid)
-    best = min(range(len(reports)), key=lambda i: reports[i].mean_infidelity)
+    # the least exact Haar mean, roundoff apart: rows within 1e-9 of it tie, and the first wins
+    least = min(r.haar_mean_exact for r in reports)
+    best = next(i for i, r in enumerate(reports) if r.haar_mean_exact - least <= 1e-9 * least)
     value, mean = float(grid[best]), reports[best].mean_infidelity
     print(f"argmin: {key} = {value:.6g}, mean infidelity = {mean:.3e}")
     output.results.update({f"argmin_{key}": value, "argmin_mean_infidelity": mean})

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HBAR, MAX_DRIVE_CYCLES, TOL_RANGE, FieldConfig, check_count, check_finite
+from .model import HBAR, TOL_RANGE, TWO_PI, FieldConfig, check_count, check_finite, check_periods
 from .reduction import QubitParameters, rabi_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,7 +77,7 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One rotating-frame drive segment."""
+    """One rotating-frame drive segment; its rotation angle must be finite."""
 
     rabi_Omega: float  # [rad/s]
     detuning_Delta: float  # omega - omega_rf [rad/s]
@@ -88,6 +88,7 @@ class PulseSpec:
         for name in ("rabi_Omega", "detuning_Delta", "phase_phi"):
             check_finite(getattr(self, name), name)
         check_finite(self.duration, "duration", low=0.0)
+        check_finite(math.hypot(self.rabi_Omega, self.detuning_Delta) * self.duration, "rotation angle")
 
 
 @dataclass(frozen=True)
@@ -305,10 +306,8 @@ def _drive_propagators(
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError("t must be finite and non-negative")
-    period = 2.0 * math.pi / abs(omega_rf) if omega_rf else math.inf
-    longest = float(times.max()) / period  # a float quotient: inf past the range, no warning
-    if not longest < MAX_DRIVE_CYCLES:
-        raise ValueError(f"t spans {longest:.3g} drive periods; the limit is 2^63")
+    period = TWO_PI / abs(omega_rf) if omega_rf else math.inf  # as check_periods divides by
+    longest = check_periods(float(times.max()), "t", omega_rf)
     cycles, rests = np.divmod(times, period)
     cycles = cycles.astype(np.int64)
     n_max = int(cycles.max())
@@ -416,7 +415,9 @@ def ladder_trajectory(
     """Times and three-level amplitudes of the driven anharmonic ladder.
 
     Same model as leakage_probe; returns (times, amplitudes) with one row of
-    three complex amplitudes per sample time.
+    three complex amplitudes per sample time.  The coupling's e r is
+    mu / (s - s^3/6), not E_CHARGE * r_minor, whose last bits differ at 37
+    of 200 fields evenly spaced over [0, 2] T.
     """
     check_count(n_samples, "n_samples", 2)
     if initial is None:

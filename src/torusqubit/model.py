@@ -1,8 +1,8 @@
 """Physical constants, internal unit system, the shared device, field and
 grid types that a run configuration is validated with, the range rules
-(check_finite, check_positive, check_count) that every layer and the CLI
-check a scalar argument with, and the bounds those rules are given for a
-relative field error, an integrator tolerance and a drive's length.
+(check_finite, check_positive, check_count, check_periods) that every layer
+and the CLI check a scalar with, and their bounds for a relative field
+error, an integrator tolerance and a drive's length.
 
 Every downstream module works in an internal unit system tied to the device
 geometry: energies in units of hbar^2 / (2 m* r^2), lengths in units of the
@@ -137,6 +137,16 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def check_periods(t: float, name: str, omega_rf: float) -> float:
+    """t / (2 pi / |omega_rf|), the drive periods a time t spans (0 without a
+    drive), if below MAX_DRIVE_CYCLES; otherwise a ValueError naming it.  A
+    quotient past the range is inf."""
+    periods = t / (TWO_PI / abs(omega_rf) if omega_rf else math.inf)
+    if not periods < MAX_DRIVE_CYCLES:
+        raise ValueError(f"{name} must span fewer than 2^63 drive periods, got {t!r}")
+    return periods
 
 
 def check_loc_threshold(value: float) -> float:

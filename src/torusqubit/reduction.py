@@ -47,12 +47,10 @@ class QubitParameters:
     """Two-level model parameters derived from the well coefficients."""
 
     omega: float  # qubit transition frequency [rad/s]
-    ground_energy: float  # epsilon + hbar*omega/2 [J]
     alpha_anh: float  # anharmonic shift scale [J]
     mu_dipole: float  # effective dipole moment [C m]
     geom: TorusGeometry
     B: float  # [T]
-    source: str
 
     def __post_init__(self) -> None:
         check_positive(self.omega, "omega")
@@ -169,10 +167,10 @@ def qubit_parameters(
 ) -> QubitParameters:
     """Oscillator and drive parameters of the two-level model.
 
-    omega = sqrt(beta^2)/(m* r); ground energy epsilon + hbar omega / 2;
-    alpha = delta (hbar / (2 m* omega r^2))^2.  The anharmonicity ratio
-    |alpha|/(hbar omega) must be resolvable for the two-level truncation to
-    make sense; a warning is issued when it drops below 1e-6.
+    omega = sqrt(beta^2)/(m* r) and alpha = delta (hbar / (2 m* omega r^2))^2.
+    The anharmonicity ratio |alpha|/(hbar omega) must be resolvable for the
+    two-level truncation to make sense; a warning is issued when it drops
+    below 1e-6.
     """
     check_positive(coeffs.beta_sq, "beta_sq")
     mstar = geom.effective_mass
@@ -182,12 +180,10 @@ def qubit_parameters(
     alpha = coeffs.delta_anh * s_sq**2
     params = QubitParameters(
         omega=omega,
-        ground_energy=coeffs.epsilon_const + 0.5 * HBAR * omega,
         alpha_anh=alpha,
         mu_dipole=_dipole_from_spread(math.sqrt(s_sq), r),
         geom=geom,
         B=B,
-        source=coeffs.source,
     )
     if params.anharmonicity_ratio < 1e-6:
         warnings.warn(

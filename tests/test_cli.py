@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusqubit import cli, dynamics, errors, potential, spectral
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
+from torusqubit.model import MAX_DRIVE_CYCLES, TWO_PI
+from torusqubit.reduction import rabi_frequency
 
 
 def run(args, tmp_path, sub=None):
@@ -382,6 +385,15 @@ class TestConfigHandling:
         (["sweep-b", "--b-range", "0:5e-324:3"], "--b-range must be non-negative and monotone"),
         (["mitigate", "--spacing", "linear", "--e0-range", "1:1.0000000000000002:5"],
          "--e0-range must be positive and increasing"),
+        # a Rabi rate that underflows to 0 or overflows to inf
+        (["--E0", "1e-300", "gate"], "--E0"),
+        (["--E0", "1e308", "gate"], "--E0"),
+        (["--E0", "1e308", "evolve", "--duration", "1e-9"], "--rabi (or --E0)"),
+        (["evolve", "--duration", "1e300"], "--duration"),  # the rotation angle overflows
+        (["evolve", "--rabi", "1e-310"], "--rabi (or --E0)"),  # so does pi / (2 Omega)
+        # the shortest duration whose float quotient t / T reaches 2^63 periods
+        (["evolve", "--three-level", "--detuning", "5e10", "--duration", "190390016.74922743",
+          "--samples", "2"], "--duration must span fewer than 2^63"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -475,6 +487,36 @@ class TestConfigHandling:
         assert code == 0, capsys.readouterr().err
         header, data = read_csv(out / "trajectory.csv")
         assert header == ["t", "x", "y", "z", "p0", "p1"] and len(data) == 5
+
+    @settings(max_examples=40, deadline=None)
+    @example(detuning=5e10, ulps=0)
+    @given(detuning=st.floats(-1e11, 1e11), ulps=st.integers(-4, 4))
+    def test_drive_length_limit_is_the_dynamics_rule(self, tmp_path_factory, detuning, ulps):
+        # within a few ulps of 2^63 drive periods, the lab-frame propagation
+        # raises if and only if the CLI rejects the duration
+        config = cli.RunConfig(**PRESETS["fig5"])
+        qubit = config.qubit(config.B)
+        pulse = dynamics.PulseSpec(rabi_frequency(qubit.mu_dipole, config.E0), detuning, 0.0, 0.0)
+        drive = dynamics.drive_field(pulse, qubit)
+        t = MAX_DRIVE_CYCLES * (TWO_PI / abs(drive.omega_rf))
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+
+        def integrate(*args):  # every check has passed; spare the integration
+            raise RuntimeError("integrated")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "solve_ivp", integrate)
+            try:
+                dynamics.ladder_trajectory(qubit, drive, t, 2)
+            except ValueError:
+                raised = True
+            except RuntimeError:
+                raised = False
+            code = main(["--preset", "fig5", "evolve", "--three-level", "--detuning",
+                         repr(detuning), "--duration", repr(t), "--samples", "2",
+                         "--output-dir", str(tmp_path_factory.mktemp("out"))])
+        assert code == (2 if raised else 1)
 
     def test_negative_radius_with_exponent_is_config_error(self, tmp_path, capsys):
         code, out = run(["--r", "-3.5e-8", "potential"], tmp_path, "out")
@@ -690,6 +732,21 @@ class TestReproducibility:
         expected = {**environ, "OPENBLAS_THREAD_TIMEOUT": after}
         assert run(["--preset", "fig5", "qubit-params"], tmp_path)[0] == 0
         assert environ == expected
+
+    @pytest.mark.skipif(not openblas_dynamic_arch(),
+                        reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
+    def test_mitigate_argmin_does_not_depend_on_the_kernel(self, tmp_path):
+        # with a drive error alone every row's exact Haar mean is the same up
+        # to roundoff, which orders the rows differently on each kernel; all
+        # tie, and the tie goes to the first row
+        for coretype in (None, "Haswell"):
+            out = tmp_path / str(coretype)
+            env = source_env() if coretype is None else source_env(OPENBLAS_CORETYPE=coretype)
+            subprocess.run([sys.executable, "-m", "torusqubit.cli",
+                            *README_ERROR_STUDY["mitigate-B0"], "--output-dir", str(out)],
+                           env=env, capture_output=True, check=True)
+            manifest = json.loads((out / "mitigate.csv.manifest.json").read_text())
+            assert manifest["results"]["argmin_B0"] == 0.4
 
 
 class TestNewSurfaces:

@@ -153,12 +153,9 @@ class TestQubitParameters:
         assert fig5_qubit.omega == pytest.approx(oracle, rel=1e-8)
         assert fig5_qubit.omega == pytest.approx(354386525376.787, rel=1e-9)
 
-    def test_ground_energy_and_alpha(self, fig3a_geom):
+    def test_alpha_from_quartic_coefficient(self, fig3a_geom):
         coeffs = coefficients_numerical(fig3a_geom, 0.45)
         qubit = qubit_parameters(coeffs, fig3a_geom, 0.45)
-        assert qubit.ground_energy == pytest.approx(
-            coeffs.epsilon_const + 0.5 * HBAR_SI * qubit.omega, rel=1e-12
-        )
         s_sq = HBAR_SI / (2.0 * M_STAR * qubit.omega * fig3a_geom.r_minor**2)
         assert qubit.alpha_anh == pytest.approx(coeffs.delta_anh * s_sq**2, rel=1e-12)
 
@@ -248,8 +245,8 @@ class TestTwoLevelTruncationIdentities:
 def test_qubit_for_sources(fig3a_geom):
     numerical = qubit_for(fig3a_geom, 0.45)
     closed = qubit_for(fig3a_geom, 0.45, source=CLOSED_FORM)
-    assert numerical.source == NUMERICAL_TAYLOR
-    assert closed.source == CLOSED_FORM
+    assert numerical == qubit_parameters(coefficients_numerical(fig3a_geom, 0.45), fig3a_geom, 0.45)
+    assert closed == qubit_parameters(coefficients_closed_form(fig3a_geom, 0.45), fig3a_geom, 0.45)
     assert numerical.omega != closed.omega
 
 
