@@ -8,10 +8,12 @@ every warning raised during the run.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
 subcommand imports the layers it runs, so a cold process loads only those,
 and checks each option against the bounds in `model` before its first layer
-import.  Checks that need a layer follow its import: `--gate`, read by
-`control.Gate.parse`; a driven gate's Rabi rate, from its synthesizer;
-`evolve`'s default Rabi rate and duration, from the reduction, and its
-rotation angle and three-level duration limit, from `dynamics`.
+import.  Checks that need a layer follow its import, and `_named` turns the
+layer's ValueError into one naming the option: `--gate`, read by
+`control.Gate.parse`; a driven gate's Rabi rate, from its synthesizer, in
+`gate` and at each point of `fidelity` and `mitigate`; `evolve`'s default
+Rabi rate and duration, from the reduction, and its rotation angle and
+three-level duration limit, from `dynamics`.
 Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
 every configuration error run without it.  `main` sets
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -46,7 +49,6 @@ from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, MAX_RELATIVE_ERROR, NUME
 if TYPE_CHECKING:
     import numpy as np
 
-    from .control import Gate
     from .errors import InfidelityReport
     from .reduction import QubitParameters
 
@@ -192,6 +194,14 @@ def _option(rule, value, arg: str, *bounds):
         raise ConfigError(str(exc)) from None
 
 
+def _named(arg: str, call, *args):
+    """call(*args), with a layer's ValueError re-raised as a ConfigError naming the option arg."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{arg}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Output:
     """What a subcommand produced: data files (name -> text) and the results
@@ -254,15 +264,6 @@ def write_artifacts(
         path.write_text(text, encoding="utf-8")
         path.with_name(name + ".manifest.json").write_text(manifest, encoding="utf-8")
         print(f"wrote {path}")
-
-
-def _parse_gate(spec: str) -> Gate:
-    from .control import Gate
-
-    try:
-        return Gate.parse(spec)
-    except ValueError as exc:
-        raise ConfigError(f"--gate {exc}") from None
 
 
 def _levels_csv(spectra, units: UnitSystem) -> str:
@@ -368,7 +369,7 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
         "Omega_rad_per_s": omega_rabi,
         "anharmonicity_ratio": qubit.anharmonicity_ratio,
         "zero_point_spread": qubit.zero_point_spread,
-        "default_source": coeffs.source,
+        "default_source": config.source,
         "sources": {
             source: {"beta_sq": c.beta_sq, "delta": c.delta_anh, "epsilon": c.epsilon_const}
             for source, c in routes.items()
@@ -400,11 +401,9 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     duration = args.duration
     if duration is None:
         duration = math.pi / (2.0 * _option(check_positive, omega_rabi, "--rabi (or --E0)"))
-    try:
-        pulse = PulseSpec(omega_rabi, args.detuning, args.phase, duration)
-    except ValueError as exc:  # past the checks above, the rotation angle or duration overflows
-        arg = "--duration" if args.duration is not None else "--rabi (or --E0)"  # pi / (2 Omega)
-        raise ConfigError(f"{arg}: {exc}") from None
+    # past the checks above, the rotation angle or the duration pi / (2 Omega) overflows
+    arg = "--duration" if args.duration is not None else "--rabi (or --E0)"
+    pulse = _named(arg, PulseSpec, omega_rabi, args.detuning, args.phase, duration)
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
         drive = drive_field(pulse, qubit)
         _option(check_periods, duration, "--duration", drive.omega_rf)
@@ -427,15 +426,12 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 
 def cmd_gate(args, config: RunConfig) -> Output:
     _option(check_finite, args.tol, "--tol", *TOL_RANGE)
-    from .control import gate_unitary
+    from .control import Gate, gate_unitary
     from .dynamics import drive_field, leakage_probe
 
-    gate = _parse_gate(args.gate)
+    gate = _named("--gate", Gate.parse, args.gate)
     qubit = config.qubit(config.B)
-    try:
-        seq = gate.sequence(qubit, config.E0)
-    except ValueError as exc:  # Gate.parse checked the angles: E0's Rabi rate under/overflows
-        raise ConfigError(f"--E0: {exc}") from None
+    seq = _named("--E0", gate.sequence, qubit, config.E0)  # E0's Rabi rate under/overflows
     unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
     fidelity = gate.fidelity(unitary)
     payload = {
@@ -465,16 +461,18 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
     `<key>,mean_infidelity,max_infidelity` rows, whose manifest lists each
     row's exact oracles.
     """
-    gate = _parse_gate(args.gate)
+    from .control import Gate
     from .errors import field_error_sweep
 
+    gate = _named("--gate", Gate.parse, args.gate)
     window = None
     if check_window:
         from .spectral import initialization_window
 
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
-    reports = field_error_sweep(gate.sequence, config.qubit, point, axis, grid, args.samples,
+    synthesize = functools.partial(_named, "--e0-range" if axis == "E0" else "--E0", gate.sequence)
+    reports = field_error_sweep(synthesize, config.qubit, point, axis, grid, args.samples,
                                 config.seed, args.mode, window)
     rows = [(value, r.mean_infidelity, r.max_infidelity) for value, r in zip(grid, reports)]
     return Output({f"{args.command}.csv": _csv([key, "mean_infidelity", "max_infidelity"], rows)},

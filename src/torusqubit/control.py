@@ -56,6 +56,14 @@ class PulseSequence:
         return sum(p.duration for p in self.pulses)
 
 
+def _check_angles(kind: str, angles: tuple[float, ...], spec: str) -> None:
+    """The one range rule of a "phase" (ETA,) or "prep" (THETA, ETA) gate's angles."""
+    if kind == "phase" and not 0.0 <= angles[0] < 2.0 * math.pi:
+        raise ValueError(f"phase:ETA needs ETA in [0, 2 pi), got {spec!r}")
+    if kind == "prep" and not (0.0 < angles[0] <= math.pi and 0.0 <= angles[1] <= math.pi):
+        raise ValueError(f"prep:THETA,ETA needs THETA in (0, pi] and ETA in [0, pi], got {spec!r}")
+
+
 def target_state(theta: float, eta: float) -> QuantumState:
     """The preparation target sin(theta/2)|0> + e^{i eta} cos(theta/2)|1>."""
     return QuantumState.of(math.sin(theta / 2), cmath.exp(1j * eta) * math.cos(theta / 2))
@@ -69,10 +77,7 @@ def prepare_state(theta: float, eta: float, qubit: QubitParameters, E0: float) -
     cos(Omega t / 2) = sin(theta/2) and phi = -eta - pi/2 (mod 2 pi):
     t = (2/Omega) arccos(sin(theta/2)).
     """
-    if not 0.0 < theta <= math.pi:
-        raise ValueError("theta must lie in (0, pi]")
-    if not 0.0 <= eta <= math.pi:
-        raise ValueError("eta must lie in [0, pi]")
+    _check_angles("prep", (theta, eta), f"prep:{theta!r},{eta!r}")
     omega_rabi = check_positive(rabi_frequency(qubit.mu_dipole, E0), "drive amplitude")
     duration = (2.0 / omega_rabi) * math.acos(min(1.0, math.sin(theta / 2)))
     phi = (-eta - math.pi / 2) % (2.0 * math.pi)
@@ -112,8 +117,7 @@ def phase_gate_sequence(
     propagator diag(1, e^{-i Delta t}) is exact under both evaluation modes;
     Delta_free < 0 keeps the wait duration t = eta/|Delta_free| positive.
     """
-    if not 0.0 <= eta < 2.0 * math.pi:
-        raise ValueError("eta must lie in [0, 2 pi)")
+    _check_angles("phase", (eta,), f"phase:{eta!r}")
     if virtual:
         return PulseSequence(pulses=(), frame_phase=eta)
     delta_free = -1e-3 * qubit.omega
@@ -142,11 +146,7 @@ class Gate:
             angles = None
         if angles is None or len(angles) != {"hadamard": 0, "phase": 1, "prep": 2}.get(kind):
             raise ValueError(f"must be hadamard, phase:ETA or prep:THETA,ETA, got {spec!r}")
-        if kind == "phase" and not 0.0 <= angles[0] < 2.0 * math.pi:
-            raise ValueError(f"phase:ETA needs ETA in [0, 2 pi), got {spec!r}")
-        if kind == "prep" and not (0.0 < angles[0] <= math.pi and 0.0 <= angles[1] <= math.pi):
-            raise ValueError(
-                f"prep:THETA,ETA needs THETA in (0, pi] and ETA in [0, pi], got {spec!r}")
+        _check_angles(kind, angles, spec)
         return cls(kind, angles)
 
     @property

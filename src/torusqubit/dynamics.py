@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HBAR, TOL_RANGE, TWO_PI, FieldConfig, check_count, check_finite, check_periods
+from .model import HBAR, TOL_RANGE, FieldConfig, check_count, check_finite, check_periods
 from .reduction import QubitParameters, rabi_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -306,8 +306,8 @@ def _drive_propagators(
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError("t must be finite and non-negative")
-    period = TWO_PI / abs(omega_rf) if omega_rf else math.inf  # as check_periods divides by
-    longest = check_periods(float(times.max()), "t", omega_rf)
+    period = check_periods(float(times.max()), "t", omega_rf)
+    longest = float(times.max()) / period
     cycles, rests = np.divmod(times, period)
     cycles = cycles.astype(np.int64)
     n_max = int(cycles.max())

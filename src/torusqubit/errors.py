@@ -72,7 +72,6 @@ class InfidelityReport:
     max_infidelity: float
     haar_mean_exact: float
     worst_case_exact: float
-    n_samples: int
     per_sample: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -246,7 +245,6 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
             max_infidelity=float(chunk_maxima.max()),
             haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
             worst_case_exact=min(max(s, 0.0), 1.0),
-            n_samples=n_samples,
             per_sample=per_sample,
         )
         for (s, exact), chunk_sums, chunk_maxima in zip(terms, sums, maxima)

@@ -140,13 +140,13 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
 
 
 def check_periods(t: float, name: str, omega_rf: float) -> float:
-    """t / (2 pi / |omega_rf|), the drive periods a time t spans (0 without a
-    drive), if below MAX_DRIVE_CYCLES; otherwise a ValueError naming it.  A
-    quotient past the range is inf."""
-    periods = t / (TWO_PI / abs(omega_rf) if omega_rf else math.inf)
-    if not periods < MAX_DRIVE_CYCLES:
+    """The drive period T = 2 pi / |omega_rf| (inf without a drive), if a time
+    t spans fewer than MAX_DRIVE_CYCLES of them; otherwise a ValueError naming
+    t.  A quotient t / T past the range is inf."""
+    period = TWO_PI / abs(omega_rf) if omega_rf else math.inf
+    if not t / period < MAX_DRIVE_CYCLES:
         raise ValueError(f"{name} must span fewer than 2^63 drive periods, got {t!r}")
-    return periods
+    return period
 
 
 def check_loc_threshold(value: float) -> float:

@@ -29,7 +29,7 @@ from .potential import PotentialParams, internal_terms
 
 @dataclass(frozen=True)
 class OscillatorCoefficients:
-    """Quartic-well coefficients in SI units, tagged with their source.
+    """Quartic-well coefficients in SI units.
 
     beta_sq: (kg m/s)^2 momentum-like stiffness, quadratic term = beta_sq/(2 m*).
     delta_anh: quartic coefficient [J/rad^4].
@@ -39,7 +39,6 @@ class OscillatorCoefficients:
     beta_sq: float
     delta_anh: float
     epsilon_const: float
-    source: str
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,10 @@ def coefficients_closed_form(geom: TorusGeometry, B: float) -> OscillatorCoeffic
     r = geom.r_minor
     R = geom.R_major
     mstar = geom.effective_mass
-    e2b2 = (E_CHARGE * B) ** 2
+    try:
+        e2b2 = (E_CHARGE * B) ** 2
+    except OverflowError:
+        raise OverflowError(f"{CLOSED_FORM} coefficients overflow at B={B!r}") from None
 
     delta = -(1.0 / (96.0 * mstar)) * (
         HBAR**2 * r * (R + 8.0 * r) / (R - r) ** 4 + e2b2 * r * (R - 4.0 * r)
@@ -82,9 +84,7 @@ def coefficients_closed_form(geom: TorusGeometry, B: float) -> OscillatorCoeffic
     epsilon = (1.0 / (8.0 * mstar * (R - r) ** 2)) * (
         e2b2 * (R - r) ** 4 - HBAR**2 * (R**2 - 2.0 * R * r + 2.0 * r**2) / r**2
     )
-    return OscillatorCoefficients(
-        beta_sq=beta_sq, delta_anh=delta, epsilon_const=epsilon, source=CLOSED_FORM
-    )
+    return OscillatorCoefficients(beta_sq=beta_sq, delta_anh=delta, epsilon_const=epsilon)
 
 
 def _richardson(samples: list[float]) -> float:
@@ -158,7 +158,6 @@ def coefficients_numerical(geom: TorusGeometry, B: float) -> OscillatorCoefficie
         beta_sq=2.0 * geom.effective_mass * c2,
         delta_anh=c4,
         epsilon_const=c0_int * u,
-        source=NUMERICAL_TAYLOR,
     )
 
 

@@ -335,18 +335,22 @@ def solve_sector(
     params.E_static == 0; they meet the residual contract of
     lowest_eigenpairs, the dense reference of the same operator.  Each
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
-    An EigensolverError is re-raised naming the point: B, E unless zero, and m.
+    An EigensolverError, or the ValueError of a potential that is not finite,
+    is re-raised naming the point: B, E unless zero, and m.
     """
     check_loc_threshold(loc_threshold)
     check_count(k, "k", 1, disc.n_points)
+    field = f", E={params.E_static!r}" if params.E_static else ""
+    point = f"B={params.B!r}{field}, m={params.m_orbital}"
+    try:
+        v = _grid_potential(params, disc)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {point}") from None
     try:
         # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
-        energies, unsigned = _sector_eigenpairs(_grid_potential(params, disc), disc, k,
-                                                mirror=params.E_static == 0)
+        energies, unsigned = _sector_eigenpairs(v, disc, k, mirror=params.E_static == 0)
     except EigensolverError as exc:
-        field = f", E={params.E_static!r}" if params.E_static else ""
-        raise EigensolverError(f"eigensolve failed at B={params.B!r}{field},"
-                               f" m={params.m_orbital}: {exc}", residual=exc.residual) from exc
+        raise EigensolverError(f"eigensolve failed at {point}: {exc}", residual=exc.residual) from exc
     waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
     # theta in [pi/2, 3pi/2] as a slice: a row gather would sum in another order
     theta = disc.theta

@@ -293,6 +293,23 @@ class TestConfigHandling:
         assert err[0].startswith("error: eigensolve failed at B=0.45, m=1000000000000: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--preset", "fig3a", "window", "--scan-max", "1e300"],
+         r"potential evaluated to non-finite values at B=\S+, m=0"),
+        (["--preset", "fig5", "--B", "1e200", "spectrum"],
+         r"potential evaluated to non-finite values at B=1e\+200, m=0"),
+        (["--preset", "fig5", "sweep-b", "--b-range", "0:1e200:2"],
+         r"potential evaluated to non-finite values at B=1e\+200, m=0"),
+        (["--preset", "fig5", "--B", "1e200", "qubit-params"],
+         r"closed_form coefficients overflow at B=1e\+200"),
+    ])
+    def test_overflow_names_its_point(self, tmp_path, capsys, args, message):
+        code, out = run(args, tmp_path, "out")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch(f"error: {message}", err[0])
+        assert not out.exists()
+
     @pytest.mark.skipif(not openblas_dynamic_arch(),
                         reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
     def test_non_unitary_long_drive_on_an_avx2_kernel(self, tmp_path):
@@ -394,6 +411,12 @@ class TestConfigHandling:
         # the shortest duration whose float quotient t / T reaches 2^63 periods
         (["evolve", "--three-level", "--detuning", "5e10", "--duration", "190390016.74922743",
           "--samples", "2"], "--duration must span fewer than 2^63"),
+        # the error study synthesizes the gate at each point: its Rabi rate under/overflows
+        (["--E0", "1e-300", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
+        (["--E0", "1e308", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
+        (["mitigate", "--e0-range", "1e-300:1e-299:2", "--samples", "10"],
+         "--e0-range: drive amplitude"),
+        (["--E0", "1e308", "mitigate", "--sweep", "B0", "--samples", "10"], "--E0: drive amplitude"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -976,7 +999,7 @@ class TestExactHaarMean:
             assert value == report.haar_mean_exact
             assert bound == report.worst_case_exact
             assert float(row[1]) == report.mean_infidelity
-            stderr = np.std(report.per_sample) / np.sqrt(report.n_samples)
+            stderr = np.std(report.per_sample) / np.sqrt(report.per_sample.size)
             assert abs(report.mean_infidelity - value) <= 5.0 * stderr + 1e-15
             # no input does worse than the exact worst case 1 - |Tr M|^2 / 4
             assert float(row[2]) == report.max_infidelity <= bound + 1e-15

@@ -51,6 +51,25 @@ class TestGate:
             Gate.parse(spec)
         assert str(info.value).startswith(rule) and str(info.value).endswith(f"got {spec!r}")
 
+    def test_parse_and_synthesizers_share_one_angle_rule(self, fig5_qubit):
+        # every angle on either side of the edges 0, pi and 2 pi
+        edges = [angle for x in (0.0, math.pi, 2.0 * math.pi)
+                 for angle in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+        def rule(call, *args):
+            """The rule text of call's ValueError, without its "got ..." ending, or None."""
+            try:
+                call(*args)
+            except ValueError as exc:
+                return str(exc).rpartition(", got ")[0]
+            return None
+
+        for eta in edges:
+            assert rule(Gate.parse, f"phase:{eta!r}") == rule(phase_gate_sequence, eta, fig5_qubit)
+            for theta in edges:
+                assert rule(Gate.parse, f"prep:{theta!r},{eta!r}") == rule(
+                    prepare_state, theta, eta, fig5_qubit, 100.0)
+
     @given(spec=st.one_of(
         st.just("hadamard"),
         st.floats(0.0, 2.0 * math.pi, exclude_max=True).map("phase:{!r}".format),

@@ -107,7 +107,7 @@ class TestInfidelityReport:
     def test_mean_above_max_rejected(self):
         with pytest.raises(ValueError, match="mean <= max"):
             errors.InfidelityReport(mean_infidelity=0.2, max_infidelity=0.1, haar_mean_exact=0.2,
-                                    worst_case_exact=0.3, n_samples=10)
+                                    worst_case_exact=0.3)
 
 
 class TestHaarStates:

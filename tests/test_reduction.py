@@ -31,7 +31,6 @@ class TestPaperCoefficients:
         oracle = (r / 4.0) * HBAR_SI**2 / (R - r) ** 3  # direct SI arithmetic
         coeffs = coefficients_closed_form(fig3a_geom, 0.0)
         assert coeffs.beta_sq == pytest.approx(oracle, rel=1e-14)
-        assert coeffs.source == CLOSED_FORM
 
     def test_beta_sq_exactly_quadratic_in_field(self, fig3a_geom):
         r, R = fig3a_geom.r_minor, fig3a_geom.R_major
@@ -86,9 +85,6 @@ class TestNumericalTaylor:
         _, _, _, odd = _even_derivatives(f, math.pi)
         assert odd > 1e-10
 
-    def test_source_tag(self, fig3a_geom):
-        assert coefficients_numerical(fig3a_geom, 0.0).source == NUMERICAL_TAYLOR
-
 
 class TestRouteComparison:
     """The closed forms and the direct expansion of the implemented potential
@@ -137,7 +133,6 @@ class TestQubitParameters:
             beta_sq=4.0 * base.beta_sq,
             delta_anh=base.delta_anh,
             epsilon_const=base.epsilon_const,
-            source=base.source,
         )
         q1 = qubit_parameters(base, fig3a_geom, 0.45)
         q2 = qubit_parameters(scaled, fig3a_geom, 0.45)
@@ -167,15 +162,13 @@ class TestQubitParameters:
         base = coefficients_numerical(fig3a_geom, 0.45)
         tiny = OscillatorCoefficients(
             beta_sq=base.beta_sq, delta_anh=base.delta_anh * 1e-8,
-            epsilon_const=base.epsilon_const, source=base.source,
+            epsilon_const=base.epsilon_const,
         )
         with pytest.warns(UserWarning, match="anharmonicity"):
             qubit_parameters(tiny, fig3a_geom, 0.45)
 
     def test_nonpositive_beta_rejected(self, fig3a_geom):
-        bad = OscillatorCoefficients(
-            beta_sq=0.0, delta_anh=-1e-25, epsilon_const=0.0, source=CLOSED_FORM
-        )
+        bad = OscillatorCoefficients(beta_sq=0.0, delta_anh=-1e-25, epsilon_const=0.0)
         with pytest.raises(ValueError):
             qubit_parameters(bad, fig3a_geom, 0.0)
 
@@ -217,7 +210,7 @@ class TestDipoleAndRabi:
         base = coefficients_numerical(fig3a_geom, 0.45)
         shallow = OscillatorCoefficients(
             beta_sq=base.beta_sq * 1e-4, delta_anh=base.delta_anh,
-            epsilon_const=base.epsilon_const, source=base.source,
+            epsilon_const=base.epsilon_const,
         )
         with pytest.warns(UserWarning, match="spread"):
             qubit_parameters(shallow, fig3a_geom, 0.45)
@@ -240,6 +233,12 @@ class TestTwoLevelTruncationIdentities:
         sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]])
         x = sigma_minus + sigma_minus.T
         np.testing.assert_array_equal(np.linalg.matrix_power(x, 4), np.eye(2))
+
+
+def test_closed_form_overflow_names_route_and_field(fig3a_geom):
+    # (e B)^2 passes the double range; the numerical route returns at this B
+    with pytest.raises(OverflowError, match=r"^closed_form coefficients overflow at B=1e\+200$"):
+        coefficients_closed_form(fig3a_geom, 1e200)
 
 
 def test_qubit_for_sources(fig3a_geom):

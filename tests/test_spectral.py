@@ -507,6 +507,15 @@ class TestStructuredSolve:
             "eigensolve failed at B=0.0, m=0: Fourier basis reached its cap of 65 modes")
         assert info.value.residual == info.value.__cause__.residual > 0.0
 
+    @pytest.mark.parametrize("e_static, point", [(0.0, "B=1e+200, m=0"),
+                                                  (200.0, "B=1e+200, E=200.0, m=0")])
+    def test_non_finite_potential_names_its_point(self, e_static, point):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            solve_sector(PotentialParams(geom=THIN_GEOM, B=1e200, E_static=e_static),
+                         Discretization(64))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"potential evaluated to non-finite values at {point}"
+
     def test_electric_failure_names_its_field(self, monkeypatch):
         # one block of 2K + 1 modes, as the static field breaks the mirror
         monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
