@@ -204,11 +204,13 @@ def _named(arg: str, call, *args):
 
 @dataclass(frozen=True)
 class Output:
-    """What a subcommand produced: data files (name -> text) and the results
-    recorded in their manifests."""
+    """What a subcommand produced: data files (name -> text), the results
+    recorded in their manifests, and a summary line that main prints once
+    they are written."""
 
     files: dict[str, str]
     results: dict = dataclasses.field(default_factory=dict)
+    summary: str | None = None
 
 
 def _json_dumps(payload: dict) -> str:
@@ -344,16 +346,17 @@ def cmd_window(args, config: RunConfig) -> Output:
         B_scan_max=scan_max, loc_threshold=config.loc_threshold,
     )
     payload = {"B_min_T": b_min, "B_max_T": b_max}
-    print(f"window: [{b_min:.4f}, {b_max:.4f}] T")
-    return Output({"window.json": _json_dumps(payload)}, payload)
+    return Output({"window.json": _json_dumps(payload)}, payload,
+                  f"window: [{b_min:.4f}, {b_max:.4f}] T")
 
 
 def cmd_qubit_params(args, config: RunConfig) -> Output:
     from .reduction import coefficients_for, qubit_parameters, rabi_frequency
 
     geom = config.geometry()
+    # the closed form first: where both routes overflow, the error names its (e B)^2
     routes = {source: coefficients_for(geom, config.B, source)
-              for source in (NUMERICAL_TAYLOR, CLOSED_FORM)}
+              for source in (CLOSED_FORM, NUMERICAL_TAYLOR)}
     coeffs = routes[config.source]
     qubit = qubit_parameters(coeffs, geom, config.B)
     omega_rabi = rabi_frequency(qubit.mu_dipole, config.E0)
@@ -375,8 +378,8 @@ def cmd_qubit_params(args, config: RunConfig) -> Output:
             for source, c in routes.items()
         },
     }
-    print(f"omega = {qubit.omega:.6e} rad/s, Omega(E0) = {omega_rabi:.6e} rad/s")
-    return Output({"qubit_params.json": _json_dumps(payload)})
+    return Output({"qubit_params.json": _json_dumps(payload)}, summary=(
+        f"omega = {qubit.omega:.6e} rad/s, Omega(E0) = {omega_rabi:.6e} rad/s"))
 
 
 def cmd_evolve(args, config: RunConfig) -> Output:
@@ -406,7 +409,10 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     pulse = _named(arg, PulseSpec, omega_rabi, args.detuning, args.phase, duration)
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
         drive = drive_field(pulse, qubit)
-        _option(check_periods, duration, "--duration", drive.omega_rf)
+        # without --duration, the Rabi rate sets the length and the detuning the frequency
+        length = ("--duration" if args.duration is not None
+                  else "--rabi (or --E0), --detuning: the default duration pi/(2 Omega)")
+        _option(check_periods, duration, length, drive.omega_rf)
         times, amplitudes = ladder_trajectory(qubit, drive, duration, args.samples)
     else:
         times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
@@ -449,8 +455,8 @@ def cmd_gate(args, config: RunConfig) -> Output:
         if gate.drives:
             drive = drive_field(seq.pulses[0], qubit)
             payload["max_leakage"] = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
-    print(f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
-    return Output({"gate.json": _json_dumps(payload)})
+    return Output({"gate.json": _json_dumps(payload)},
+                  summary=f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
 
 
 def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid: np.ndarray,
@@ -509,9 +515,9 @@ def cmd_mitigate(args, config: RunConfig) -> Output:
     least = min(r.haar_mean_exact for r in reports)
     best = next(i for i, r in enumerate(reports) if r.haar_mean_exact - least <= 1e-9 * least)
     value, mean = float(grid[best]), reports[best].mean_infidelity
-    print(f"argmin: {key} = {value:.6g}, mean infidelity = {mean:.3e}")
-    output.results.update({f"argmin_{key}": value, "argmin_mean_infidelity": mean})
-    return output
+    return dataclasses.replace(
+        output, results={**output.results, f"argmin_{key}": value, "argmin_mean_infidelity": mean},
+        summary=f"argmin: {key} = {value:.6g}, mean infidelity = {mean:.3e}")
 
 
 # ----------------------------------------------------------------- arg parsing
@@ -646,6 +652,8 @@ def main(argv: list[str] | None = None) -> int:
             output = args.func(args, config)
             out_dir = Path(getattr(args, "output_dir", "."))
             write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)))
+            if output.summary is not None:  # a result, only once its artifacts exist
+                print(output.summary)
         except (ConfigError, OSError) as exc:
             code, error = 2, exc
         except (ValueError, RuntimeError, ArithmeticError) as exc:

@@ -145,6 +145,8 @@ def coefficients_numerical(geom: TorusGeometry, B: float) -> OscillatorCoefficie
         return float(bare + mag)
 
     c0_int, d2_int, d4_int, odd = _even_derivatives(v, math.pi)
+    if not all(map(math.isfinite, (c0_int, d2_int, d4_int))):
+        raise OverflowError(f"{NUMERICAL_TAYLOR} coefficients overflow at B={B!r}")
     if odd > 1e-10:
         raise ValueError(
             f"odd derivatives at theta=pi are not negligible (residual {odd:.2e}); "

@@ -1,3 +1,4 @@
+import shlex
 import sys
 from pathlib import Path
 
@@ -10,6 +11,27 @@ from torusqubit.reduction import coefficients_numerical, qubit_parameters
 from torusqubit.spectral import Discretization
 
 ANGSTROM = 1e-10
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(selector: str = "") -> list[str]:
+    """The `torusqubit` lines of README.md's fenced blocks, in order and without
+    the program name and the comment, whose arguments hold the selector's
+    words in a row, as `mitigate --sweep B0` does; every line for no selector.
+    They are the one list of the study's commands, and shlex.split(line) gives
+    a line's arguments.  A LookupError when no line holds the selector, so a
+    test that picks its lines cannot pass on none."""
+    words, lines, fenced = shlex.split(selector), [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("torusqubit "):
+            args = shlex.split(line, comments=True)[1:]
+            if any(args[i:i + len(words)] == words for i in range(len(args))):
+                lines.append(shlex.join(args))
+    if not lines:
+        raise LookupError(f"no README command holds {selector!r}")
+    return lines
 
 
 @pytest.fixture(scope="session")

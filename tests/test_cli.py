@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ from torusqubit import cli, dynamics, errors, potential, spectral
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 from torusqubit.model import MAX_DRIVE_CYCLES, TWO_PI
 from torusqubit.reduction import rabi_frequency
+
+from conftest import readme_commands
 
 
 def run(args, tmp_path, sub=None):
@@ -302,6 +305,15 @@ class TestConfigHandling:
          r"potential evaluated to non-finite values at B=1e\+200, m=0"),
         (["--preset", "fig5", "--B", "1e200", "qubit-params"],
          r"closed_form coefficients overflow at B=1e\+200"),
+        # the numerical Taylor route differences an overflowed potential
+        (["--preset", "fig5", "--B", "1e200", "gate"],
+         r"numerical_taylor coefficients overflow at B=1e\+200"),
+        (["--preset", "fig5", "--B", "1e160", "evolve"],
+         r"numerical_taylor coefficients overflow at B=1e\+160"),
+        (["--preset", "fig5", "--B", "1e160", "fidelity", "--samples", "10", "--range", "0:0.01:2"],
+         r"numerical_taylor coefficients overflow at B=1e\+160"),
+        (["--preset", "fig5", "--B", "1e160", "qubit-params"],
+         r"numerical_taylor coefficients overflow at B=1e\+160"),
     ])
     def test_overflow_names_its_point(self, tmp_path, capsys, args, message):
         code, out = run(args, tmp_path, "out")
@@ -417,6 +429,11 @@ class TestConfigHandling:
         (["mitigate", "--e0-range", "1e-300:1e-299:2", "--samples", "10"],
          "--e0-range: drive amplitude"),
         (["--E0", "1e308", "mitigate", "--sweep", "B0", "--samples", "10"], "--E0: drive amplitude"),
+        # without --duration, the Rabi rate and the detuning set the periods a drive spans
+        (["evolve", "--detuning", "1e300", "--three-level"],
+         "--rabi (or --E0), --detuning: the default duration"),
+        (["--E0", "1e-20", "evolve", "--three-level"],
+         "--rabi (or --E0), --detuning: the default duration"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
@@ -424,6 +441,22 @@ class TestConfigHandling:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {name}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--preset", "fig5", "qubit-params"],
+        ["--preset", "fig3a", "--n-points", "256", "window"],
+        ["--preset", "fig5", "gate"],
+        ["--preset", "fig5", "mitigate", "--e0-range", "100:1000:2", "--samples", "10"],
+    ], ids=lambda args: args[-1] if args[-1].isalpha() else args[2])
+    def test_unwritable_output_prints_no_result(self, tmp_path, capsys, args):
+        # a summary line is a result, printed only once the artifacts exist
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*args, "--output-dir", str(blocker / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_range_bound_is_inclusive(self, tmp_path, capsys, sign):
@@ -765,9 +798,9 @@ class TestReproducibility:
         for coretype in (None, "Haswell"):
             out = tmp_path / str(coretype)
             env = source_env() if coretype is None else source_env(OPENBLAS_CORETYPE=coretype)
-            subprocess.run([sys.executable, "-m", "torusqubit.cli",
-                            *README_ERROR_STUDY["mitigate-B0"], "--output-dir", str(out)],
-                           env=env, capture_output=True, check=True)
+            [line] = readme_commands("mitigate --sweep B0")
+            subprocess.run([sys.executable, "-m", "torusqubit.cli", *shlex.split(line),
+                            "--output-dir", str(out)], env=env, capture_output=True, check=True)
             manifest = json.loads((out / "mitigate.csv.manifest.json").read_text())
             assert manifest["results"]["argmin_B0"] == 0.4
 
@@ -937,16 +970,15 @@ class TestNewSurfaces:
         assert means[0] == pytest.approx(means[-1], rel=1e-9)
 
 
-README_ERROR_STUDY = {
-    "fidelity-dB-11": ["--preset", "fig5", "fidelity", "--scan", "dB", "--range", "0:0.01:11",
-                       "--samples", "10000"],
-    "fidelity-dB-21": ["--preset", "fig5", "fidelity", "--scan", "dB", "--range", "0:0.01:21"],
-    "fidelity-dE-21": ["--preset", "fig5", "fidelity", "--scan", "dE", "--range", "0:0.01:21"],
-    "mitigate-E0-7": ["--preset", "fig5", "mitigate", "--delta-b", "0.005",
-                      "--e0-range", "100:10000:7"],
-    "mitigate-E0": ["--preset", "fig5", "mitigate", "--delta-b", "0.005"],
-    "mitigate-B0": ["--preset", "fig5", "--E0", "1000", "mitigate", "--sweep", "B0",
-                    "--delta-e", "0.005", "--delta-b", "0"],
+# the README's error-study commands, each picked by the words it holds; a
+# selector picks every line that holds them, and one that no line holds fails
+ERROR_STUDY_SELECTORS = {
+    "fidelity-dB-11": "fidelity --scan dB --range 0:0.01:11",
+    "fidelity-dB-21": "fidelity --scan dB --range 0:0.01:21",
+    "fidelity-dE-21": "fidelity --scan dE --range 0:0.01:21",
+    "mitigate-E0-7": "mitigate --delta-b 0.005 --e0-range 100:10000:7",
+    "mitigate-E0": "mitigate --delta-b 0.005",
+    "mitigate-B0": "mitigate --sweep B0",
 }
 
 
@@ -964,7 +996,7 @@ class TestExactHaarMean:
             assert all(0.0 <= value <= 1.0 for value in results[key])
             assert all(value <= 1e-15 for value in results[key][:zero_error_rows])
 
-    @pytest.mark.parametrize("case", sorted(README_ERROR_STUDY))
+    @pytest.mark.parametrize("case", sorted(ERROR_STUDY_SELECTORS))
     def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch, capsys):
         # the README error-study commands, each row recomputed by the public
         # single-point average with its per-sample values kept: the data file
@@ -977,29 +1009,31 @@ class TestExactHaarMean:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(errors, "field_error_sweep", recording)
-        args = README_ERROR_STUDY[case]
-        command = "fidelity" if "fidelity" in args else "mitigate"
-        code, out = run(args, tmp_path)
-        assert code == 0
-        [((synthesize, qubit_fn, point, axis, grid, n, seed, mode, window), kwargs)] = sweeps
-        assert kwargs == {}
-        reports = []
-        for value in grid:
-            model = errors.ErrorModel(**{**point, axis: float(value)})
-            seq = synthesize(qubit_fn(model.B0), model.E0)
-            reports.append(errors.average_gate_infidelity(seq, qubit_fn, model, n, seed, mode,
-                                                          window, keep_samples=True))
-        _, data = read_csv(out / f"{command}.csv")
-        manifest = json.loads((out / f"{command}.csv.manifest.json").read_text())
-        exact = manifest["results"]["haar_mean_exact"]
-        worst = manifest["results"]["worst_case_exact"]
-        assert len(exact) == len(worst) == len(data) == len(reports)
-        assert all(np.isfinite(exact)) and all(np.isfinite(worst))
-        for row, value, bound, report in zip(data, exact, worst, reports):
-            assert value == report.haar_mean_exact
-            assert bound == report.worst_case_exact
-            assert float(row[1]) == report.mean_infidelity
-            stderr = np.std(report.per_sample) / np.sqrt(report.per_sample.size)
-            assert abs(report.mean_infidelity - value) <= 5.0 * stderr + 1e-15
-            # no input does worse than the exact worst case 1 - |Tr M|^2 / 4
-            assert float(row[2]) == report.max_infidelity <= bound + 1e-15
+        for index, line in enumerate(readme_commands(ERROR_STUDY_SELECTORS[case])):
+            args = shlex.split(line)
+            sweeps.clear()
+            command = "fidelity" if "fidelity" in args else "mitigate"
+            code, out = run(args, tmp_path, str(index))
+            assert code == 0
+            [((synthesize, qubit_fn, point, axis, grid, n, seed, mode, window), kwargs)] = sweeps
+            assert kwargs == {}
+            reports = []
+            for value in grid:
+                model = errors.ErrorModel(**{**point, axis: float(value)})
+                seq = synthesize(qubit_fn(model.B0), model.E0)
+                reports.append(errors.average_gate_infidelity(seq, qubit_fn, model, n, seed, mode,
+                                                              window, keep_samples=True))
+            _, data = read_csv(out / f"{command}.csv")
+            manifest = json.loads((out / f"{command}.csv.manifest.json").read_text())
+            exact = manifest["results"]["haar_mean_exact"]
+            worst = manifest["results"]["worst_case_exact"]
+            assert len(exact) == len(worst) == len(data) == len(reports)
+            assert all(np.isfinite(exact)) and all(np.isfinite(worst))
+            for row, value, bound, report in zip(data, exact, worst, reports):
+                assert value == report.haar_mean_exact
+                assert bound == report.worst_case_exact
+                assert float(row[1]) == report.mean_infidelity
+                stderr = np.std(report.per_sample) / np.sqrt(report.per_sample.size)
+                assert abs(report.mean_infidelity - value) <= 5.0 * stderr + 1e-15
+                # no input does worse than the exact worst case 1 - |Tr M|^2 / 4
+                assert float(row[2]) == report.max_infidelity <= bound + 1e-15

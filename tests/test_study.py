@@ -1,32 +1,32 @@
-"""The README's "Reproducing the study figures" commands, the fig3a
-`window` command and the `mitigate --sweep B0` line, run in-process at
-README size and checked by the benchmark's checks in bench/checks.py.
-Those checks import nothing of torusqubit: their constants, geometries and
+"""The README, rerun: every `torusqubit` line of its fenced blocks runs
+in-process into its own directory, the checks of bench/checks.py read the
+lines' artifacts, and each number its prose quotes is recomputed at the size
+it states and compared at the precision it prints.
+
+The checks import nothing of torusqubit: their constants, geometries and
 reference formulas are typed apart from the program, so a fault in its
 physics cannot also hide there.
 """
 
+import ast
 import importlib.util
+import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from torusqubit.cli import main
+from conftest import README, readme_commands
+from torusqubit.cli import build_parser, main
+from torusqubit.model import HBAR, Discretization
+from torusqubit.potential import PotentialParams
+from torusqubit.reduction import coefficients_closed_form, coefficients_numerical
+from torusqubit.spectral import initialization_window, solve_sector
 
-CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
-DE_SAMPLES = 10_000  # the default --samples of the README's dE scan
-
-STUDY = {
-    "sweep-fig3a": ["--preset", "fig3a", "sweep-b", "--b-range", "0:1.5:61", "--m-list", "0,1,-1"],
-    "sweep-fig3b": ["--preset", "fig3b", "sweep-b", "--b-range", "0:1.5:61", "--m-list", "0"],
-    "evolve": ["--preset", "fig5", "evolve", "--phase", "0.0"],
-    "fidelity-dB": ["--preset", "fig5", "fidelity", "--scan", "dB", "--range", "0:0.01:21"],
-    "mitigate": ["--preset", "fig5", "mitigate", "--delta-b", "0.005"],
-    "fidelity-dE": ["--preset", "fig5", "fidelity", "--scan", "dE", "--range", "0:0.01:21"],
-    "window": ["--preset", "fig3a", "window"],
-    "mitigate-B0": ["--preset", "fig5", "--E0", "1000", "mitigate", "--sweep", "B0",
-                    "--delta-e", "0.005", "--delta-b", "0"],
-}
+TESTS = Path(__file__).resolve().parent
+CHECKS = TESTS.parent / "bench" / "checks.py"
+COMMANDS = readme_commands()
 
 
 @pytest.fixture(scope="module")
@@ -39,46 +39,62 @@ def checks():
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
-    """The directory of each command's artifacts, keyed as in STUDY."""
+    """Each README command's exit code and artifact directory, keyed by its line."""
     root = tmp_path_factory.mktemp("study")
-    for name, args in STUDY.items():
-        assert main([*args, "--output-dir", str(root / name)]) == 0, name
-    return {name: root / name for name in STUDY}
+    return {line: (main([*shlex.split(line), "--output-dir", str(root / str(i))]), root / str(i))
+            for i, line in enumerate(COMMANDS)}
 
 
-@pytest.mark.parametrize("name", sorted(STUDY))
-def test_artifacts_parse_with_manifests(checks, study, name):
-    checks.check_artifacts(study[name])
+def artifacts(study, selector: str) -> list[Path]:
+    """The artifact directories of the README commands that hold selector."""
+    runs = [study[line] for line in readme_commands(selector)]
+    assert all(code == 0 for code, _ in runs), selector
+    return [out for _, out in runs]
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_runs(checks, study, line):
+    code, out = study[line]
+    assert code == 0
+    checks.check_artifacts(out)
 
 
 def test_level_diagram(checks, study):
-    rows = checks.load_csv(study["sweep-fig3a"] / "sweep_b.csv")
-    checks.check_zeeman(rows)
-    checks.check_zero_field(rows)
+    for out in artifacts(study, "--preset fig3a sweep-b"):
+        rows = checks.load_csv(out / "sweep_b.csv")
+        checks.check_zeeman(rows)
+        checks.check_zero_field(rows)
 
 
 def test_window_matches_the_level_diagram(checks, study):
-    window = checks.load_json(study["window"] / "window.json")
-    checks.check_window(window, checks.load_csv(study["sweep-fig3a"] / "sweep_b.csv"))
+    [window] = [checks.load_json(out / "window.json")
+                for out in artifacts(study, "--preset fig3a window")]
+    for out in artifacts(study, "--preset fig3a sweep-b"):
+        checks.check_window(window, checks.load_csv(out / "sweep_b.csv"))
 
 
 def test_bloch_trajectory_is_a_rabi_rotation(checks, study):
-    manifest = checks.load_json(study["evolve"] / "trajectory.csv.manifest.json")
-    rows = checks.load_csv(study["evolve"] / "trajectory.csv")
-    checks.check_rabi_rotation(rows, manifest["results"]["pulse"])
+    for out in artifacts(study, "evolve --phase"):
+        manifest = checks.load_json(out / "trajectory.csv.manifest.json")
+        checks.check_rabi_rotation(checks.load_csv(out / "trajectory.csv"),
+                                   manifest["results"]["pulse"])
 
 
-@pytest.mark.parametrize("name", ["fidelity-dB", "fidelity-dE"])
-def test_infidelity_rises_from_zero(checks, study, name):
-    checks.check_infidelity_scan(checks.load_csv(study[name] / "fidelity.csv"))
+@pytest.mark.parametrize("scan", ["dB", "dE"], ids=lambda scan: f"fidelity-{scan}")
+def test_infidelity_rises_from_zero(checks, study, scan):
+    for out in artifacts(study, f"fidelity --scan {scan}"):
+        checks.check_infidelity_scan(checks.load_csv(out / "fidelity.csv"))
 
 
 def test_de_scan_is_the_closed_form(checks, study):
-    checks.check_de_scan(checks.load_csv(study["fidelity-dE"] / "fidelity.csv"), DE_SAMPLES)
+    for line in readme_commands("fidelity --scan dE"):
+        samples = build_parser().parse_args(shlex.split(line)).samples
+        checks.check_de_scan(checks.load_csv(study[line][1] / "fidelity.csv"), samples)
 
 
 def test_stronger_drive_mitigates(checks, study):
-    checks.check_mitigation(checks.load_csv(study["mitigate"] / "mitigate.csv"))
+    for out in artifacts(study, "mitigate --delta-b 0.005"):
+        checks.check_mitigation(checks.load_csv(out / "mitigate.csv"))
 
 
 def test_drive_error_alone_is_flat_in_the_field(checks, study):
@@ -86,8 +102,131 @@ def test_drive_error_alone_is_flat_in_the_field(checks, study):
     # error depends on it only relative to the calibrated rate, whatever B0:
     # every row's exact Haar mean is (2/3) sin^2 chi at dE = 0.005
     # (checks.hadamard_de_infidelity); the rows spread by 3.07e-11 relative
-    manifest = checks.load_json(study["mitigate-B0"] / "mitigate.csv.manifest.json")
-    haar = manifest["results"]["haar_mean_exact"]
-    assert len(haar) == len(checks.load_csv(study["mitigate-B0"] / "mitigate.csv"))
-    assert max(haar) - min(haar) <= 1e-10 * min(haar)
-    assert haar == pytest.approx([1.44523e-5] * len(haar), rel=1e-5)
+    for out in artifacts(study, "mitigate --sweep B0"):
+        manifest = checks.load_json(out / "mitigate.csv.manifest.json")
+        rows = checks.load_csv(out / "mitigate.csv")
+        haar = manifest["results"]["haar_mean_exact"]
+        assert len(haar) == len(rows)
+        assert max(haar) - min(haar) <= 1e-10 * min(haar)
+        assert haar == pytest.approx([1.44523e-5] * len(haar), rel=1e-5)
+        # the README: "its rows are flat at 1.4409e-5", and all tie for the argmin
+        assert {f"{row['mean_infidelity']:.4e}" for row in rows} == {"1.4409e-05"}
+        assert manifest["results"]["argmin_B0"] == 0.4
+
+
+# ------------------------------------------------- numbers the README quotes
+
+
+def edges(window) -> list[str]:
+    return [f"{b:.4f}" for b in window]
+
+
+@pytest.fixture(scope="module")
+def geometries(fig3a_geom, fig3b_geom):
+    return {"fig3a": fig3a_geom, "fig3b": fig3b_geom}
+
+
+@pytest.fixture(scope="module")
+def windows(geometries):
+    """The initialization windows the README quotes, keyed by (preset, n)."""
+    sizes = [("fig3a", n) for n in (256, 512, 1024, 2048, 4096)] + [("fig3b", 1024)]
+    return {(preset, n): initialization_window(geometries[preset], Discretization(n))
+            for preset, n in sizes}
+
+
+@pytest.mark.parametrize("preset, expected", [("fig3a", ["0.3695", "0.9867"]),
+                                              ("fig3b", ["0.2148", "0.5109"])])
+def test_window_edges(windows, preset, expected):
+    assert edges(windows[preset, 1024]) == expected
+
+
+def test_upper_edge_moves_with_the_grid(windows):
+    upper = {256: "0.9789", 512: "0.9844", 1024: "0.9867", 2048: "0.9883", 4096: "0.9891"}
+    assert {n: edges(windows["fig3a", n]) for n in upper} == {
+        n: ["0.3695", b] for n, b in upper.items()}
+
+
+@pytest.mark.parametrize("preset, upper_weights", [("fig3a", ["0.598", "0.601"]),
+                                                   ("fig3b", ["0.595", "0.603"])])
+def test_edge_states(geometries, disc1024, windows, preset, upper_weights):
+    # 2 mT either side of each edge at m = 0: at the lower edge level 1,
+    # already past the weight cut, drops below the barrier; at the upper
+    # edge level 2, far below the barrier, crosses the cut
+    def level(B, index):
+        spectrum = solve_sector(PotentialParams(geom=geometries[preset], B=B), disc1024)
+        state = spectrum.states[index]
+        return state, state.energy < spectrum.barrier_energy
+
+    b_min, b_max = windows[preset, 1024]
+    (before, low), (after, under) = (level(b_min + d, 1) for d in (-2e-3, 2e-3))
+    assert (low, under, before.bound, after.bound) == (False, True, False, True)
+    assert {f"{s.localization:.2f}" for s in (before, after)} <= {"0.63", "0.64"}
+    (before, low), (after, under) = (level(b_max + d, 2) for d in (-2e-3, 2e-3))
+    assert (low, under, before.bound, after.bound) == (True, True, False, True)
+    assert [f"{s.localization:.3f}" for s in (before, after)] == upper_weights
+
+
+def test_zero_field_ground_state_weight(fig3a_geom, disc1024):
+    spectrum = solve_sector(PotentialParams(geom=fig3a_geom, B=0.0), disc1024)
+    assert f"{spectrum.states[0].localization:.2f}" == "0.77"
+
+
+def test_zero_point_spread(checks, study):
+    [out] = artifacts(study, "fig5 qubit-params")
+    assert f"{checks.load_json(out / 'qubit_params.json')['zero_point_spread']:.5f}" == "0.66667"
+
+
+def test_three_level_pulse_falls_short(checks, study):
+    # the ladder's coupling is 0.8400 of the two-level one, so its default
+    # pi/(2 Omega) pulse rotates by 0.84 pi/2, not pi/2
+    [out] = artifacts(study, "fig5 evolve --three-level")
+    end = checks.load_csv(out / "trajectory.csv")[-1]
+    assert [f"{end['p1']:.4f}", f"{end['z']:.4f}"] == ["0.3754", "0.2491"]
+    predicted = [math.sin(0.84 * math.pi / 4) ** 2, math.cos(0.84 * math.pi / 2)]
+    assert [f"{v:.4f}" for v in predicted] == ["0.3757", "0.2487"]
+
+
+def test_closed_form_quadratic_gap(fig3a_geom):
+    # the routes' quadratic coefficients c2 = beta^2 / (2 m*) differ by a
+    # field-independent -(R + 2r) hbar^2 / (4 m* r (R - r)^2)
+    r, R, mass = fig3a_geom.r_minor, fig3a_geom.R_major, fig3a_geom.effective_mass
+    gap = -(R + 2 * r) * HBAR**2 / (4 * mass * r * (R - r) ** 2)
+    numerical = coefficients_numerical(fig3a_geom, 0.0).beta_sq / (2 * mass)
+    closed = coefficients_closed_form(fig3a_geom, 0.0).beta_sq / (2 * mass)
+    assert closed - numerical == pytest.approx(gap, rel=1e-9)
+    assert f"{-gap / numerical:.0%}" == "93%"
+
+
+# ------------------------------------------------- the README's own text
+
+
+def readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+def test_claims_name_existing_tests():
+    # each test id in the Claims table is `file.py::name` or
+    # `file.py::Class::name` under tests/, a function the file defines
+    rows = [line for line in readme_section("Claims").splitlines() if line.startswith("| ")][1:]
+    ids = [node for row in rows for node in re.findall(r"`([^`]+)`", row.split("|")[-2])]
+    assert len(ids) >= len(rows)
+    modules = {file: ast.parse((TESTS / file).read_text(encoding="utf-8"))
+               for file in {node.split("::")[0] for node in ids}}
+    for node in ids:
+        file, *names = node.split("::")
+        scope = modules[file]
+        for name in names:
+            scope = next((item for item in scope.body
+                          if isinstance(item, (ast.ClassDef, ast.FunctionDef))
+                          and item.name == name), None)
+            assert scope is not None, node
+
+
+def test_cli_text_matches_the_parser():
+    parser = build_parser()
+    options = [option for action in parser._actions for option in action.option_strings
+               if option not in ("-h", "--help")]
+    listed = re.search(r"Global options \(([^)]*)\)", readme_section("Command-line interface"))
+    assert sorted(item.split()[0] for item in re.findall(r"`([^`]+)`", listed[1])) == sorted(options)
+    [subcommands] = [action.choices for action in parser._actions if action.dest == "command"]
+    assert {parser.parse_args(shlex.split(line)).command for line in COMMANDS} == set(subcommands)
