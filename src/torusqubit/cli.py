@@ -107,6 +107,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"--config {config_path}: {exc.strerror or exc}") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"--config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
@@ -260,12 +262,16 @@ def write_artifacts(
         "warnings": raised,
         "results": output.results,
     })
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in output.files.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        path.with_name(name + ".manifest.json").write_text(manifest, encoding="utf-8")
-        print(f"wrote {path}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in output.files.items():
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+            path.with_name(name + ".manifest.json").write_text(manifest, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--output-dir: {exc}") from None
+    for name in output.files:
+        print(f"wrote {out_dir / name}")
 
 
 def _levels_csv(spectra, units: UnitSystem) -> str:

@@ -52,9 +52,92 @@ def modules_after(code, *packages):
     return next(line for line in done.stdout.splitlines() if line.startswith("loaded:")).split()[1:]
 
 
-def scipy_modules_after(code):
-    """Names of the scipy modules loaded once code has run in a fresh interpreter."""
-    return modules_after(code, "scipy")
+# CLI lines run in turn in one fresh interpreter, after import torusqubit.cli
+_RUNS_IN_TURN = """\
+import json, sys
+import torusqubit.cli
+
+def loaded():
+    return {{m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in {packages!r})}}
+
+runs = []
+for argv in {argvs!r}:
+    before = loaded()
+    try:
+        code = torusqubit.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    runs.append((code, sorted(loaded() - before)))
+print("runs:", json.dumps(runs))
+"""
+
+
+def runs_in_one_interpreter(argvs, packages, out_dir):
+    """{tuple(argv): (exit code, sorted names of the packages' modules that
+    main(argv) newly loaded)}, each argv run in turn in one fresh interpreter
+    with its own subdirectory of out_dir as --output-dir; one interpreter
+    start in place of one per line."""
+    with_dirs = [[*argv, "--output-dir", str(out_dir / str(k))] for k, argv in enumerate(argvs)]
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNS_IN_TURN.format(argvs=with_dirs, packages=packages)],
+        env=source_env(), capture_output=True, text=True, check=True)
+    runs = json.loads(next(line for line in done.stdout.splitlines()
+                           if line.startswith("runs:")).removeprefix("runs:"))
+    return {tuple(argv): (code, modules) for argv, (code, modules) in zip(argvs, runs)}
+
+
+# each line errs on one option's bounds, under --preset fig5
+OPTION_ERRORS = [
+    ["fidelity", "--range", "0:0.5:3"],
+    ["fidelity", "--samples", "0"],
+    ["mitigate", "--delta-b", "0.5"],
+    ["mitigate", "--samples", "0"],
+    ["mitigate", "--sweep", "B0", "--b0-range", "0:1:3"],
+    ["mitigate", "--spacing", "linear", "--e0-range", "0:10:3"],
+    ["gate", "--tol", "1"],
+    ["sweep-b", "--b-range", "0:1"],
+    ["sweep-b", "--b-range", "-1:1:3"],
+    ["sweep-b", "--levels", "0"],
+    ["spectrum", "--levels", "0"],
+    ["window", "--scan-max", "-1"],
+    ["evolve", "--samples", "1"],
+    ["potential", "--E-static", "inf"],
+]
+
+# runs that need no array, with their exit codes
+SCALAR_RUNS = [
+    (["--preset", "fig5", "qubit-params"], 0),
+    (["--preset", "fig3b", "--B", "0", "qubit-params"], 0),  # the warning path
+    (["--help"], 0),
+    (["spectrum", "--help"], 0),
+    (["--n-points", "10", "spectrum"], 2),
+    (["--preset", "fig9", "fidelity"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def option_error_runs(tmp_path_factory):
+    return runs_in_one_interpreter([["--preset", "fig5", *args] for args in OPTION_ERRORS],
+                                   ("torusqubit", "numpy"), tmp_path_factory.mktemp("option"))
+
+
+@pytest.fixture(scope="module")
+def scalar_runs(tmp_path_factory):
+    return runs_in_one_interpreter([args for args, _ in SCALAR_RUNS], ("numpy",),
+                                   tmp_path_factory.mktemp("scalar"))
+
+
+# runs whose --output-dir lies under a file, so no artifact can be written
+UNWRITABLE_OUTPUT_RUNS = [
+    ["--preset", "fig5", "qubit-params"],
+    ["--preset", "fig3a", "--n-points", "256", "window"],
+    ["--preset", "fig5", "gate"],
+    ["--preset", "fig5", "mitigate", "--e0-range", "100:1000:2", "--samples", "10"],
+]
+
+
+def unwritable_output_id(args):
+    return args[-1] if args[-1].isalpha() else args[2]
 
 
 def read_csv(path):
@@ -442,12 +525,7 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith(f"error: {name}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["--preset", "fig5", "qubit-params"],
-        ["--preset", "fig3a", "--n-points", "256", "window"],
-        ["--preset", "fig5", "gate"],
-        ["--preset", "fig5", "mitigate", "--e0-range", "100:1000:2", "--samples", "10"],
-    ], ids=lambda args: args[-1] if args[-1].isalpha() else args[2])
+    @pytest.mark.parametrize("args", UNWRITABLE_OUTPUT_RUNS, ids=unwritable_output_id)
     def test_unwritable_output_prints_no_result(self, tmp_path, capsys, args):
         # a summary line is a result, printed only once the artifacts exist
         blocker = tmp_path / "file"
@@ -457,6 +535,27 @@ class TestConfigHandling:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("args", UNWRITABLE_OUTPUT_RUNS, ids=unwritable_output_id)
+    def test_unwritable_output_names_its_option(self, tmp_path, capsys, args):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*args, "--output-dir", str(blocker / "out")]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: --output-dir: ") and str(blocker / "out") in line
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (Path.mkdir, "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_config_names_its_option(self, tmp_path, capsys, make, reason):
+        config = tmp_path / "config.json"
+        make(config)
+        code, out = run(["--config", str(config), "qubit-params"], tmp_path, "out")
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: --config {config}: {reason}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_range_bound_is_inclusive(self, tmp_path, capsys, sign):
@@ -829,38 +928,6 @@ class TestNewSurfaces:
         assert code == 0
         assert '"max_leakage": 0.0' in (out / "gate.json").read_text()
 
-    def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # scipy.integrate is imported at the first lab-frame integration only
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, torusqubit.cli; print('scipy.integrate' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "False"
-
-    def test_cli_import_loads_no_scipy(self):
-        assert scipy_modules_after("import torusqubit.cli") == []
-
-    @pytest.mark.parametrize("args", [
-        ["gate", "--mode", "labframe", "--leakage"],
-        ["evolve", "--three-level"],
-    ])
-    def test_run_without_eigensolve_loads_no_scipy(self, tmp_path, args):
-        argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
-        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
-        # numpy.ma costs a cold run 14 ms, and np.unique imports it
-        assert modules_after(code, "scipy", "numpy.ma") == []
-
-    @pytest.mark.parametrize("args", [
-        ["spectrum"],
-        ["sweep-b", "--b-range", "0:1:3", "--m-list", "0,1"],
-        ["window"],
-    ])
-    def test_eigensolve_run_loads_no_scipy(self, tmp_path, args):
-        argv = ["--preset", "fig3a", *args, "--output-dir", str(tmp_path)]
-        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
-        assert scipy_modules_after(code) == []
-
     def test_dense_reference_solve_loads_no_scipy(self):
         # n = 700 lies above the old 600 cutoff, where the reference solve ran ARPACK
         code = ("from torusqubit.model import TorusGeometry\n"
@@ -871,16 +938,16 @@ class TestNewSurfaces:
                 "for n in (64, 700):\n"
                 "    energies, _ = lowest_eigenpairs(build_hamiltonian(params, Discretization(n)), 6)\n"
                 "    assert energies.shape == (6,)")
-        assert scipy_modules_after(code) == []
+        assert modules_after(code, "scipy") == []
 
     def test_cli_import_loads_model_alone(self):
-        assert modules_after("import torusqubit.cli", "torusqubit", "scipy") == [
+        assert modules_after("import torusqubit.cli", "torusqubit", "scipy", "numpy") == [
             "torusqubit", "torusqubit.cli", "torusqubit.model"]
 
     @pytest.mark.parametrize("args, layers", [
         (["potential"], ["potential"]),
         (["spectrum"], ["potential", "spectral"]),
-        (["sweep-b", "--b-range", "0:1:3"], ["potential", "spectral"]),
+        (["sweep-b", "--b-range", "0:1:3", "--m-list", "0,1"], ["potential", "spectral"]),
         (["window"], ["potential", "spectral"]),
         (["qubit-params"], ["potential", "reduction"]),
         (["evolve", "--samples", "5"], ["dynamics", "potential", "reduction"]),
@@ -891,10 +958,13 @@ class TestNewSurfaces:
          ["control", "dynamics", "errors", "potential", "reduction", "spectral"]),
         (["mitigate", "--e0-range", "100:1000:2", "--samples", "50"],
          ["control", "dynamics", "errors", "potential", "reduction"]),
+        (["gate", "--mode", "labframe", "--leakage"], ["control", "dynamics", "potential", "reduction"]),
+        (["evolve", "--three-level"], ["dynamics", "potential", "reduction"]),
     ])
     def test_subcommand_loads_only_its_layers(self, tmp_path, args, layers):
-        # each subcommand imports the layers it runs, and none loads scipy;
-        # every one that builds arrays loads numpy, and qubit-params does not
+        # each subcommand imports the layers it runs, and none loads scipy or
+        # numpy.ma (14 ms of a cold run, which np.unique imports); every one
+        # that builds arrays loads numpy, and qubit-params does not
         argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
         code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 0"
         expected = ["torusqubit", "torusqubit.cli", "torusqubit.model",
@@ -902,48 +972,19 @@ class TestNewSurfaces:
         loaded = modules_after(code, "torusqubit", "scipy", "numpy")
         assert [m for m in loaded if not m.startswith("numpy")] == sorted(expected)
         assert ("numpy" in loaded) == (args[0] != "qubit-params")
+        assert "numpy.ma" not in loaded
 
-    @pytest.mark.parametrize("args", [
-        ["fidelity", "--range", "0:0.5:3"],
-        ["fidelity", "--samples", "0"],
-        ["mitigate", "--delta-b", "0.5"],
-        ["mitigate", "--samples", "0"],
-        ["mitigate", "--sweep", "B0", "--b0-range", "0:1:3"],
-        ["mitigate", "--spacing", "linear", "--e0-range", "0:10:3"],
-        ["gate", "--tol", "1"],
-        ["sweep-b", "--b-range", "0:1"],
-        ["sweep-b", "--b-range", "-1:1:3"],
-        ["sweep-b", "--levels", "0"],
-        ["spectrum", "--levels", "0"],
-        ["window", "--scan-max", "-1"],
-        ["evolve", "--samples", "1"],
-        ["potential", "--E-static", "inf"],
-    ], ids=" ".join)
-    def test_option_error_loads_no_layer(self, tmp_path, args):
+    @pytest.mark.parametrize("args", OPTION_ERRORS, ids=" ".join)
+    def test_option_error_loads_no_layer(self, option_error_runs, args):
         # an option's bounds live in model, so it is checked before the
         # subcommand imports its first layer or numpy
-        argv = ["--preset", "fig5", *args, "--output-dir", str(tmp_path)]
-        code = f"import torusqubit.cli\nassert torusqubit.cli.main({argv!r}) == 2"
-        assert modules_after(code, "torusqubit", "numpy") == [
-            "torusqubit", "torusqubit.cli", "torusqubit.model"]
+        assert option_error_runs[("--preset", "fig5", *args)] == (2, [])
 
-    @pytest.mark.parametrize("args, exit_code", [
-        (["--preset", "fig5", "qubit-params"], 0),
-        (["--preset", "fig3b", "--B", "0", "qubit-params"], 0),  # the warning path
-        (["--help"], 0),
-        (["spectrum", "--help"], 0),
-        (["--n-points", "10", "spectrum"], 2),
-        (["--preset", "fig9", "fidelity"], 2),
-    ])
-    def test_scalar_run_loads_no_numpy(self, tmp_path, args, exit_code):
+    @pytest.mark.parametrize("args, exit_code", SCALAR_RUNS)
+    def test_scalar_run_loads_no_numpy(self, scalar_runs, args, exit_code):
         # the reduction is scalar algebra on math, and help and configuration
         # errors end before any layer is imported
-        argv = [*args, "--output-dir", str(tmp_path)]
-        code = ("import torusqubit.cli\n"
-                f"try:\n    code = torusqubit.cli.main({argv!r})\n"
-                "except SystemExit as exc:\n    code = exc.code\n"
-                f"assert code == {exit_code}, code")
-        assert modules_after(code, "numpy") == []
+        assert scalar_runs[tuple(args)] == (exit_code, [])
 
     def test_evolve_three_level(self, tmp_path):
         code, out = run(

@@ -187,8 +187,7 @@ class TestEnsembleKernel:
         w, v = np.linalg.eigh((h + h.conj().T) / 2)
         m = u.conj().T @ (u @ ((v * np.exp(-1j * eps * w)) @ v.conj().T)) * scale
         bloch = haar_bloch_vectors(300, seed=31)
-        got = np.empty(300)
-        _infidelity_kernel(m, _exact_terms(m)[0])(bloch, got, np.empty((3, 300)))
+        got = _infidelity_kernel(m, _exact_terms(m)[0])(bloch)
         want = _mp_infidelity(m, bloch)
         err = np.array([abs(float(ref - value)) for ref, value in zip(want, got)])
         small = np.array([abs(ref) <= 1e-4 for ref in want])
@@ -196,7 +195,7 @@ class TestEnsembleKernel:
         assert err[small].max(initial=0.0) <= 1e-16
 
     def test_chunked_kernel_is_the_whole_array_expression(self):
-        # the scratch-buffer passes over the streamed chunks keep the
+        # the kernel's in-place products over the streamed chunks keep the
         # expression's order of operations, so every kept (clipped) value is
         # bit-identical, also in the short last chunk
         n = 2**17 + 3
