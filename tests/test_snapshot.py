@@ -60,6 +60,9 @@ CASES = {
     "qubit-params": [*FIG5, "qubit-params"],
     "qubit-params-fig3b-b0": ["--preset", "fig3b", "--B", "0", "qubit-params"],
     "spectrum": [*FIG5, "--n-points", "256", "spectrum"],
+    # odd n, the fourth-order stencil and a nonzero orbital sector
+    "spectrum-odd-order4": [*FIG5, "--n-points", "1025", "--stencil-order", "4", "spectrum",
+                            "--m", "-1", "--levels", "9"],
     "potential": ["--preset", "fig3a", "--B", "0.45", "--n-points", "64",
                   "potential", "--E-static", "10"],
     "window": ["--preset", "fig3a", "--n-points", "256", "window"],
