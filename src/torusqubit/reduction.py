@@ -74,16 +74,17 @@ def coefficients_closed_form(geom: TorusGeometry, B: float) -> OscillatorCoeffic
     mstar = geom.effective_mass
     try:
         e2b2 = (E_CHARGE * B) ** 2
+        delta = -(1.0 / (96.0 * mstar)) * (
+            HBAR**2 * r * (R + 8.0 * r) / (R - r) ** 4 + e2b2 * r * (R - 4.0 * r)
+        )
+        beta_sq = (r / 4.0) * (HBAR**2 / (R - r) ** 3 + e2b2 * (R - r))
+        epsilon = (1.0 / (8.0 * mstar * (R - r) ** 2)) * (
+            e2b2 * (R - r) ** 4 - HBAR**2 * (R**2 - 2.0 * R * r + 2.0 * r**2) / r**2
+        )
     except OverflowError:
         raise OverflowError(f"{CLOSED_FORM} coefficients overflow at B={B!r}") from None
-
-    delta = -(1.0 / (96.0 * mstar)) * (
-        HBAR**2 * r * (R + 8.0 * r) / (R - r) ** 4 + e2b2 * r * (R - 4.0 * r)
-    )
-    beta_sq = (r / 4.0) * (HBAR**2 / (R - r) ** 3 + e2b2 * (R - r))
-    epsilon = (1.0 / (8.0 * mstar * (R - r) ** 2)) * (
-        e2b2 * (R - r) ** 4 - HBAR**2 * (R**2 - 2.0 * R * r + 2.0 * r**2) / r**2
-    )
+    except ZeroDivisionError:  # a divisor, a power of R - r, underflowed to zero
+        raise ZeroDivisionError(f"{CLOSED_FORM} coefficients underflow at B={B!r}") from None
     return OscillatorCoefficients(beta_sq=beta_sq, delta_anh=delta, epsilon_const=epsilon)
 
 

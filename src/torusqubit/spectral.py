@@ -179,21 +179,20 @@ def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RitzBasis:
-    """Read-only setup of one Ritz block: the grid Fourier modes q <= cutoff
-    of one parity, or of both.
+    """Read-only setup of the Ritz matrix of the grid Fourier modes q <= cutoff,
+    the cosines first: its cosine block is the even block of a mirror-symmetric
+    solve and its sine block the odd one.
 
-    Entry (a, b) of the block's Ritz matrix of diag(v) is
+    Entry (a, b) of the Ritz matrix of diag(v) is
     0.5 * (sums[first[a, b]] + sums[second[a, b]]) * scale[a, b], where sums
     stacks the cosine sums, the sine sums and their negatives (blocks of n,
     in that order) at the frequency indices (p - q) mod n and (p + q) mod n
     of the two modes p and q.  A cosine-sine entry is negated through its
-    scale, which is exact.  The even block holds the cosines alone, the odd
-    block the sines alone, and the whole basis both; each block's entries
-    equal those of the whole basis bit for bit.
+    scale, which is exact.
     """
 
-    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff (none in the odd block)
-    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine (none in the even block)
+    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff
+    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine
     norm_c: np.ndarray  # (cos_q.size, 1) normalizations of the cosines
     first: np.ndarray
     second: np.ndarray
@@ -203,13 +202,12 @@ class _RitzBasis:
 
 
 @functools.lru_cache(maxsize=16)
-def _ritz_basis(disc: Discretization, cutoff: int, parity: int = 0) -> _RitzBasis:
-    """The _RitzBasis of the modes q <= cutoff on disc: the cosines for
-    parity 1, the sines for parity -1, both for 0.  One per (n, order,
-    cutoff, parity); a sweep builds it once."""
+def _ritz_basis(disc: Discretization, cutoff: int) -> _RitzBasis:
+    """The _RitzBasis of the modes q <= cutoff on disc.  One per (n, order,
+    cutoff); a sweep builds it once."""
     n = disc.n_points
-    cos_q = np.arange(cutoff + 1 if parity >= 0 else 0)
-    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1 if parity <= 0 else 1)
+    cos_q = np.arange(cutoff + 1)
+    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
     norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
     norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)[:, None]
 
@@ -257,10 +255,11 @@ def _sector_eigenpairs(
     sine analogues, so the Ritz matrix of the modes q <= K costs no n x n
     work (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  When v is
     mirror-symmetric, v(theta_j) = v(theta_{n-j}) (mirror), the cosine-sine
-    block holds only roundoff and is never formed: the cosine block (K + 1
-    modes) and the sine block (K modes) are solved apart, and their levels
-    merged by a stable sort, even first on an exact tie, so every vector is
-    even or odd by construction.  Otherwise one block holds all 2K + 1 modes.
+    block holds only roundoff and is left out of the solve: the cosine block
+    (K + 1 modes) and the sine block (K modes) are solved apart, and their
+    levels sorted together by a stable sort, even first on an exact tie, so
+    every vector is even or odd by construction.  Otherwise all 2K + 1 modes
+    are solved together.
     K starts at max(_RITZ_START, k) and doubles until the k merged Ritz
     vectors carry at most 1e-14 of weight in the top quarter of the
     frequencies; at K = n // 2 the basis is complete and the solve exact.
@@ -282,40 +281,32 @@ def _sector_eigenpairs(
     cap = max(_RITZ_CAP, 2 * k + 1)
     limit = n // 2 if n <= cap else (cap - 1) // 2
     cutoff = min(max(_RITZ_START, k), limit)
-    parities = (1, -1) if mirror else (0,)
     while True:
-        blocks, levels, tails = [], [], []
-        for parity in parities:
-            basis = _ritz_basis(disc, cutoff, parity)
-            ritz = (sums[basis.first] + sums[basis.second]) * 0.5 * basis.scale
-            ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
-            values, coeffs = np.linalg.eigh(ritz)
-            blocks.append((basis, coeffs[:, :k]))
-            levels.append(values[:k])
-            tails.append(np.sum(coeffs[basis.top, :k] ** 2, axis=0))
-        levels = np.concatenate(levels)
+        basis = _ritz_basis(disc, cutoff)
+        ritz = (sums[basis.first] + sums[basis.second]) * 0.5 * basis.scale
+        ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
+        even = basis.cos_q.size
+        levels, coeffs = np.empty(len(ritz)), np.zeros_like(ritz)
+        for block in (slice(None, even), slice(even, None)) if mirror else (slice(None),):
+            levels[block], coeffs[block, block] = np.linalg.eigh(ritz[block, block])
         order = np.argsort(levels, kind="stable")[:k]
-        tail = float(np.max(np.concatenate(tails)[order]))
+        tail = float(np.max(np.sum(coeffs[basis.top] ** 2, axis=0)[order]))
         converged = cutoff == n // 2 or tail <= _RITZ_TAIL
         if converged or cutoff == limit:
             break
         cutoff = min(2 * cutoff, limit)
 
-    columns = []
-    for basis, coeffs in blocks:
-        spectrum = np.zeros((n // 2 + 1, coeffs.shape[1]), dtype=complex)
-        spectrum[basis.cos_q] = coeffs[: basis.cos_q.size] / basis.norm_c
-        # the sine normalization is sqrt(2 / n)
-        spectrum[basis.sin_q] -= 1j * coeffs[basis.cos_q.size :] / math.sqrt(2.0 / n)
-        columns.append(spectrum)
-    vectors = np.fft.irfft(np.concatenate(columns, axis=1)[:, order], n, axis=0)
+    coeffs = coeffs[:, order]
+    spectrum = np.zeros((n // 2 + 1, k), dtype=complex, order="F")
+    spectrum[basis.cos_q] = coeffs[:even] / basis.norm_c
+    spectrum[basis.sin_q] -= 1j * coeffs[even:] / math.sqrt(2.0 / n)  # the sine normalization
+    vectors = np.fft.irfft(spectrum, n, axis=0)
     energies = levels[order]
 
     stencil = _stencil(disc)
     diagonal = stencil[0] + v
     unconverged = None if converged else (
-        f"Fourier basis reached its cap of {sum(basis.kinetic.size for basis, _ in blocks)} modes"
-        f" with Ritz tail weight {tail:.3e}")
+        f"Fourier basis reached its cap of {len(ritz)} modes with Ritz tail weight {tail:.3e}")
     _check_residuals(_apply_operator(stencil, diagonal, vectors) - vectors * energies,
                      float(np.abs(diagonal).max()) + 2.0 * sum(map(abs, stencil[1:])), unconverged)
     return energies, vectors

@@ -713,6 +713,15 @@ class TestAssemblyReference:
             assert state.wavefunction.tobytes() == wavefunction.tobytes()
 
 
+def test_both_parities_share_one_ritz_table(fig3a_geom, disc1024):
+    # the mirror-symmetric solve reads the diagonal blocks of the one table
+    # the parity-broken solve reads whole
+    spectral._ritz_basis.cache_clear()
+    for e_static in (0.0, 200.0):
+        solve_sector(PotentialParams(geom=fig3a_geom, B=0.45, E_static=e_static), disc1024)
+    assert spectral._ritz_basis.cache_info().currsize == 1
+
+
 class TestFourierRitzAccuracy:
     """solve_sector against shift-invert Lanczos on the sparse operator."""
 

@@ -1,7 +1,9 @@
 """The README, rerun: every `torusqubit` line of its fenced blocks runs
 in-process into its own directory, the checks of bench/checks.py read the
 lines' artifacts, and each number its prose quotes is recomputed at the size
-it states and compared at the precision it prints.
+it states and compared at the precision it prints.  Each invocation the
+exit-code lists quote runs as written to its list's exit code and the
+`error:` line quoted after it.
 
 The checks import nothing of torusqubit: their constants, geometries and
 reference formulas are typed apart from the program, so a fault in its
@@ -202,6 +204,40 @@ def test_closed_form_quadratic_gap(fig3a_geom):
 
 def readme_section(title: str) -> str:
     return README.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+def readme_exit_examples(code: int) -> list[tuple[str, list[str]]]:
+    """The backticked `torusqubit` invocations of the README's "Exit code
+    CODE" list, without the program name, each with the `error:` lines its
+    list item quotes after it and before the item's next invocation.  A
+    LookupError when the list holds no invocation, so its test cannot pass
+    on none."""
+    text = README.read_text(encoding="utf-8").split(f"\nExit code {code} is ")[1]
+    examples = []
+    for item in text.split("\n\n")[0].split("\n- ")[1:]:  # the list ends at a blank line
+        invocation = None
+        for span in (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", item)):
+            if span.startswith("torusqubit "):
+                invocation = (span.removeprefix("torusqubit "), [])
+                examples.append(invocation)
+            elif span.startswith("error: "):
+                assert invocation is not None, f"{span!r} follows no invocation in its item"
+                invocation[1].append(span)
+    if not examples:
+        raise LookupError(f"the README's exit code {code} list holds no invocation")
+    return examples
+
+
+@pytest.mark.parametrize("code, line, errors", [
+    pytest.param(code, line, errors, id=line)
+    for code in (2, 1) for line, errors in readme_exit_examples(code)])
+def test_readme_exit_example(tmp_path, monkeypatch, capsys, code, line, errors):
+    # run as written, in a directory of its own: `…` in a quoted line stands for any text
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)) == code
+    last = capsys.readouterr().err.splitlines()[-1]
+    for error in errors:
+        assert re.fullmatch(".*".join(map(re.escape, error.split("…"))), last), (error, last)
 
 
 def test_claims_name_existing_tests():
