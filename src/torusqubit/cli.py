@@ -20,6 +20,14 @@ every configuration error run without it.  `main` sets
 OPENBLAS_THREAD_TIMEOUT=4 unless it is set, so OpenBLAS's idle worker
 threads sleep at once rather than spin 0.1 s of CPU that no subcommand uses.
 
+`process_main`, the entry of `python -m torusqubit.cli` and of the
+`torusqubit` script, runs `main` with the garbage collector off and freezes
+the heap before the interpreter exits.  A run makes no reference cycles that
+grow with its input, and at exit CPython would otherwise collect every live
+object, numpy's tens of thousands among them, in a heap the OS is about to
+drop.  `main` called in-process, by the tests or a library user, leaves the
+collector as it was.
+
 PRESETS names the geometries used throughout, fig3a and fig3b, and the
 operating point fig5, which is fig3a at B=0.45 T and E0=100 V/m.
 """
@@ -224,19 +232,25 @@ def _json_dumps(payload: dict) -> str:
 def _csv(header: list[str], rows, comment: str | None = None) -> str:
     """The one serializer for CSV data files: the "# comment" line, if any, the
     header, then one line per row of integers, booleans (true/false) and reals
-    (repr(float(v))).  NaN and infinities raise ValueError, as in _json_dumps."""
+    (repr(float(v))).  NaN and infinities raise ValueError, as in _json_dumps,
+    naming the column and, as the row's point, its first field."""
     import numpy as np
 
-    def field(value) -> str:
-        if isinstance(value, (int, np.integer, np.bool_)):  # digits, or true/false
-            return str(value).lower()
-        if not math.isfinite(value := float(value)):
-            raise ValueError(f"CSV values must be finite, got {value!r}")
-        return repr(value)
+    def line(row) -> str:
+        fields = []
+        for column, value in zip(header, row, strict=True):
+            if isinstance(value, (int, np.integer, np.bool_)):  # digits, or true/false
+                fields.append(str(value).lower())
+            elif math.isfinite(value := float(value)):
+                fields.append(repr(value))
+            else:
+                at = f" at {header[0]}={fields[0]}" if fields else ""
+                raise ValueError(f"CSV column {column} must be finite{at}, got {value!r}")
+        return ",".join(fields)
 
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(",".join(header))
-    lines += [",".join(map(field, row)) for row in rows]
+    lines += map(line, rows)
     return "\n".join(lines) + "\n"
 
 
@@ -673,5 +687,16 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def process_main() -> int:
+    """main() as a process of its own, with no collection during the run or
+    at exit; the caller exits with the code it returns."""
+    import gc
+
+    gc.disable()
+    code = main()
+    gc.freeze()  # the exit's collections skip the frozen heap
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -142,10 +142,10 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
 def check_periods(t: float, name: str, omega_rf: float) -> float:
     """The drive period T = 2 pi / |omega_rf| (inf without a drive), if a time
     t spans fewer than MAX_DRIVE_CYCLES of them; otherwise a ValueError naming
-    t.  A quotient t / T past the range is inf."""
+    t and the count of periods it spans.  A quotient t / T past the range is inf."""
     period = TWO_PI / abs(omega_rf) if omega_rf else math.inf
-    if not t / period < MAX_DRIVE_CYCLES:
-        raise ValueError(f"{name} must span fewer than 2^63 drive periods, got {t!r}")
+    if not (periods := t / period) < MAX_DRIVE_CYCLES:
+        raise ValueError(f"{name} must span fewer than 2^63 drive periods, got {periods!r}")
     return period
 
 

@@ -343,7 +343,10 @@ class TestConfigHandling:
     ])
     def test_non_finite_csv_value_writes_no_artifact(self, tmp_path, capsys, monkeypatch,
                                                      args, layer, patch):
-        # one NaN in one row of the data file: the CSV writer refuses it, as strict JSON does
+        # one NaN in one row of the data file: the CSV writer refuses it, as strict JSON does,
+        # naming its column and, unless the NaN is there, the row's first field
+        error = {"sweep_field": "error: CSV column localization must be finite at B=0.5, got nan",
+                 "trajectory": "error: CSV column t must be finite, got nan"}[patch]
         computed = getattr(layer, patch)
 
         def poisoned(*args, **kwargs):
@@ -357,8 +360,7 @@ class TestConfigHandling:
         monkeypatch.setattr(layer, patch, poisoned)
         code, out = run(["--preset", "fig5", *args], tmp_path, "out")
         assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [
-            "error: CSV values must be finite, got nan"]
+        assert capsys.readouterr().err.strip().splitlines() == [error]
         assert not out.exists()
 
     def test_non_unitary_long_drive_writes_no_artifact(self, tmp_path, capsys):
@@ -687,8 +689,11 @@ class TestArtifacts:
             "# note\na,b,c\n1,true,0.5\n-2,false,0.1\n0,false,0\n")
         assert cli._csv(["x"], [(np.float32(0.5),), (1e-300,)]) == "x\n0.5\n1e-300\n"
         for value in (math.inf, -np.inf, np.float64("nan")):
-            with pytest.raises(ValueError, match="^CSV values must be finite"):
+            with pytest.raises(ValueError, match=f"^CSV column x must be finite, got {value}$"):
                 cli._csv(["x"], [(1.0,), (value,)])
+            at_point = f"^CSV column c must be finite at a=-2, got {value}$"
+            with pytest.raises(ValueError, match=at_point):
+                cli._csv(["a", "b", "c"], [(np.int64(-2), True, value)])
 
     def test_potential_profile_symmetric(self, tmp_path):
         code, out = run(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path)

@@ -180,5 +180,5 @@ class TestProfile:
         code = main(["--preset", "fig3a", "--B", "1e200", "potential", "--output-dir", str(out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: CSV values must be finite, got inf"]
+        assert err == ["error: CSV column V_B must be finite at theta=0.0, got inf"]
         assert not out.exists()

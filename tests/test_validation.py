@@ -9,8 +9,8 @@ import pytest
 from torusqubit.control import PulseSequence
 from torusqubit.dynamics import PulseSpec
 from torusqubit.errors import ErrorModel
-from torusqubit.model import (FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
-                              check_positive, magnetic_parameter)
+from torusqubit.model import (TWO_PI, FieldConfig, TorusGeometry, UnitSystem, check_count,
+                              check_finite, check_periods, check_positive, magnetic_parameter)
 from torusqubit.potential import PotentialParams
 from torusqubit.reduction import coefficients_closed_form, rabi_frequency
 
@@ -47,6 +47,15 @@ class TestRules:
             check_count(1, "n", 2)
         with pytest.raises(ValueError, match=r"^n must be in \[1, 5\], got 6$"):
             check_count(6, "n", 1, 5)
+
+    def test_periods(self):
+        # the message gives the count of periods compared with the limit, not the time
+        assert check_periods(1.0, "t", TWO_PI) == 1.0 and check_periods(1e300, "t", 0.0) == math.inf
+        limit = r"^t must span fewer than 2\^63 drive periods, got "
+        with pytest.raises(ValueError, match=limit + r"1e\+20$"):
+            check_periods(1e20, "t", TWO_PI)
+        with pytest.raises(ValueError, match=limit + "inf$"):
+            check_periods(1e300, "t", 1e300)
 
 
 class TestNonFiniteRejected:
