@@ -35,6 +35,13 @@ from .reduction import QubitParameters, rabi_frequency
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_NUMBER = np.diag([0.0, 1.0]).astype(complex)  # sigma_+ sigma_- = |1><1|
+# 3x3 truncations of X = a + a^dagger and of its full cube.  The cube's elements are
+# those of the untruncated operator restricted to the lowest three levels:
+# <1|X^3|0> = 3, <2|X^3|1> = 6 sqrt(2)
+_LADDER_X = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, math.sqrt(2.0)], [0.0, math.sqrt(2.0), 0.0]])
+_LADDER_X3 = np.array([[0.0, 3.0, 0.0], [3.0, 0.0, 6.0 * math.sqrt(2.0)],
+                       [0.0, 6.0 * math.sqrt(2.0), 0.0]])
 
 _NORM_GUARD = 1e-4  # loose sanity guard; unitarity contracts live in tests
 _GAUSS_NODES = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
@@ -340,7 +347,7 @@ def labframe_unitary(
     reduction; omega_rf and phi come from the field configuration.  See
     _drive_propagators for the method and its accuracy contract.
     """
-    h0 = HBAR * qubit.omega * np.diag([0.0, 1.0]).astype(complex)
+    h0 = HBAR * qubit.omega * _NUMBER
     hx = HBAR * rabi_frequency(qubit.mu_dipole, field.E0) * SIGMA_X
     return _drive_propagators(h0, hx, field.omega_rf, field.phi, np.array([t]), tol)[0]
 
@@ -367,21 +374,6 @@ def rotating_frame(state: QuantumState, omega_rf: float, t: float) -> QuantumSta
     amp = state.amplitudes.copy()
     amp[1] *= np.exp(1j * omega_rf * t)
     return QuantumState(amp)
-
-
-def _ladder_operators() -> tuple[np.ndarray, np.ndarray]:
-    """3x3 truncations of (a + a^dagger) and of its full cube.
-
-    The cube's elements are those of the untruncated operator restricted to
-    the lowest three levels: <1|X^3|0> = 3, <2|X^3|1> = 6*sqrt(2).
-    """
-    x = np.zeros((3, 3))
-    x[0, 1] = x[1, 0] = 1.0
-    x[1, 2] = x[2, 1] = math.sqrt(2.0)
-    x3 = np.zeros((3, 3))
-    x3[0, 1] = x3[1, 0] = 3.0
-    x3[1, 2] = x3[2, 1] = 6.0 * math.sqrt(2.0)
-    return x, x3
 
 
 def leakage_probe(
@@ -429,9 +421,8 @@ def ladder_trajectory(
     alpha = qubit.alpha_anh
     s = qubit.zero_point_spread
     e_r = qubit.mu_dipole / (s - s**3 / 6.0)
-    x, x3 = _ladder_operators()
     h0 = np.diag([0.0, HBAR * omega, 2.0 * HBAR * omega + 12.0 * alpha]).astype(complex)
-    coupling = e_r * field.E0 * (s * x - (s**3 / 6.0) * x3)
+    coupling = e_r * field.E0 * (s * _LADDER_X - (s**3 / 6.0) * _LADDER_X3)
     times = np.linspace(0.0, t, n_samples)
     props = _drive_propagators(h0, coupling, field.omega_rf, field.phi, times, tol)
     return times, props @ initial.amplitudes

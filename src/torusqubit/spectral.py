@@ -14,13 +14,14 @@ interval with exactly two bound m=0 states).  build_hamiltonian and
 lowest_eigenpairs are a dense numpy reference of the same operator, for
 small grids and the tests; no sector solve uses them.
 
-Bound classification uses both an energy criterion (below the barrier at
-theta=0) and a localization criterion (probability weight >= the threshold,
-by default 0.6, in the trapping sector theta in [pi/2, 3pi/2]).  The cut
-does not fall in a gap between trapped and delocalized states: the states
-that set the initialization window's edges carry 0.60-0.64, and the upper
-edge, where a level far below the barrier crosses the cut, moves with the
-cut and with the grid (fig3a: 0.9789 T at n = 256, 0.9891 T at n = 4096).
+Bound classification uses both an energy criterion (below the barrier: the
+grid potential's theta = 0 sample, the value the solve used) and a
+localization criterion (probability weight >= the threshold, by default 0.6,
+in the trapping sector theta in [pi/2, 3pi/2]).  The cut does not fall in a
+gap between trapped and delocalized states: the states that set the
+initialization window's edges carry 0.60-0.64, and the upper edge, where a
+level far below the barrier crosses the cut, moves with the cut and with
+the grid (fig3a: 0.9789 T at n = 256, 0.9891 T at n = 4096).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Spectrum:
 
     params: PotentialParams
     states: tuple[BoundState, ...]
-    barrier_energy: float  # V_total at theta=0, internal units
+    barrier_energy: float  # the solve's grid potential at theta = 0, internal units
 
     @property
     def n_bound(self) -> int:
@@ -97,8 +98,8 @@ def _stencil(disc: Discretization) -> tuple[float, ...]:
     return (30.0 * c, -16.0 * c, 1.0 * c)
 
 
-def _grid_potential(params: PotentialParams, disc: Discretization) -> np.ndarray:
-    v = np.asarray(total_internal(disc.theta, params), dtype=float)
+def _grid_potential(params: PotentialParams, theta: np.ndarray) -> np.ndarray:
+    v = np.asarray(total_internal(theta, params), dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential evaluated to non-finite values")
     return v
@@ -112,7 +113,7 @@ def build_hamiltonian(params: PotentialParams, disc: Discretization) -> np.ndarr
     operator the residual check of the sector solve applies, column by column.
     """
     stencil = _stencil(disc)
-    return _apply_operator(stencil, stencil[0] + _grid_potential(params, disc),
+    return _apply_operator(stencil, stencil[0] + _grid_potential(params, disc.theta),
                            np.eye(disc.n_points))
 
 
@@ -333,8 +334,9 @@ def solve_sector(
     check_count(k, "k", 1, disc.n_points)
     field = f", E={params.E_static!r}" if params.E_static else ""
     point = f"B={params.B!r}{field}, m={params.m_orbital}"
+    theta = disc.theta
     try:
-        v = _grid_potential(params, disc)
+        v = _grid_potential(params, theta)
     except ValueError as exc:
         raise ValueError(f"{exc} at {point}") from None
     try:
@@ -344,15 +346,13 @@ def solve_sector(
         raise EigensolverError(f"eigensolve failed at {point}: {exc}", residual=exc.residual) from exc
     waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
     # theta in [pi/2, 3pi/2] as a slice: a row gather would sum in another order
-    theta = disc.theta
     inner = slice(theta.searchsorted(np.pi / 2), theta.searchsorted(3 * np.pi / 2, "right"))
     localizations = np.sum(waves[:, inner] ** 2, axis=1)
     waves /= math.sqrt(disc.spacing)
-    barrier = float(total_internal(0.0, params))
+    barrier = float(v[0])  # theta[0] = 0 on every grid
 
     states = []
-    for i in range(k):
-        energy, loc = float(energies[i]), float(localizations[i])
+    for i, (energy, loc) in enumerate(zip(energies.tolist(), localizations.tolist())):
         states.append(BoundState(
             m_orbital=params.m_orbital,
             level_index=i,

@@ -54,7 +54,7 @@ def sparse_hamiltonian(params, disc) -> sp.csr_array:
     potential: the reference operator at grids where n x n floats do not fit."""
     n = disc.n_points
     stencil = spectral._stencil(disc)
-    offsets, diagonals = [0], [stencil[0] + spectral._grid_potential(params, disc)]
+    offsets, diagonals = [0], [stencil[0] + spectral._grid_potential(params, disc.theta)]
     for d, coupling in enumerate(stencil[1:], start=1):
         # neighbours at distance d: two bands plus their cyclic corners
         offsets += [d, -d, n - d, d - n]
@@ -81,7 +81,7 @@ def lanczos_reference(params, disc, k: int) -> tuple[np.ndarray, np.ndarray]:
     """lanczos_lowest on sparse_hamiltonian(params, disc).  Both kinetic
     stencils are positive semidefinite, so min V - 1 lies below the spectrum;
     a Gershgorin bound lies far lower and makes fourth-order Lanczos slow."""
-    shift = float(np.min(spectral._grid_potential(params, disc))) - 1.0
+    shift = float(np.min(spectral._grid_potential(params, disc.theta))) - 1.0
     return lanczos_lowest(sparse_hamiltonian(params, disc), k, shift)
 
 

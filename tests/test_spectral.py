@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from torusqubit import spectral
-from torusqubit.model import TorusGeometry, UnitSystem
+from torusqubit.model import TorusGeometry, UnitSystem, magnetic_parameter
 from torusqubit.potential import PotentialParams, total_internal
 from torusqubit.spectral import (
     Discretization,
@@ -99,7 +100,7 @@ class TestLowestEigenpairs:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="potential evaluated to non-finite values"):
                 spectral._grid_potential(PotentialParams(geom=fig3a_geom, B=1e200),
-                                         Discretization(64))
+                                         Discretization(64).theta)
 
     def test_two_by_two_analytic(self):
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -194,6 +195,18 @@ class TestBoundClassification:
         manual = np.sum(ground.wavefunction[inner] ** 2) * h
         assert ground.localization == pytest.approx(manual, rel=1e-12)
         assert 0.0 <= ground.localization <= 1.0
+
+    @pytest.mark.parametrize("n", [64, 1024, 1025])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_barrier_is_the_grids_zero_sample(self, fig3a_geom, n, order):
+        # the bound cut compares each level with the potential the solve used
+        # at grid point 0; it is the scalar V(0) only while theta[0] is 0
+        disc = Discretization(n, order)
+        assert disc.theta[0] == 0.0
+        for m in (-1, 0, 2):
+            for field in (0.0, 1e3, -1e3):
+                params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=field, m_orbital=m)
+                assert solve_sector(params, disc).barrier_energy == total_internal(0.0, params)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, float("nan")])
     def test_loc_threshold_range(self, fig3a_geom, threshold):
@@ -331,6 +344,47 @@ class TestInvariants:
             minus = solve_sector(PotentialParams(geom=fig3a_geom, m_orbital=-m), disc1024, k=3)
             for sp, sm in zip(plus.states, minus.states):
                 assert sp.energy == pytest.approx(sm.energy, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(r=st.floats(1e-8, 5e-8), aspect=st.floats(1.5, 12.0), B=st.floats(0.0, 2.0),
+           n=st.sampled_from([256, 512, 1024]), m=st.integers(1, 3),
+           field=st.floats(1.0, 1e4))
+    def test_exact_symmetries(self, r, aspect, B, n, m, field):
+        # V(-m) - V(m) = 4 m b is a constant, and theta -> -theta maps E to -E; the
+        # errors are relative to the sector's largest level, as a level may sit near 0
+        geom, disc = TorusGeometry(r_minor=r, R_major=aspect * r), Discretization(n)
+
+        def levels(m_orbital, E_static=0.0):
+            params = PotentialParams(geom=geom, B=B, E_static=E_static, m_orbital=m_orbital)
+            return np.array([state.energy for state in solve_sector(params, disc).states])
+
+        plus, minus = levels(m), levels(-m)
+        shift = 4.0 * m * magnetic_parameter(geom, B)
+        assert np.abs(minus - plus - shift).max() <= 1e-13 * np.abs(plus).max()
+        up, down = levels(m, field), levels(m, -field)
+        assert np.abs(up - down).max() <= 1e-12 * np.abs(up).max()
+
+    def test_dipole_elements_give_the_stark_shift(self, fig3a_geom, disc1024):
+        # fig5: the ground level's second-order shift -sum_j |<0|e r sin|j>|^2 / (E_j - E_0)
+        # over the solver's levels against (E_0(F) + E_0(-F) - 2 E_0(0)) / (2 F^2)
+        units, e_r = UnitSystem.for_geometry(fig3a_geom), E_CHARGE_SI * fig3a_geom.r_minor
+
+        def ground(field):
+            params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=field)
+            return units.from_internal(solve_sector(params, disc1024, k=1).states[0].energy)
+
+        coefficients = []
+        for k in (4, 8):
+            ground_state, *excited = solve_sector(
+                PotentialParams(geom=fig3a_geom, B=0.45), disc1024, k=k).states
+            weighted = ground_state.wavefunction * np.sin(disc1024.theta) * disc1024.spacing
+            coefficients.append(-sum(
+                (e_r * np.dot(weighted, state.wavefunction)) ** 2
+                / units.from_internal(state.energy - ground_state.energy) for state in excited))
+        for field in (10.0, 100.0):
+            coefficients.append((ground(field) + ground(-field) - 2.0 * ground(0.0)) / (2 * field**2))
+        assert coefficients == pytest.approx([-4.340e-31] * 4, rel=1e-3)
+        assert max(coefficients) - min(coefficients) <= 1e-3 * abs(min(coefficients))
 
     def test_orthonormality_gram_identity(self, fig3a_geom, disc1024):
         _, vectors = lanczos_reference(PotentialParams(geom=fig3a_geom, B=0.45), disc1024, 6)
@@ -545,7 +599,7 @@ def _parity_reference(params, disc, k):
     the even and odd subspaces and merged by energy, even first on a tie."""
     n = disc.n_points
     mirror = (-np.arange(n)) % n
-    v = spectral._grid_potential(params, disc)
+    v = spectral._grid_potential(params, disc.theta)
     H = build_hamiltonian(params, disc)
     H[np.diag_indices(n)] += 0.5 * (v[mirror] - v)
     energies, vectors = [], []
@@ -583,7 +637,7 @@ class TestParitySplit:
         assert parities == {True, False}
 
         # the same levels as one solve of the whole basis
-        v = spectral._grid_potential(params, disc)
+        v = spectral._grid_potential(params, disc.theta)
         split, _ = spectral._sector_eigenpairs(v, disc, 6, mirror=True)
         full, _ = spectral._sector_eigenpairs(v, disc, 6, mirror=False)
         np.testing.assert_allclose(split, full, rtol=1e-12, atol=0.0)
@@ -650,7 +704,7 @@ class TestAssemblyReference:
         disc = Discretization(n, order)
         solve_sector(params, disc)
 
-        f = np.fft.rfft(spectral._grid_potential(params, disc))
+        f = np.fft.rfft(spectral._grid_potential(params, disc.theta))
         cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
         sin_sums = np.concatenate([-f.imag, f.imag[1 : (n + 1) // 2][::-1]])
 
@@ -704,7 +758,7 @@ class TestAssemblyReference:
         disc = Discretization(n)
         params = PotentialParams(geom=fig3a_geom, B=0.45, E_static=200.0)
         spec = solve_sector(params, disc, k=9)
-        _, vectors = spectral._sector_eigenpairs(spectral._grid_potential(params, disc), disc, 9)
+        _, vectors = spectral._sector_eigenpairs(spectral._grid_potential(params, disc.theta), disc, 9)
         vectors = spectral._fix_signs(vectors)
         inner = (disc.theta >= np.pi / 2) & (disc.theta <= 3 * np.pi / 2)
         for i, state in enumerate(spec.states):

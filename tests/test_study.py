@@ -17,13 +17,14 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import README, readme_commands
 from torusqubit.cli import build_parser, main
-from torusqubit.model import HBAR, Discretization
+from torusqubit.model import E_CHARGE, HBAR, Discretization, UnitSystem
 from torusqubit.potential import PotentialParams
-from torusqubit.reduction import coefficients_closed_form, coefficients_numerical
+from torusqubit.reduction import coefficients_closed_form, coefficients_numerical, qubit_for
 from torusqubit.spectral import initialization_window, solve_sector
 
 TESTS = Path(__file__).resolve().parent
@@ -197,6 +198,33 @@ def test_closed_form_quadratic_gap(fig3a_geom):
     closed = coefficients_closed_form(fig3a_geom, 0.0).beta_sq / (2 * mass)
     assert closed - numerical == pytest.approx(gap, rel=1e-9)
     assert f"{-gap / numerical:.0%}" == "93%"
+
+
+def solver_qubit(geom, B, n=1024):
+    """The m = 0 sector's gap (E1 - E0)/hbar and dipole element
+    e r |<chi_0|sin theta|chi_1>| from a k = 4 solve on n points."""
+    disc = Discretization(n)
+    ground, excited = solve_sector(PotentialParams(geom=geom, B=B), disc, k=4).states[:2]
+    gap = UnitSystem.for_geometry(geom).from_internal(excited.energy - ground.energy) / HBAR
+    element = abs(np.dot(ground.wavefunction * np.sin(disc.theta), excited.wavefunction))
+    return gap, E_CHARGE * geom.r_minor * element * disc.spacing
+
+
+@pytest.mark.parametrize("preset, B, omega, gap, ratio, mu", [
+    ("fig3a", 0.45, "3.544e+11", "2.413e+11", "0.681", "+5.3%"),
+    ("fig3a", 1.0, "4.830e+11", "4.263e+11", "0.883", "+7.7%"),
+    ("fig3b", 0.3, "2.809e+11", "2.520e+11", "0.897", "+16.5%")])
+def test_reduction_against_its_spectrum(geometries, preset, B, omega, gap, ratio, mu):
+    qubit = qubit_for(geometries[preset], B)
+    spectral_gap, dipole = solver_qubit(geometries[preset], B)
+    assert [f"{qubit.omega:.3e}", f"{spectral_gap:.3e}", f"{spectral_gap / qubit.omega:.3f}",
+            f"{qubit.mu_dipole / dipole - 1:+.1%}"] == [omega, gap, ratio, mu]
+
+
+def test_reduction_gap_ratio_is_converged(fig3a_geom):
+    # fig5's ratio is the model's, not the grid's: 0.6809 at n = 1024 and 4096
+    omega = qubit_for(fig3a_geom, 0.45).omega
+    assert {f"{solver_qubit(fig3a_geom, 0.45, n)[0] / omega:.4f}" for n in (1024, 4096)} == {"0.6809"}
 
 
 # ------------------------------------------------- the README's own text
