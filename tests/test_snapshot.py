@@ -63,6 +63,8 @@ CASES = {
     # odd n, the fourth-order stencil and a nonzero orbital sector
     "spectrum-odd-order4": [*FIG5, "--n-points", "1025", "--stencil-order", "4", "spectrum",
                             "--m", "-1", "--levels", "9"],
+    "spectrum-dump": [*FIG5, "--n-points", "256", "spectrum", "--m", "1", "--levels", "3",
+                      "--dump-wavefunctions"],
     "potential": ["--preset", "fig3a", "--B", "0.45", "--n-points", "64",
                   "potential", "--E-static", "10"],
     "window": ["--preset", "fig3a", "--n-points", "256", "window"],
