@@ -49,10 +49,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, MAX_RELATIVE_ERROR, NUMERICAL_TAYLOR,
-                    TOL_RANGE, Discretization, FieldConfig, TorusGeometry, UnitSystem, check_count,
-                    check_finite, check_loc_threshold, check_periods, check_positive,
-                    check_source)
+from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, DEFAULT_TOL, MAX_RELATIVE_ERROR,
+                    NUMERICAL_TAYLOR, TOL_RANGE, Discretization, FieldConfig, TorusGeometry,
+                    UnitSystem, check_count, check_finite, check_loc_threshold, check_periods,
+                    check_positive, check_source)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,14 +288,21 @@ def write_artifacts(
         print(f"wrote {out_dir / name}")
 
 
-def _levels_csv(spectra, units: UnitSystem) -> str:
+# ---------------------------------------------------------------- subcommands
+
+
+def _level_table(config: RunConfig, fields, m_list: list[int], levels: int):
+    """spectral.sweep_field over the fields (T) and m sectors, and its level CSV."""
+    from .spectral import sweep_field
+
+    spectra = sweep_field(config.geometry(), m_list, fields, config.discretization(),
+                          k=levels, loc_threshold=config.loc_threshold)
+    units = UnitSystem.for_geometry(config.geometry())
     rows = [(spec.params.B, state.m_orbital, state.level_index,
              units.from_internal(state.energy, "energy"), state.bound, state.localization)
             for spec in spectra for state in spec.states]
-    return _csv(["B", "m", "n", "energy", "bound", "localization"], rows, "B in T, energy in J")
-
-
-# ---------------------------------------------------------------- subcommands
+    return spectra, _csv(["B", "m", "n", "energy", "bound", "localization"], rows,
+                         "B in T, energy in J")
 
 
 def cmd_potential(args, config: RunConfig) -> Output:
@@ -315,15 +322,11 @@ def cmd_potential(args, config: RunConfig) -> Output:
 
 
 def cmd_spectrum(args, config: RunConfig) -> Output:
+    """The level table of sweep-b at the one field --B and the one sector --m."""
     levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
-    from .potential import PotentialParams
-    from .spectral import solve_sector
-
+    [spec], table = _level_table(config, [config.B], [args.m], levels)
     units = UnitSystem.for_geometry(config.geometry())
-    params = PotentialParams(geom=config.geometry(), B=config.B, m_orbital=args.m)
-    spec = solve_sector(params, config.discretization(), k=levels,
-                        loc_threshold=config.loc_threshold)
-    files = {"spectrum.csv": _levels_csv([spec], units)}
+    files = {"spectrum.csv": table}
     if args.dump_wavefunctions:
         payload = {
             "theta": list(map(float, config.discretization().theta)),
@@ -350,11 +353,7 @@ def cmd_sweep_b(args, config: RunConfig) -> Output:
         raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
     levels = _option(check_count, args.levels, "--levels", 1, config.n_points)
     values = parse_range(args.b_range, arg="--b-range", order="non-negative and monotone")
-    from .spectral import sweep_field
-
-    spectra = sweep_field(config.geometry(), m_list, values, config.discretization(),
-                          k=levels, loc_threshold=config.loc_threshold)
-    return Output({"sweep_b.csv": _levels_csv(spectra, UnitSystem.for_geometry(config.geometry()))})
+    return Output({"sweep_b.csv": _level_table(config, values, m_list, levels)[1]})
 
 
 def cmd_window(args, config: RunConfig) -> Output:
@@ -620,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gate", cmd_gate, "synthesize and verify a gate")
     p.add_argument("--gate", default="hadamard", help="hadamard | phase:ETA | prep:THETA,ETA")
     p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--leakage", action="store_true", help="also run the three-level probe")
 
     p = command("fidelity", cmd_fidelity, "infidelity vs relative field error")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QuantumState, PulseSpec, drive_field, labframe_unitary, rwa_unitary
-from .model import check_finite, check_positive
+from .model import DEFAULT_TOL, check_finite, check_positive
 from .reduction import QubitParameters, rabi_frequency
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -175,7 +175,7 @@ def gate_unitary(
     seq: PulseSequence,
     qubit: QubitParameters | None,
     mode: str = "rwa",
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Composed evolution operator of a sequence, including the frame phase.
 

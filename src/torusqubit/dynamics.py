@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HBAR, TOL_RANGE, FieldConfig, check_count, check_finite, check_periods
+from .model import (DEFAULT_TOL, HBAR, TOL_RANGE, FieldConfig, check_count, check_finite,
+                    check_periods)
 from .reduction import QubitParameters, rabi_frequency
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -339,7 +340,7 @@ def drive_field(pulse: PulseSpec, qubit: QubitParameters) -> FieldConfig:
 
 
 def labframe_unitary(
-    qubit: QubitParameters, field: FieldConfig, t: float, tol: float = 1e-9
+    qubit: QubitParameters, field: FieldConfig, t: float, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Lab-frame propagator U(t) of the driven two-level Hamiltonian H_dv.
 
@@ -357,7 +358,7 @@ def evolve_labframe(
     qubit: QubitParameters,
     field: FieldConfig,
     t: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> QuantumState:
     """Integrate the full driven two-level Hamiltonian in the lab frame.
 
@@ -380,7 +381,7 @@ def leakage_probe(
     qubit: QubitParameters,
     field: FieldConfig,
     t: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     initial: QuantumState | None = None,
 ) -> float:
     """Max population of the second excited level over a drive of duration t,
@@ -401,7 +402,7 @@ def ladder_trajectory(
     field: FieldConfig,
     t: float,
     n_samples: int,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     initial: QuantumState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and three-level amplitudes of the driven anharmonic ladder.

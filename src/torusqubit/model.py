@@ -34,6 +34,7 @@ CLOSED_FORM = "closed_form"  # the two coefficient routes of reduction
 NUMERICAL_TAYLOR = "numerical_taylor"
 MAX_RELATIVE_ERROR = 0.1  # largest |dB| or |dE| an errors.ErrorModel accepts
 TOL_RANGE = (1e-12, 1e-6)  # integrator tolerances accepted by the lab-frame paths of dynamics
+DEFAULT_TOL = 1e-9  # their default, and gate --tol's
 MAX_DRIVE_CYCLES = 2.0**63  # drive periods in one propagation; cycle counts are int64
 
 

@@ -160,7 +160,7 @@ def _check_residuals(residuals: np.ndarray, norm: float, unconverged: str | None
     tol = 1e-9 * norm
     if unconverged is not None:
         raise EigensolverError(f"{unconverged}; residual {worst:.3e}", residual=worst)
-    if worst > tol:
+    if not worst <= tol:  # a NaN residual fails too
         raise EigensolverError(f"eigensolver residual {worst:.3e} exceeds contract {tol:.3e}",
                                residual=worst)
 
@@ -327,8 +327,9 @@ def solve_sector(
     params.E_static == 0; they meet the residual contract of
     lowest_eigenpairs, the dense reference of the same operator.  Each
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
-    An EigensolverError, or the ValueError of a potential that is not finite,
-    is re-raised naming the point: B, E unless zero, and m.
+    Every failure names the point (B, E unless zero, and m): a potential that
+    is not finite as a ValueError, and every eigensolve failure, LAPACK's
+    LinAlgError included (with residual None), as an EigensolverError.
     """
     check_loc_threshold(loc_threshold)
     check_count(k, "k", 1, disc.n_points)
@@ -337,13 +338,13 @@ def solve_sector(
     theta = disc.theta
     try:
         v = _grid_potential(params, theta)
-    except ValueError as exc:
-        raise ValueError(f"{exc} at {point}") from None
-    try:
         # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
         energies, unsigned = _sector_eigenpairs(v, disc, k, mirror=params.E_static == 0)
-    except EigensolverError as exc:
-        raise EigensolverError(f"eigensolve failed at {point}: {exc}", residual=exc.residual) from exc
+    except (EigensolverError, np.linalg.LinAlgError) as exc:  # LAPACK's names no residual
+        raise EigensolverError(f"eigensolve failed at {point}: {exc}",
+                               getattr(exc, "residual", None)) from exc
+    except ValueError as exc:  # a potential that is not finite
+        raise ValueError(f"{exc} at {point}") from None
     waves = np.ascontiguousarray(_fix_signs(unsigned).T)  # one level per row
     # theta in [pi/2, 3pi/2] as a slice: a row gather would sum in another order
     inner = slice(theta.searchsorted(np.pi / 2), theta.searchsorted(3 * np.pi / 2, "right"))
@@ -411,15 +412,11 @@ def initialization_window(
 
     grid = np.linspace(0.0, B_scan_max, 41)
     counts: list[int] = []
-    first_two = past = None
-    for i, B in enumerate(grid):
+    for B in grid:
         counts.append(count(float(B)))
-        if first_two is None and counts[i] == 2:
-            first_two = i
-        elif first_two is not None and counts[i] > 2:
-            past = i
+        if counts[-1] > 2 and 2 in counts:
             break
-    if first_two is None:
+    if 2 not in counts:
         raise WindowNotFoundError(
             f"no field in [0, {B_scan_max}] T yields exactly two bound m=0 states"
             f" (counts seen: {sorted(set(counts))})"
@@ -436,6 +433,6 @@ def initialization_window(
                 lo = mid
         return lo, hi
 
-    b_min = bisect(first_two, lambda c: c >= 2)[1] if first_two else 0.0
-    b_max = bisect(past, lambda c: c != 2)[0] if past is not None else float(grid[-1])
+    b_min = 0.0 if counts[0] == 2 else bisect(counts.index(2), lambda c: c >= 2)[1]
+    b_max = bisect(len(counts) - 1, lambda c: c != 2)[0] if counts[-1] > 2 else float(grid[-1])
     return b_min, b_max

@@ -381,6 +381,17 @@ class TestConfigHandling:
         assert err[0].startswith("error: eigensolve failed at B=0.45, m=1000000000000: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--B", "1e153", "spectrum"],
+                                      ["sweep-b", "--b-range", "0:1e153:2"]])
+    def test_lapack_failure_names_its_point(self, tmp_path, capsys, args):
+        # the potential is finite, but its Fourier transform overflows and
+        # LAPACK's eigh raises LinAlgError on the Ritz matrix
+        code, out = run(args, tmp_path, "out")
+        assert code == 1
+        last = capsys.readouterr().err.strip().splitlines()[-1]  # after the overflow warnings
+        assert last.startswith("error: eigensolve failed at B=1e+153, m=0: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--preset", "fig3a", "window", "--scan-max", "1e300"],
          r"potential evaluated to non-finite values at B=\S+, m=0"),

@@ -570,6 +570,23 @@ class TestStructuredSolve:
         assert type(info.value) is ValueError
         assert str(info.value) == f"potential evaluated to non-finite values at {point}"
 
+    def test_lapack_failure_names_its_point(self, fig3a_geom):
+        # the potential is finite, but its Fourier transform overflows, and
+        # LAPACK's eigh fails on the Ritz matrix with no residual to report
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigensolverError) as info:
+            solve_sector(PotentialParams(geom=fig3a_geom, B=1e153), Discretization(1024))
+        assert str(info.value).startswith("eigensolve failed at B=1e+153, m=0: ")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert info.value.residual is None
+
+    def test_nan_residual_fails_the_contract(self, fig3a_geom):
+        # the same overflow on a complete basis of one block: eigh returns NaN
+        # levels, and a NaN residual must not pass as a small one
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigensolverError) as info:
+            solve_sector(PotentialParams(geom=fig3a_geom, B=1e153, E_static=200.0),
+                         Discretization(64))
+        assert str(info.value).startswith("eigensolve failed at B=1e+153, E=200.0, m=0: ")
+
     def test_electric_failure_names_its_field(self, monkeypatch):
         # one block of 2K + 1 modes, as the static field breaks the mirror
         monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import README, readme_commands
 from torusqubit.cli import build_parser, main
-from torusqubit.model import E_CHARGE, HBAR, Discretization, UnitSystem
+from torusqubit.model import E_CHARGE, HBAR, Discretization, TorusGeometry, UnitSystem
 from torusqubit.potential import PotentialParams
 from torusqubit.reduction import coefficients_closed_form, coefficients_numerical, qubit_for
 from torusqubit.spectral import initialization_window, solve_sector
@@ -225,6 +225,78 @@ def test_reduction_gap_ratio_is_converged(fig3a_geom):
     # fig5's ratio is the model's, not the grid's: 0.6809 at n = 1024 and 4096
     omega = qubit_for(fig3a_geom, 0.45).omega
     assert {f"{solver_qubit(fig3a_geom, 0.45, n)[0] / omega:.4f}" for n in (1024, 4096)} == {"0.6809"}
+
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PHI = (1 + math.sqrt(5)) / 2
+# the 12 vertices of the icosahedron, a spherical 5-design: their average of
+# a polynomial of degree <= 5 in the unit vector is its average over the sphere
+ICOSAHEDRON = np.array([np.roll((0.0, a, b * PHI), k) for k in range(3)
+                        for a in (1, -1) for b in (1, -1)]) / math.hypot(1.0, PHI)
+DB_LINES = [*readme_commands("fidelity --scan dB"), *readme_commands("mitigate --delta-b 0.005")]
+
+
+def rotation(omega, delta, t):
+    """The SU(2) part of an RWA segment at phase 0, Rabi rate omega and
+    detuning delta: a rotation by hypot(omega, delta) t about (omega, 0, -delta)."""
+    rate = math.hypot(omega, delta)
+    axis = np.einsum("k,kij->ij", np.array([omega, 0.0, -delta]) / rate, SIGMA)
+    return math.cos(rate * t / 2) * np.eye(2) - 1j * math.sin(rate * t / 2) * axis
+
+
+def error_rows(checks, study, line):
+    """(v, Monte-Carlo mean, haar_mean_exact) per row of a README dB line.
+
+    Under frozen calibration the tilted Hadamard at B0 (1 + dB) stays one
+    RWA rotation, at Rabi rate Omega mu(B0 (1 + dB)) / mu(B0) and detuning
+    -Omega + omega(B0 (1 + dB)) - omega(B0), with omega and mu from the
+    reduction.  v is the real Pauli vector of M = U_ideal^dag U_pert =
+    m0 I - i v . sigma in SU(2), built here without dynamics, control or
+    errors.  An input of Bloch vector n then has infidelity
+    |v|^2 - (v . n)^2, and 1 - (|Tr M|^2 + Tr M^dag M) / 6 = (2/3) |v|^2,
+    a form that keeps its relative accuracy as M nears the identity.
+    """
+    args = build_parser().parse_args(shlex.split(line))
+    out = study[line][1]
+    manifest = checks.load_json(out / f"{args.command}.csv.manifest.json")
+    config = manifest["config"]
+    geom = TorusGeometry(config["r_minor"], config["R_major"], config["mass_ratio"])
+    ideal = qubit_for(geom, config["B"], config["source"])
+    if args.command == "mitigate":  # a drive sweep at fixed dB, no drive error
+        assert (args.sweep, args.delta_e) == ("E0", 0.0)
+    rows = checks.load_csv(out / f"{args.command}.csv")
+    assert len(rows) == len(manifest["results"]["haar_mean_exact"]) > 1
+    for row, haar in zip(rows, manifest["results"]["haar_mean_exact"]):
+        dB, E0 = (row["delta"], config["E0"]) if args.command == "fidelity" else (args.delta_b,
+                                                                                 row["E0"])
+        pert = qubit_for(geom, config["B"] * (1 + dB), config["source"])
+        omega = ideal.mu_dipole * E0 / HBAR
+        t = math.pi / (math.sqrt(2) * omega)
+        m = rotation(omega, -omega, t).conj().T @ rotation(
+            omega * pert.mu_dipole / ideal.mu_dipole, -omega + pert.omega - ideal.omega, t)
+        v = (0.5j * np.einsum("kij,ji->k", SIGMA, m)).real
+        yield v, row["mean_infidelity"], haar
+
+
+@pytest.mark.parametrize("line", DB_LINES)
+def test_db_rows_are_the_closed_form(checks, study, line):
+    # the dB scan and the mitigation rows, each at the exact Haar mean of
+    # its one perturbed rotation; a zero row is M = I up to roundoff
+    for v, _, haar in error_rows(checks, study, line):
+        assert 2 / 3 * v @ v == pytest.approx(haar, rel=1e-8, abs=1e-15)
+
+
+@pytest.mark.parametrize("line", DB_LINES)
+def test_db_rows_within_five_design_sigmas(checks, study, line):
+    # the per-sample infidelity is quadratic in n and its square quartic, so
+    # the icosahedron gives their exact mean and standard deviation sigma
+    samples = build_parser().parse_args(shlex.split(line)).samples
+    for v, mean, haar in error_rows(checks, study, line):
+        infidelity = v @ v - (ICOSAHEDRON @ v) ** 2
+        assert infidelity.mean() == pytest.approx(2 / 3 * v @ v, rel=1e-10)
+        if haar > 0.0:
+            sigma = math.sqrt(np.var(infidelity))
+            assert abs(mean - haar) <= 5 * sigma / math.sqrt(samples)
 
 
 # ------------------------------------------------- the README's own text
