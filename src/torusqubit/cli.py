@@ -49,10 +49,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (CLOSED_FORM, DEFAULT_LOC_THRESHOLD, DEFAULT_TOL, MAX_RELATIVE_ERROR,
-                    NUMERICAL_TAYLOR, TOL_RANGE, Discretization, FieldConfig, TorusGeometry,
-                    UnitSystem, check_count, check_finite, check_loc_threshold, check_periods,
-                    check_positive, check_source)
+from .model import (CLOSED_FORM, DEFAULT_LEVELS, DEFAULT_LOC_THRESHOLD, DEFAULT_SCAN_MAX,
+                    DEFAULT_TOL, MAX_RELATIVE_ERROR, NUMERICAL_TAYLOR, TOL_RANGE, Discretization,
+                    FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
+                    check_loc_threshold, check_periods, check_positive, check_source)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -308,15 +308,18 @@ def _level_table(config: RunConfig, fields, m_list: list[int], levels: int):
 def cmd_potential(args, config: RunConfig) -> Output:
     """The potential terms on the solver's grid, in the internal units its comment names."""
     e_static = _option(check_finite, args.E_static, "--E-static")
+    import numpy as np
+
     from .potential import PotentialParams, internal_terms
 
     params = PotentialParams(config.geometry(), config.B, e_static, m_orbital=args.m)
     theta = config.discretization().theta
-    bare, elec, mag = internal_terms(theta, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # _csv refuses an inf or NaN
+        bare, elec, mag = internal_terms(theta, params)
+        rows = zip(theta, bare, elec, mag, bare + elec + mag)
     units = UnitSystem.for_geometry(params.geom)
     comment = (f"internal units: energy_scale_J={units.energy_scale!r},"
                f" length_scale_m={units.length_scale!r}, time_scale_s={units.time_scale!r}")
-    rows = zip(theta, bare, elec, mag, bare + elec + mag)
     return Output({"potential.csv": _csv(["theta", "V_bare", "V_E", "V_B", "V_total"], rows,
                                          comment)})
 
@@ -469,11 +472,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
         "unitary": [[[value.real, value.imag] for value in row] for row in unitary],
         "fidelity_to_ideal": fidelity,
     }
-    if args.leakage:  # a virtual phase gate drives nothing
-        payload["max_leakage"] = 0.0
-        if gate.drives:
-            drive = drive_field(seq.pulses[0], qubit)
-            payload["max_leakage"] = leakage_probe(qubit, drive, seq.total_duration, tol=args.tol)
+    if args.leakage:  # the worst pulse; a virtual phase gate has none and leaks nothing
+        payload["max_leakage"] = max((leakage_probe(qubit, drive_field(p, qubit), p.duration,
+                                                    tol=args.tol) for p in seq.pulses), default=0.0)
     return Output({"gate.json": _json_dumps(payload)},
                   summary=f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
 
@@ -583,8 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        subparser = sub.add_parser(name, help=help, parents=[common])
+    gates = argparse.ArgumentParser(add_help=False)  # control.Gate's, for every gate command
+    gates.add_argument("--gate", default="hadamard", help="hadamard | phase:ETA | prep:THETA,ETA")
+    gates.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
+
+    def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help, parents=[common, *parents])
         subparser.set_defaults(func=func)
         return subparser
 
@@ -594,16 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", cmd_spectrum, "lowest eigenpairs of one sector")
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
     p.add_argument("--dump-wavefunctions", action="store_true")
 
     p = command("sweep-b", cmd_sweep_b, "bound-state energies vs magnetic field")
     p.add_argument("--b-range", default="0:2:41", help="a:b:n in tesla")
     p.add_argument("--m-list", default="0", help="comma-separated orbital numbers")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
 
     p = command("window", cmd_window, "two-bound-state initialization window")
-    p.add_argument("--scan-max", type=float, default=2.0)
+    p.add_argument("--scan-max", type=float, default=DEFAULT_SCAN_MAX)
 
     command("qubit-params", cmd_qubit_params, "two-level reduction report")
 
@@ -616,22 +621,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--three-level", action="store_true", dest="three_level",
                    help="integrate the anharmonic ladder and emit p2")
 
-    p = command("gate", cmd_gate, "synthesize and verify a gate")
-    p.add_argument("--gate", default="hadamard", help="hadamard | phase:ETA | prep:THETA,ETA")
-    p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
+    p = command("gate", cmd_gate, "synthesize and verify a gate", gates)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--leakage", action="store_true", help="also run the three-level probe")
 
-    p = command("fidelity", cmd_fidelity, "infidelity vs relative field error")
-    p.add_argument("--gate", default="hadamard")
+    p = command("fidelity", cmd_fidelity, "infidelity vs relative field error", gates)
     p.add_argument("--scan", choices=("dB", "dE"), default="dB")
     p.add_argument("--range", default="0:0.01:11", help="relative error a:b:n")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
     p.add_argument("--check-window", action="store_true")
 
-    p = command("mitigate", cmd_mitigate, "infidelity vs drive amplitude at fixed errors")
-    p.add_argument("--gate", default="hadamard")
+    p = command("mitigate", cmd_mitigate, "infidelity vs drive amplitude at fixed errors", gates)
     p.add_argument("--delta-b", type=float, default=5e-3, dest="delta_b")
     p.add_argument("--delta-e", type=float, default=0.0, dest="delta_e")
     p.add_argument("--sweep", choices=("E0", "B0"), default="E0")
@@ -639,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b0-range", default="0.4:0.9:6", dest="b0_range")
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--mode", choices=("rwa", "labframe"), default="rwa")
 
     return parser
 

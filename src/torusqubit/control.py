@@ -149,11 +149,6 @@ class Gate:
         _check_angles(kind, angles, spec)
         return cls(kind, angles)
 
-    @property
-    def drives(self) -> bool:
-        """Whether the sequence drives the qubit; a phase gate is a frame update."""
-        return self.kind != "phase"
-
     def sequence(self, qubit: QubitParameters, E0: float) -> PulseSequence:
         """The pulses realizing the gate at drive amplitude E0 [V/m]."""
         if self.kind == "hadamard":

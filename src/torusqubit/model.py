@@ -30,6 +30,8 @@ ELECTRON_MASS = 9.1093837015e-31  # electron rest mass [kg]
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_LOC_THRESHOLD = 0.6  # bound-state localization cut; see spectral
+DEFAULT_LEVELS = 6  # levels of a sector solve, and spectrum's and sweep-b's --levels
+DEFAULT_SCAN_MAX = 2.0  # [T] top of the initialization-window scan, and window's --scan-max
 CLOSED_FORM = "closed_form"  # the two coefficient routes of reduction
 NUMERICAL_TAYLOR = "numerical_taylor"
 MAX_RELATIVE_ERROR = 0.1  # largest |dB| or |dE| an errors.ErrorModel accepts

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEFAULT_LOC_THRESHOLD, Discretization, TorusGeometry, check_count,
-                    check_loc_threshold)
+from .model import (DEFAULT_LEVELS, DEFAULT_LOC_THRESHOLD, DEFAULT_SCAN_MAX, Discretization,
+                    TorusGeometry, check_count, check_loc_threshold)
 from .potential import PotentialParams, total_internal
 
 _RITZ_CAP = 600  # most modes a Ritz basis may hold (or 2k + 1): bounds an unconverged solve
@@ -316,7 +316,7 @@ def _sector_eigenpairs(
 def solve_sector(
     params: PotentialParams,
     disc: Discretization,
-    k: int = 6,
+    k: int = DEFAULT_LEVELS,
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> Spectrum:
     """Lowest-k spectrum of one orbital sector, with bound classification.
@@ -329,7 +329,9 @@ def solve_sector(
     wavefunction's largest sample in theta in (0, pi) is positive (_fix_signs).
     Every failure names the point (B, E unless zero, and m): a potential that
     is not finite as a ValueError, and every eigensolve failure, LAPACK's
-    LinAlgError included (with residual None), as an EigensolverError.
+    LinAlgError included (with residual None), as an EigensolverError.  An
+    overflow or NaN on the way raises no numpy warning: the failure it causes,
+    in the finiteness test, LAPACK or the contract, is its one report.
     """
     check_loc_threshold(loc_threshold)
     check_count(k, "k", 1, disc.n_points)
@@ -337,9 +339,10 @@ def solve_sector(
     point = f"B={params.B!r}{field}, m={params.m_orbital}"
     theta = disc.theta
     try:
-        v = _grid_potential(params, theta)
-        # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
-        energies, unsigned = _sector_eigenpairs(v, disc, k, mirror=params.E_static == 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails below
+            v = _grid_potential(params, theta)
+            # only the static electric field, V_E = -f sin(theta), breaks the mirror theta -> -theta
+            energies, unsigned = _sector_eigenpairs(v, disc, k, mirror=params.E_static == 0)
     except (EigensolverError, np.linalg.LinAlgError) as exc:  # LAPACK's names no residual
         raise EigensolverError(f"eigensolve failed at {point}: {exc}",
                                getattr(exc, "residual", None)) from exc
@@ -372,7 +375,7 @@ def sweep_field(
     field_values: np.ndarray,
     disc: Discretization,
     field: str = "B",
-    k: int = 6,
+    k: int = DEFAULT_LEVELS,
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> list[Spectrum]:
     """One Spectrum per (field value, m sector), ordered by field then m.
@@ -392,7 +395,7 @@ def sweep_field(
 def initialization_window(
     geom: TorusGeometry,
     disc: Discretization,
-    B_scan_max: float = 2.0,
+    B_scan_max: float = DEFAULT_SCAN_MAX,
     loc_threshold: float = DEFAULT_LOC_THRESHOLD,
 ) -> tuple[float, float]:
     """Field interval [B_min, B_max] with exactly two bound m=0 states.

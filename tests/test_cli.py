@@ -236,6 +236,15 @@ class TestConfigHandling:
         assert exited.value.code == 0
         assert capsys.readouterr().out.startswith("usage: torusqubit")
 
+    @pytest.mark.parametrize("command", ["gate", "fidelity", "mitigate"])
+    def test_gate_commands_share_one_vocabulary(self, capsys, command):
+        # one --gate and one --mode declaration, with control.Gate's vocabulary in each help
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--gate GATE hadamard | phase:ETA | prep:THETA,ETA" in text
+        assert "--mode {rwa,labframe}" in text
+
     @pytest.mark.parametrize("key, value, named", [
         ("preset", "fig9", "--preset: unknown preset 'fig9'"),
         ("source", "foo", "--source: source must be 'numerical_taylor' or 'closed_form'"),
@@ -385,11 +394,11 @@ class TestConfigHandling:
                                       ["sweep-b", "--b-range", "0:1e153:2"]])
     def test_lapack_failure_names_its_point(self, tmp_path, capsys, args):
         # the potential is finite, but its Fourier transform overflows and
-        # LAPACK's eigh raises LinAlgError on the Ritz matrix
+        # LAPACK's eigh raises LinAlgError on the Ritz matrix; no warning precedes the error
         code, out = run(args, tmp_path, "out")
         assert code == 1
-        last = capsys.readouterr().err.strip().splitlines()[-1]  # after the overflow warnings
-        assert last.startswith("error: eigensolve failed at B=1e+153, m=0: ")
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: eigensolve failed at B=1e+153, m=0: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -410,6 +419,16 @@ class TestConfigHandling:
          r"numerical_taylor coefficients overflow at B=1e\+160"),
         (["--preset", "fig5", "--B", "1e160", "qubit-params"],
          r"numerical_taylor coefficients overflow at B=1e\+160"),
+        # an overflow in a residual norm, the Fourier sums or the potential prints no
+        # numpy warning: the check it fails reports it, on this one line
+        (["--B", "1e80", "spectrum"], r"eigensolve failed at B=1e\+80, m=0: .*; residual inf"),
+        (["--B", "1e80", "sweep-b", "--b-range", "0:1e80:2"],
+         r"eigensolve failed at B=1e\+80, m=0: .*; residual inf"),
+        (["--preset", "fig3a", "window", "--scan-max", "1e80"],
+         r"eigensolve failed at B=\S+, m=0: .*; residual inf"),
+        (["--B", "1e153", "spectrum"], r"eigensolve failed at B=1e\+153, m=0: .*"),
+        (["--B", "5e153", "spectrum"], r"potential evaluated to non-finite values at B=5e\+153, m=0"),
+        (["--B", "5e153", "potential"], r"CSV column V_B must be finite at theta=0\.0, got inf"),
     ])
     def test_overflow_names_its_point(self, tmp_path, capsys, args, message):
         code, out = run(args, tmp_path, "out")

@@ -30,10 +30,11 @@ class TestGate:
         ("phase:1.0", "phase", (1.0,)),
         ("prep:1.2,0.7", "prep", (1.2, 0.7)),
     ])
-    def test_parse(self, spec, kind, angles):
+    def test_parse(self, fig5_qubit, spec, kind, angles):
         gate = Gate.parse(spec)
         assert (gate.kind, gate.angles) == (kind, angles)
-        assert gate.drives == (kind != "phase")  # a phase gate is a frame update
+        # a phase gate is a frame update, with no pulse
+        assert len(gate.sequence(fig5_qubit, 100.0).pulses) == (kind != "phase")
 
     @pytest.mark.parametrize("spec, rule", [
         ("cnot", "must be hadamard"),
@@ -77,9 +78,9 @@ class TestGate:
             lambda angles: "prep:{!r},{!r}".format(*angles)),
     ), e0=st.floats(1e-3, 1e6))
     def test_driven_gate_is_one_pulse(self, fig5_qubit, spec, e0):
-        # cmd_gate's leakage probe drives seq.pulses[0] for the whole sequence
+        # one realization per gate: one pulse for a driven gate, none for a phase gate
         gate = Gate.parse(spec)
-        assert len(gate.sequence(fig5_qubit, e0).pulses) == (1 if gate.drives else 0)
+        assert len(gate.sequence(fig5_qubit, e0).pulses) == (0 if gate.kind == "phase" else 1)
 
     @pytest.mark.parametrize("spec", ["hadamard", "phase:1.0", "prep:1.2,0.7"])
     def test_rwa_sequence_reaches_the_ideal(self, fig5_qubit, spec):

@@ -564,7 +564,7 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("e_static, point", [(0.0, "B=1e+200, m=0"),
                                                   (200.0, "B=1e+200, E=200.0, m=0")])
     def test_non_finite_potential_names_its_point(self, e_static, point):
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError) as info:
             solve_sector(PotentialParams(geom=THIN_GEOM, B=1e200, E_static=e_static),
                          Discretization(64))
         assert type(info.value) is ValueError
@@ -573,7 +573,7 @@ class TestStructuredSolve:
     def test_lapack_failure_names_its_point(self, fig3a_geom):
         # the potential is finite, but its Fourier transform overflows, and
         # LAPACK's eigh fails on the Ritz matrix with no residual to report
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigensolverError) as info:
+        with pytest.raises(EigensolverError) as info:
             solve_sector(PotentialParams(geom=fig3a_geom, B=1e153), Discretization(1024))
         assert str(info.value).startswith("eigensolve failed at B=1e+153, m=0: ")
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
@@ -582,7 +582,7 @@ class TestStructuredSolve:
     def test_nan_residual_fails_the_contract(self, fig3a_geom):
         # the same overflow on a complete basis of one block: eigh returns NaN
         # levels, and a NaN residual must not pass as a small one
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigensolverError) as info:
+        with pytest.raises(EigensolverError) as info:
             solve_sector(PotentialParams(geom=fig3a_geom, B=1e153, E_static=200.0),
                          Discretization(64))
         assert str(info.value).startswith("eigensolve failed at B=1e+153, E=200.0, m=0: ")

@@ -332,12 +332,15 @@ def readme_exit_examples(code: int) -> list[tuple[str, list[str]]]:
     pytest.param(code, line, errors, id=line)
     for code in (2, 1) for line, errors in readme_exit_examples(code)])
 def test_readme_exit_example(tmp_path, monkeypatch, capsys, code, line, errors):
-    # run as written, in a directory of its own: `…` in a quoted line stands for any text
+    # run as written, in a directory of its own: `…` in a quoted line stands for any text;
+    # the failure is one `error:` line on stderr, with no warning before it, and no artifact
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line)) == code
-    last = capsys.readouterr().err.splitlines()[-1]
+    [only] = capsys.readouterr().err.splitlines()
+    assert only.startswith("error: ")
     for error in errors:
-        assert re.fullmatch(".*".join(map(re.escape, error.split("…"))), last), (error, last)
+        assert re.fullmatch(".*".join(map(re.escape, error.split("…"))), only), (error, only)
+    assert not any(tmp_path.iterdir())
 
 
 def test_claims_name_existing_tests():
