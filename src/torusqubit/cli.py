@@ -12,13 +12,13 @@ import.  Checks that need a layer follow its import, and `_named` turns the
 layer's ValueError into one naming the option: `--gate`, read by
 `control.Gate.parse`; a driven gate's Rabi rate, from its synthesizer, in
 `gate` and at each point of `fidelity` and `mitigate`; `evolve`'s default
-Rabi rate and duration, from the reduction, and its rotation angle and
-three-level duration limit, from `dynamics`.
+Rabi rate and duration, from the reduction; and, from `dynamics`, `evolve`'s
+rotation angle and the length of a lab-frame drive in `evolve` or `gate`.
 Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
 every configuration error run without it.  `main` sets
 OPENBLAS_THREAD_TIMEOUT=4 unless it is set, so OpenBLAS's idle worker
-threads sleep at once rather than spin 0.1 s of CPU that no subcommand uses.
+threads sleep at once rather than spin 0.1 s of CPU after each wake-up.
 
 `process_main`, the entry of `python -m torusqubit.cli` and of the
 `torusqubit` script, runs `main` with the garbage collector off and freezes
@@ -52,7 +52,7 @@ from . import __version__
 from .model import (CLOSED_FORM, DEFAULT_LEVELS, DEFAULT_LOC_THRESHOLD, DEFAULT_SCAN_MAX,
                     DEFAULT_TOL, MAX_RELATIVE_ERROR, NUMERICAL_TAYLOR, TOL_RANGE, Discretization,
                     FieldConfig, TorusGeometry, UnitSystem, check_count, check_finite,
-                    check_loc_threshold, check_periods, check_positive, check_source)
+                    check_loc_threshold, check_positive, check_source)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,10 +204,10 @@ def _option(rule, value, arg: str, *bounds):
         raise ConfigError(str(exc)) from None
 
 
-def _named(arg: str, call, *args):
-    """call(*args), with a layer's ValueError re-raised as a ConfigError naming the option arg."""
+def _named(arg: str, call, *args, **kwargs):
+    """call(*args, **kwargs), its ValueError re-raised as a ConfigError naming the option arg."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{arg}: {exc}") from None
 
@@ -423,19 +423,16 @@ def cmd_evolve(args, config: RunConfig) -> Output:
     qubit = config.qubit(config.B)
     omega_rabi = args.rabi if args.rabi is not None else _option(
         check_finite, rabi_frequency(qubit.mu_dipole, config.E0), "--rabi (or --E0)")
-    duration = args.duration
-    if duration is None:
+    duration, arg, length = args.duration, "--duration", "--duration"
+    if duration is None:  # the Rabi rate sets the length, and the detuning the drive frequency
         duration = math.pi / (2.0 * _option(check_positive, omega_rabi, "--rabi (or --E0)"))
+        arg = "--rabi (or --E0)"
+        length = f"{arg}, --detuning: the default duration pi/(2 Omega)"
     # past the checks above, the rotation angle or the duration pi / (2 Omega) overflows
-    arg = "--duration" if args.duration is not None else "--rabi (or --E0)"
     pulse = _named(arg, PulseSpec, omega_rabi, args.detuning, args.phase, duration)
     if args.three_level:  # the lab-frame anharmonic ladder, which adds p2
-        drive = drive_field(pulse, qubit)
-        # without --duration, the Rabi rate sets the length and the detuning the frequency
-        length = ("--duration" if args.duration is not None
-                  else "--rabi (or --E0), --detuning: the default duration pi/(2 Omega)")
-        _option(check_periods, duration, length, drive.omega_rf)
-        times, amplitudes = ladder_trajectory(qubit, drive, duration, args.samples)
+        drive = drive_field(pulse, qubit)  # the propagation refuses 2^63 periods or more
+        times, amplitudes = _named(length, ladder_trajectory, qubit, drive, duration, args.samples)
     else:
         times, amplitudes = trajectory(QuantumState.ground(), pulse, args.samples)
     populations = np.abs(amplitudes) ** 2
@@ -459,8 +456,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
 
     gate = _named("--gate", Gate.parse, args.gate)
     qubit = config.qubit(config.B)
-    seq = _named("--E0", gate.sequence, qubit, config.E0)  # E0's Rabi rate under/overflows
-    unitary = gate_unitary(seq, qubit, mode=args.mode, tol=args.tol)
+    # E0's Rabi rate under/overflows, or a lab-frame drive at it spans 2^63 periods or more
+    seq = _named("--E0", gate.sequence, qubit, config.E0)
+    unitary = _named("--E0", gate_unitary, seq, qubit, mode=args.mode, tol=args.tol)
     fidelity = gate.fidelity(unitary)
     payload = {
         "gate": args.gate,
@@ -473,8 +471,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
         "fidelity_to_ideal": fidelity,
     }
     if args.leakage:  # the worst pulse; a virtual phase gate has none and leaks nothing
-        payload["max_leakage"] = max((leakage_probe(qubit, drive_field(p, qubit), p.duration,
-                                                    tol=args.tol) for p in seq.pulses), default=0.0)
+        leakage = (_named("--E0", leakage_probe, qubit, drive_field(p, qubit), p.duration,
+                          tol=args.tol) for p in seq.pulses)
+        payload["max_leakage"] = max(leakage, default=0.0)
     return Output({"gate.json": _json_dumps(payload)},
                   summary=f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
 
@@ -657,9 +656,9 @@ def main(argv: list[str] | None = None) -> int:
     Warnings raised anywhere in the run are recorded in every manifest and
     echoed to stderr in the standard "file:line: Category: message" form.
     """
-    # Before any layer loads numpy: OpenBLAS's workers, which no subcommand
-    # gives work, then spin 2^4 cycles (the least it takes) before they
-    # sleep, not 2^28.  The thread count, and so every output, is unchanged.
+    # Before any layer loads numpy: OpenBLAS's idle workers then spin 2^4
+    # cycles (the least it takes) before they sleep, not 2^28.  The thread
+    # count, and so every output, is unchanged.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:

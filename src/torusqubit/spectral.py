@@ -39,9 +39,9 @@ from .potential import PotentialParams, total_internal
 _RITZ_CAP = 600  # most modes a Ritz basis may hold (or 2k + 1): bounds an unconverged solve
 # smallest Fourier cutoff of a sector solve.  Over fig3a and fig3b at n = 1024,
 # B in [0, 2.2] T and m in {0, +-1}, the worst Ritz tail at 24 is 1.3e-21 and
-# 2.4e-17 against _RITZ_TAIL (at 20, 2.2e-11 for fig3b).  Each parity block
-# then has at most 25 modes: LAPACK's eigh stays below its divide-and-conquer
-# crossover (SMLSIZ = 25) and runs QL/QR, and a threaded BLAS wakes no worker
+# 2.4e-17 against _RITZ_TAIL (at 20, 2.2e-11 for fig3b).  A parity block of at
+# most 25 modes runs eigh's QL/QR (below SMLSIZ = 25), which wakes no BLAS worker;
+# k > 24 or a doubled cutoff runs divide-and-conquer, whose BLAS calls can
 _RITZ_START = 24
 _RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
 
@@ -156,7 +156,8 @@ def _check_residuals(residuals: np.ndarray, norm: float, unconverged: str | None
     """The contract of both solvers: each column H v - lambda v of residuals has norm
     <= 1e-9 norm, where norm >= ||H||_inf >= ||H||_2.  EigensolverError carries the worst
     norm when the contract fails, or whatever it is when unconverged says why the pairs fail."""
-    worst = float(np.linalg.norm(residuals, axis=0).max())
+    # taken over norm and scaled back: a residual past 1e154 squares to inf, its norm is finite
+    worst = float(np.linalg.norm(residuals / (norm or 1.0), axis=0).max()) * norm
     tol = 1e-9 * norm
     if unconverged is not None:
         raise EigensolverError(f"{unconverged}; residual {worst:.3e}", residual=worst)

@@ -419,13 +419,15 @@ class TestConfigHandling:
          r"numerical_taylor coefficients overflow at B=1e\+160"),
         (["--preset", "fig5", "--B", "1e160", "qubit-params"],
          r"numerical_taylor coefficients overflow at B=1e\+160"),
-        # an overflow in a residual norm, the Fourier sums or the potential prints no
-        # numpy warning: the check it fails reports it, on this one line
-        (["--B", "1e80", "spectrum"], r"eigensolve failed at B=1e\+80, m=0: .*; residual inf"),
+        # an overflow in the Fourier sums or the potential prints no numpy warning: the
+        # check it fails reports it, on this one line; a residual whose square overflows
+        # keeps a finite norm
+        (["--B", "1e80", "spectrum"],
+         r"eigensolve failed at B=1e\+80, m=0: .*; residual \d\.\d{3}e\+\d+"),
         (["--B", "1e80", "sweep-b", "--b-range", "0:1e80:2"],
-         r"eigensolve failed at B=1e\+80, m=0: .*; residual inf"),
+         r"eigensolve failed at B=1e\+80, m=0: .*; residual \d\.\d{3}e\+\d+"),
         (["--preset", "fig3a", "window", "--scan-max", "1e80"],
-         r"eigensolve failed at B=\S+, m=0: .*; residual inf"),
+         r"eigensolve failed at B=\S+, m=0: .*; residual \d\.\d{3}e\+\d+"),
         (["--B", "1e153", "spectrum"], r"eigensolve failed at B=1e\+153, m=0: .*"),
         (["--B", "5e153", "spectrum"], r"potential evaluated to non-finite values at B=5e\+153, m=0"),
         (["--B", "5e153", "potential"], r"CSV column V_B must be finite at theta=0\.0, got inf"),
@@ -524,7 +526,7 @@ class TestConfigHandling:
         (["sweep-b", "--b-range", "1:1:3"], "--b-range"),
         (["mitigate", "--e0-range", "-1:5:3"], "--e0-range with log spacing needs positive"),
         (["sweep-b", "--b-range", "-1:1:3"], "--b-range must be non-negative"),
-        (["evolve", "--three-level", "--duration", "1e12"], "--duration must span fewer than 2^63"),
+        (["evolve", "--three-level", "--duration", "1e12"], "--duration: t must span fewer than 2^63"),
         # endpoints a few ulps apart pass the endpoint rule and repeat grid values
         (["sweep-b", "--b-range", "0:5e-324:3"], "--b-range must be non-negative and monotone"),
         (["mitigate", "--spacing", "linear", "--e0-range", "1:1.0000000000000002:5"],
@@ -537,7 +539,7 @@ class TestConfigHandling:
         (["evolve", "--rabi", "1e-310"], "--rabi (or --E0)"),  # so does pi / (2 Omega)
         # the shortest duration whose float quotient t / T reaches 2^63 periods
         (["evolve", "--three-level", "--detuning", "5e10", "--duration", "190390016.74922743",
-          "--samples", "2"], "--duration must span fewer than 2^63"),
+          "--samples", "2"], "--duration: t must span fewer than 2^63"),
         # the error study synthesizes the gate at each point: its Rabi rate under/overflows
         (["--E0", "1e-300", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
         (["--E0", "1e308", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
@@ -710,6 +712,60 @@ class TestConfigHandling:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--r," in err[0] and "got -3.5e-08" in err[0]
         assert not out.exists()
+
+
+# extreme values of each kind of input, in place of a generated CLI fuzz: the smallest
+# and overflowing fields, Rabi rates that under- and overflow, a torus whose hole all but
+# closes, extreme masses, every level of the smallest grid, a huge orbital number and
+# seed, and every drive too long to propagate
+EDGE_INPUTS = [
+    "--B 5e-324 spectrum", "--B 5e-324 qubit-params", "--B 5e-324 potential", "--B 5e-324 window",
+    "--B 1e80 spectrum", "--B 1e80 qubit-params", "--B 1e80 potential", "--B 1e80 evolve",
+    "--B 1e80 sweep-b --b-range 0:1e80:2",
+    "--B 1e200 spectrum", "--B 1e200 potential", "--B 1e200 gate",
+    "--preset fig5 --E0 1e-30 qubit-params", "--preset fig5 --E0 1e-30 gate",
+    "--preset fig5 --E0 1e-30 evolve", "--preset fig5 --E0 1e-30 evolve --three-level",
+    "--preset fig5 --E0 1e300 gate", "--preset fig5 --E0 1e300 evolve",
+    "--preset fig5 --E0 1e300 qubit-params", "--preset fig5 --E0 1e300 fidelity --samples 10",
+    "--r 1 --R 1.0000001 qubit-params", "--r 1 --R 1.0000001 spectrum",
+    "--r 1 --R 1.0000001 potential", "--r 1 --R 1.0000001 gate",
+    "--mass-ratio 1e-30 spectrum", "--mass-ratio 1e-30 qubit-params",
+    "--mass-ratio 1e30 spectrum", "--mass-ratio 1e30 qubit-params", "--mass-ratio 1e30 potential",
+    "--n-points 64 --stencil-order 4 spectrum --levels 64",
+    "--n-points 64 --stencil-order 4 --B 1e80 spectrum --levels 64",
+    "window --scan-max 1e300", "sweep-b --m-list 99999999999999999999 --b-range 0:1:2",
+    "--preset fig5 --seed 99999999999999999999999 fidelity",
+    "--preset fig5 --E0 1e-30 gate --mode labframe", "--preset fig5 --E0 1e-30 gate --leakage",
+    "--preset fig5 --E0 1e-30 fidelity --mode labframe --range 0:0.01:2 --samples 2",
+    "--preset fig5 mitigate --mode labframe --e0-range 1e-30:1:2",
+    "--preset fig5 evolve --three-level --duration 1e12",
+    "--preset fig5 evolve --three-level --detuning 1e300",
+]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("line", EDGE_INPUTS)
+    def test_edge_input_fails_cleanly_or_writes_finite_data(self, tmp_path, capsys, line):
+        code, out = run(shlex.split(line), tmp_path, "out")
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2)
+        if code:  # warnings may come first; the error is the one last line, and no file
+            assert [e for e in err if e.startswith("error: ")] == err[-1:]
+            assert not out.exists()
+            return
+        assert not any(e.startswith("error: ") for e in err)
+        for path in out.iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_refuse_constant)
+            else:
+                _, data = read_csv(path)
+                assert data and all(v in ("true", "false") or math.isfinite(float(v))
+                                    for row in data for v in row), path.name
 
 
 class TestArtifacts:

@@ -587,6 +587,13 @@ class TestStructuredSolve:
                          Discretization(64))
         assert str(info.value).startswith("eigensolve failed at B=1e+153, E=200.0, m=0: ")
 
+    def test_residual_past_1e154_keeps_a_finite_norm(self):
+        # each column has norm 2e200, whose square overflows a double
+        with pytest.raises(EigensolverError) as info:
+            spectral._check_residuals(np.full((4, 2), 1e200), 1e150)
+        assert info.value.residual == pytest.approx(2e200, rel=1e-15)
+        spectral._check_residuals(np.zeros((4, 2)), 0.0)  # a zero operator meets the contract
+
     def test_electric_failure_names_its_field(self, monkeypatch):
         # one block of 2K + 1 modes, as the static field breaks the mirror
         monkeypatch.setattr("torusqubit.spectral._RITZ_CAP", 65)
