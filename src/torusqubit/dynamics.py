@@ -47,6 +47,9 @@ _LADDER_X3 = np.array([[0.0, 3.0, 0.0], [3.0, 0.0, 6.0 * math.sqrt(2.0)],
 _NORM_GUARD = 1e-4  # loose sanity guard; unitarity contracts live in tests
 _GAUSS_NODES = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 _MAX_STEPS = 2**13  # step doubling stops once M reaches this, even short of tol
+# at the cap, a larger difference is truncation: the finer result's error, about 1/63 of
+# it, would exceed roundoff
+_ROUNDOFF_DIFFERENCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,10 @@ def solve_ivp(
     of a1, meets tol at once for the fig5 drives: their one-period error,
     measured at Omega/omega = 1e-3 to 1e-1, is 0.003 to 1.2 times M^-6.
     Once M reaches _MAX_STEPS the loop stops even when tol lies below
-    roundoff, which is near 1e-15 per period for any M.
+    roundoff, which is near 1e-15 per period for any M (measured
+    differences 0.7e-15 to 1.5e-15).  The difference itself, not its 1/63
+    error estimate, must then meet tol or _ROUNDOFF_DIFFERENCE; otherwise
+    RuntimeError names the step count, the difference and tol.
     """
     dim = a0.shape[0]
     scalar = np.trace(a0) / dim
@@ -238,7 +244,14 @@ def solve_ivp(
         m *= 2
         fine = _propagators(a0, a1, omega_rf, phi, np.linspace(0.0, end, m + 1))
         nfev += 3 * m
-        if np.abs(fine[::2] - coarse).max() <= tol or m >= _MAX_STEPS:
+        difference = np.abs(fine[::2] - coarse).max()
+        if difference <= tol:
+            break
+        if m >= _MAX_STEPS:
+            if difference > _ROUNDOFF_DIFFERENCE:
+                raise RuntimeError(
+                    f"step doubling reached its cap of {m} Magnus steps with successive"
+                    f" results {difference:.2g} apart, above tol {tol:.2g}")
             break
         coarse = fine
     edges = _sorted_distinct(np.append(np.linspace(0.0, end, m + 1), times))
@@ -302,7 +315,9 @@ def _drive_propagators(
     period is near 1e-15 whatever the step count, so U(t) carries up to about
     N * 1e-15 of roundoff: at tol 1e-12, the fig5 Hadamard is off a 28-digit
     reference by 1.2e-14 at 38 cycles and by 1.7e-12 at 3817.  Where tol / N
-    lies below the roundoff, the doubling stops at a fixed cap of steps.
+    lies below the roundoff, the doubling stops at a fixed cap of steps,
+    and a difference there that exceeds both tol / N and roundoff raises
+    RuntimeError (solve_ivp).
     Without a drive frequency (omega_rf = 0) H is constant, and one Magnus
     step is exact.  A time of MAX_DRIVE_CYCLES periods or more raises
     ValueError; a result, or a power U_T^(2^j) squared on the way to it,

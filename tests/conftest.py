@@ -1,3 +1,5 @@
+import importlib.util
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from torusqubit.spectral import Discretization
 
 ANGSTROM = 1e-10
 README = Path(__file__).resolve().parents[1] / "README.md"
+CHECKS = README.with_name("bench") / "checks.py"
 
 
 def readme_commands(selector: str = "") -> list[str]:
@@ -32,6 +35,28 @@ def readme_commands(selector: str = "") -> list[str]:
     if not lines:
         raise LookupError(f"no README command holds {selector!r}")
     return lines
+
+
+def check_failure(code, captured, exit_code: int, pattern: str, root: Path) -> None:
+    """The README's contract for a run that fails: it exits with exit_code,
+    writes nothing on stdout and one stderr line that is `error: ` followed
+    by a full match of the regex pattern, and leaves root, the directory
+    that held its output, empty.  captured holds the run's out and err."""
+    assert code == exit_code, captured.err
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and re.fullmatch(f"error: (?:{pattern})", lines[0]), lines
+    assert not any(root.iterdir())
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """bench/checks.py, imported by its path: the artifact checks and strict
+    loaders, typed apart from the package, which they do not import."""
+    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

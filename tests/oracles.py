@@ -103,6 +103,13 @@ def bloch_sphere_states(n_polar: int = 128, n_azimuth: int = 128):
     return states, w
 
 
+PHI = (1 + math.sqrt(5)) / 2
+# the 12 vertices of the icosahedron, a spherical 5-design: their average of
+# a polynomial of degree <= 5 in the unit vector is its average over the sphere
+ICOSAHEDRON = np.array([np.roll((0.0, a, b * PHI), k) for k in range(3)
+                        for a in (1, -1) for b in (1, -1)]) / math.hypot(1.0, PHI)
+
+
 def sphere_mean_infidelity(u_ideal: np.ndarray, u_pert: np.ndarray,
                            n_polar: int = 128, n_azimuth: int = 128) -> float:
     """Quadrature average of 1 - |<psi| U_ideal^dag U_pert |psi>|^2."""

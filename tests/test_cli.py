@@ -9,17 +9,18 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from torusqubit import cli, dynamics, errors, potential, spectral
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 from torusqubit.model import MAX_DRIVE_CYCLES, TWO_PI
 from torusqubit.reduction import rabi_frequency
 
-from conftest import readme_commands
+from conftest import check_failure, readme_commands
 
 
 def run(args, tmp_path, sub=None):
@@ -86,24 +87,6 @@ def runs_in_one_interpreter(argvs, packages, out_dir):
     return {tuple(argv): (code, modules) for argv, (code, modules) in zip(argvs, runs)}
 
 
-# each line errs on one option's bounds, under --preset fig5
-OPTION_ERRORS = [
-    ["fidelity", "--range", "0:0.5:3"],
-    ["fidelity", "--samples", "0"],
-    ["mitigate", "--delta-b", "0.5"],
-    ["mitigate", "--samples", "0"],
-    ["mitigate", "--sweep", "B0", "--b0-range", "0:1:3"],
-    ["mitigate", "--spacing", "linear", "--e0-range", "0:10:3"],
-    ["gate", "--tol", "1"],
-    ["sweep-b", "--b-range", "0:1"],
-    ["sweep-b", "--b-range", "-1:1:3"],
-    ["sweep-b", "--levels", "0"],
-    ["spectrum", "--levels", "0"],
-    ["window", "--scan-max", "-1"],
-    ["evolve", "--samples", "1"],
-    ["potential", "--E-static", "inf"],
-]
-
 # runs that need no array, with their exit codes
 SCALAR_RUNS = [
     (["--preset", "fig5", "qubit-params"], 0),
@@ -113,12 +96,6 @@ SCALAR_RUNS = [
     (["--n-points", "10", "spectrum"], 2),
     (["--preset", "fig9", "fidelity"], 2),
 ]
-
-
-@pytest.fixture(scope="module")
-def option_error_runs(tmp_path_factory):
-    return runs_in_one_interpreter([["--preset", "fig5", *args] for args in OPTION_ERRORS],
-                                   ("torusqubit", "numpy"), tmp_path_factory.mktemp("option"))
 
 
 @pytest.fixture(scope="module")
@@ -153,24 +130,6 @@ class TestConfigHandling:
         assert PRESETS["fig3b"]["R_major"] == pytest.approx(3.6e-7)
         assert PRESETS["fig5"]["B"] == 0.45
         assert PRESETS["fig5"]["E0"] == 100.0
-
-    def test_invalid_geometry_lists_violation(self, tmp_path, capsys):
-        code = main(
-            ["--r", "9e-8", "--R", "3.5e-8", "--output-dir", str(tmp_path), "potential"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "r_minor < R_major" in err
-
-    def test_multiple_violations_all_listed(self, tmp_path, capsys):
-        code = main(
-            ["--r", "9e-8", "--R", "3.5e-8", "--n-points", "10",
-             "--output-dir", str(tmp_path), "potential"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "r_minor < R_major" in err
-        assert "n_points" in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
@@ -213,20 +172,6 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args, named", [
-        (["--n-points", "abc", "potential"], "error: --n-points: invalid int value: 'abc'"),
-        (["spectrum", "--levels", "x"], "error: --levels: invalid int value: 'x'"),
-        (["gate", "--mode", "foo"], "error: --mode: invalid choice: 'foo'"),
-        ([], "error: the following arguments are required: command"),
-        (["foo"], "error: command: invalid choice: 'foo'"),
-    ])
-    def test_parse_error_is_one_line(self, tmp_path, capsys, args, named):
-        code, out = run(args, tmp_path, "out")
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(named)
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["-h"], ["spectrum", "-h"]])
@@ -326,26 +271,6 @@ class TestConfigHandling:
         np.testing.assert_array_equal(parse_range("1:0:3", order="non-negative and monotone"),
                                       [1.0, 0.5, 0.0])
 
-    @pytest.mark.parametrize("flag", ["--E0", "--B", "--mass-ratio"])
-    def test_nan_config_rejected_without_artifact(self, tmp_path, capsys, flag):
-        code, out = run(["--preset", "fig5", flag, "nan", "qubit-params"], tmp_path, "out")
-        assert code == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seed_rejected_without_artifact(self, tmp_path, capsys):
-        code, out = run(["--preset", "fig5", "--seed", "-1", "fidelity"], tmp_path, "out")
-        assert code == 2
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_non_finite_result_writes_no_artifact(self, tmp_path, capsys):
-        # the Rabi rate overflows to inf, which strict JSON cannot hold
-        code, out = run(["--preset", "fig5", "--E0", "1e308", "qubit-params"], tmp_path, "out")
-        assert code == 1
-        assert "not JSON compliant" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("args, layer, patch", [
         (["--n-points", "256", "sweep-b", "--b-range", "0.4:0.5:2"], spectral, "sweep_field"),
         (["evolve"], dynamics, "trajectory"),
@@ -372,73 +297,6 @@ class TestConfigHandling:
         assert capsys.readouterr().err.strip().splitlines() == [error]
         assert not out.exists()
 
-    def test_non_unitary_long_drive_writes_no_artifact(self, tmp_path, capsys):
-        # ~3e18 drive periods: the per-period roundoff compounds far past the guard
-        code, out = run(["--preset", "fig5", "evolve", "--three-level", "--duration", "5e7"],
-                        tmp_path, "out")
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
-        assert not out.exists()
-
-    def test_eigensolve_failure_names_its_point(self, tmp_path, capsys):
-        # no Fourier basis within the cap resolves a sector of so large an m
-        code, out = run(["--preset", "fig5", "spectrum", "--m", "1000000000000"], tmp_path, "out")
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: eigensolve failed at B=0.45, m=1000000000000: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args", [["--B", "1e153", "spectrum"],
-                                      ["sweep-b", "--b-range", "0:1e153:2"]])
-    def test_lapack_failure_names_its_point(self, tmp_path, capsys, args):
-        # the potential is finite, but its Fourier transform overflows and
-        # LAPACK's eigh raises LinAlgError on the Ritz matrix; no warning precedes the error
-        code, out = run(args, tmp_path, "out")
-        assert code == 1
-        [line] = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("error: eigensolve failed at B=1e+153, m=0: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args, message", [
-        (["--preset", "fig3a", "window", "--scan-max", "1e300"],
-         r"potential evaluated to non-finite values at B=\S+, m=0"),
-        (["--preset", "fig5", "--B", "1e200", "spectrum"],
-         r"potential evaluated to non-finite values at B=1e\+200, m=0"),
-        (["--preset", "fig5", "sweep-b", "--b-range", "0:1e200:2"],
-         r"potential evaluated to non-finite values at B=1e\+200, m=0"),
-        (["--preset", "fig5", "--B", "1e200", "qubit-params"],
-         r"closed_form coefficients overflow at B=1e\+200"),
-        # the numerical Taylor route differences an overflowed potential
-        (["--preset", "fig5", "--B", "1e200", "gate"],
-         r"numerical_taylor coefficients overflow at B=1e\+200"),
-        (["--preset", "fig5", "--B", "1e160", "evolve"],
-         r"numerical_taylor coefficients overflow at B=1e\+160"),
-        (["--preset", "fig5", "--B", "1e160", "fidelity", "--samples", "10", "--range", "0:0.01:2"],
-         r"numerical_taylor coefficients overflow at B=1e\+160"),
-        (["--preset", "fig5", "--B", "1e160", "qubit-params"],
-         r"numerical_taylor coefficients overflow at B=1e\+160"),
-        # an overflow in the Fourier sums or the potential prints no numpy warning: the
-        # check it fails reports it, on this one line; a residual whose square overflows
-        # keeps a finite norm
-        (["--B", "1e80", "spectrum"],
-         r"eigensolve failed at B=1e\+80, m=0: .*; residual \d\.\d{3}e\+\d+"),
-        (["--B", "1e80", "sweep-b", "--b-range", "0:1e80:2"],
-         r"eigensolve failed at B=1e\+80, m=0: .*; residual \d\.\d{3}e\+\d+"),
-        (["--preset", "fig3a", "window", "--scan-max", "1e80"],
-         r"eigensolve failed at B=\S+, m=0: .*; residual \d\.\d{3}e\+\d+"),
-        (["--B", "1e153", "spectrum"], r"eigensolve failed at B=1e\+153, m=0: .*"),
-        (["--B", "5e153", "spectrum"], r"potential evaluated to non-finite values at B=5e\+153, m=0"),
-        (["--B", "5e153", "potential"], r"CSV column V_B must be finite at theta=0\.0, got inf"),
-    ])
-    def test_overflow_names_its_point(self, tmp_path, capsys, args, message):
-        code, out = run(args, tmp_path, "out")
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and re.fullmatch(f"error: {message}", err[0])
-        assert not out.exists()
-
     @pytest.mark.skipif(not openblas_dynamic_arch(),
                         reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
     def test_non_unitary_long_drive_on_an_avx2_kernel(self, tmp_path):
@@ -455,15 +313,6 @@ class TestConfigHandling:
         assert "nan" not in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["2", "nan"])
-    @pytest.mark.parametrize("command", ["spectrum", "qubit-params"])
-    def test_loc_threshold_outside_unit_interval_rejected(self, tmp_path, capsys, command, value):
-        # spectrum classifies bound states with it; qubit-params only records it
-        code, out = run(["--preset", "fig5", "--loc-threshold", value, command], tmp_path, "out")
-        assert code == 2
-        assert "loc_threshold must lie in (0, 1)" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("message, expected", [
         ("Unable to allocate 7.45 GiB", "error: out of memory: Unable to allocate 7.45 GiB"),
         ("", "error: out of memory"),
@@ -477,86 +326,6 @@ class TestConfigHandling:
         code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
         assert code == 1
         assert capsys.readouterr().err.strip().splitlines() == [expected]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args, name", [
-        (["mitigate", "--e0-range", "1:2"], "--e0-range"),
-        (["mitigate", "--spacing", "log", "--e0-range", "0:100:3"], "--e0-range"),
-        (["sweep-b", "--m-list", "0,a"], "--m-list"),
-        (["gate", "--gate", "phase:abc"], "--gate"),
-        (["gate", "--gate", "prep:1.2"], "--gate"),
-        (["spectrum", "--levels", "0"], "--levels"),
-        (["spectrum", "--levels", "-3"], "--levels"),
-        (["--n-points", "64", "spectrum", "--levels", "65"], "--levels"),
-        (["sweep-b", "--b-range", "0:0.1:2", "--levels", "0"], "--levels"),
-        (["evolve", "--samples", "0"], "--samples"),
-        (["--B", "0", "fidelity"], "--B"),
-        (["--E0", "0", "fidelity"], "--E0"),
-        (["fidelity", "--samples", "0"], "--samples"),
-        (["mitigate", "--samples", "0"], "--samples"),
-        (["gate", "--mode", "labframe", "--tol", "1e-3"], "--tol"),
-        (["gate", "--tol", "5", "--leakage"], "--tol"),
-        (["gate", "--tol", "nan"], "--tol"),
-        (["evolve", "--rabi", "0"], "--rabi (or --E0)"),
-        (["--E0", "0", "evolve"], "--rabi (or --E0)"),
-        (["evolve", "--rabi", "nan"], "--rabi"),
-        (["evolve", "--detuning", "inf"], "--detuning"),
-        (["evolve", "--phase", "nan"], "--phase"),
-        (["evolve", "--duration", "nan"], "--duration"),
-        (["evolve", "--duration=-1e-9"], "--duration"),
-        (["evolve", "--three-level", "--rabi=-1e9", "--duration=1e-9"], "--rabi"),
-        (["evolve", "--three-level", "--duration", "1e300"], "--duration"),
-        (["fidelity", "--range", "0:0.5:3"], "--range"),
-        (["fidelity", "--range=-0.2:0:3"], "--range"),
-        (["mitigate", "--delta-b", "0.5"], "--delta-b"),
-        (["mitigate", "--delta-e", "nan"], "--delta-e"),
-        (["mitigate", "--sweep", "B0", "--b0-range", "0:0.9:6"], "--b0-range"),
-        (["mitigate", "--sweep", "B0", "--b0-range", "0.9:0.4:6"], "--b0-range"),
-        (["mitigate", "--spacing", "linear", "--e0-range", "0:100:3"], "--e0-range"),
-        (["--E0", "0", "mitigate", "--sweep", "B0"], "--E0"),
-        (["window", "--scan-max", "-1"], "--scan-max"),
-        (["window", "--scan-max", "nan"], "--scan-max"),
-        (["gate", "--gate", "phase:1e300"], "--gate"),
-        (["gate", "--gate", "prep:4,0"], "--gate"),
-        (["fidelity", "--gate", "phase:-1"], "--gate"),
-        (["--E0", "0", "gate"], "--E0"),
-        (["--E0", "0", "gate", "--gate", "prep:1.2,0.7"], "--E0"),
-        (["potential", "--E-static", "nan"], "--E-static"),
-        (["sweep-b", "--b-range=-1:1:3"], "--b-range"),
-        (["sweep-b", "--b-range", "1:1:3"], "--b-range"),
-        (["mitigate", "--e0-range", "-1:5:3"], "--e0-range with log spacing needs positive"),
-        (["sweep-b", "--b-range", "-1:1:3"], "--b-range must be non-negative"),
-        (["evolve", "--three-level", "--duration", "1e12"], "--duration: t must span fewer than 2^63"),
-        # endpoints a few ulps apart pass the endpoint rule and repeat grid values
-        (["sweep-b", "--b-range", "0:5e-324:3"], "--b-range must be non-negative and monotone"),
-        (["mitigate", "--spacing", "linear", "--e0-range", "1:1.0000000000000002:5"],
-         "--e0-range must be positive and increasing"),
-        # a Rabi rate that underflows to 0 or overflows to inf
-        (["--E0", "1e-300", "gate"], "--E0"),
-        (["--E0", "1e308", "gate"], "--E0"),
-        (["--E0", "1e308", "evolve", "--duration", "1e-9"], "--rabi (or --E0)"),
-        (["evolve", "--duration", "1e300"], "--duration"),  # the rotation angle overflows
-        (["evolve", "--rabi", "1e-310"], "--rabi (or --E0)"),  # so does pi / (2 Omega)
-        # the shortest duration whose float quotient t / T reaches 2^63 periods
-        (["evolve", "--three-level", "--detuning", "5e10", "--duration", "190390016.74922743",
-          "--samples", "2"], "--duration: t must span fewer than 2^63"),
-        # the error study synthesizes the gate at each point: its Rabi rate under/overflows
-        (["--E0", "1e-300", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
-        (["--E0", "1e308", "fidelity", "--samples", "10"], "--E0: drive amplitude"),
-        (["mitigate", "--e0-range", "1e-300:1e-299:2", "--samples", "10"],
-         "--e0-range: drive amplitude"),
-        (["--E0", "1e308", "mitigate", "--sweep", "B0", "--samples", "10"], "--E0: drive amplitude"),
-        # without --duration, the Rabi rate and the detuning set the periods a drive spans
-        (["evolve", "--detuning", "1e300", "--three-level"],
-         "--rabi (or --E0), --detuning: the default duration"),
-        (["--E0", "1e-20", "evolve", "--three-level"],
-         "--rabi (or --E0), --detuning: the default duration"),
-    ])
-    def test_malformed_spec_is_config_error(self, tmp_path, capsys, args, name):
-        code, out = run(["--preset", "fig5", *args], tmp_path, "out")
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {name}")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", UNWRITABLE_OUTPUT_RUNS, ids=unwritable_output_id)
@@ -638,34 +407,6 @@ class TestConfigHandling:
         assert [float(row[0]) for row in data] == np.linspace(-0.01, 0.01, 5).tolist()
 
     @pytest.mark.parametrize("args", [
-        ["--mass-ratio", "1e-300", "potential"],
-        ["--r", "1e-150", "--R", "2e-150", "potential"],
-        ["--r", "1e150", "--R", "2e150", "potential"],
-        ["--r", "1e160", "--R", "2e160", "potential"],
-        ["--r", "1e300", "--R", "1e301", "spectrum"],
-    ])
-    def test_geometry_past_the_double_range_is_config_error(self, tmp_path, capsys, args):
-        # r^2, m* r^2 or the energy scale would underflow or overflow
-        code, out = run(args, tmp_path, "out")
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "error: invalid configuration: --r, --R, --mass-ratio: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args, how", [
-        (["--r", "1e-100", "--R", "2e-100"], "underflow"),
-        (["--r", "1e100", "--R", "2e100", "--mass-ratio", "1e-250"], "overflow"),
-    ], ids=["underflow", "overflow"])
-    def test_closed_form_arithmetic_error_is_runtime_error(self, tmp_path, capsys, args, how):
-        # a geometry inside the double range whose (R - r)^4 underflows or overflows
-        code, out = run([*args, "qubit-params"], tmp_path, "out")
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: closed_form coefficients {how} at B=0.0"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args", [
         ["--preset", "fig5", "evolve", "--rabi", "-1e9", "--duration", "1e-9"],
         ["evolve", "--rabi", "1e9", "--duration", "1e9"],
     ])
@@ -706,66 +447,371 @@ class TestConfigHandling:
                          "--output-dir", str(tmp_path_factory.mktemp("out"))])
         assert code == (2 if raised else 1)
 
-    def test_negative_radius_with_exponent_is_config_error(self, tmp_path, capsys):
-        code, out = run(["--r", "-3.5e-8", "potential"], tmp_path, "out")
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "--r," in err[0] and "got -3.5e-08" in err[0]
-        assert not out.exists()
 
-
-# extreme values of each kind of input, in place of a generated CLI fuzz: the smallest
-# and overflowing fields, Rabi rates that under- and overflow, a torus whose hole all but
-# closes, extreme masses, every level of the smallest grid, a huge orbital number and
-# seed, and every drive too long to propagate
+# extreme values of each kind of input that the program computes with: the smallest and
+# large fields, Rabi rates that under- and overflow, a torus whose hole all but closes,
+# extreme masses, every level of the smallest grid and a huge seed; the extremes it
+# refuses are rows of FAILURES
 EDGE_INPUTS = [
     "--B 5e-324 spectrum", "--B 5e-324 qubit-params", "--B 5e-324 potential", "--B 5e-324 window",
-    "--B 1e80 spectrum", "--B 1e80 qubit-params", "--B 1e80 potential", "--B 1e80 evolve",
-    "--B 1e80 sweep-b --b-range 0:1e80:2",
-    "--B 1e200 spectrum", "--B 1e200 potential", "--B 1e200 gate",
+    "--B 1e80 qubit-params", "--B 1e80 potential", "--B 1e80 evolve",
     "--preset fig5 --E0 1e-30 qubit-params", "--preset fig5 --E0 1e-30 gate",
-    "--preset fig5 --E0 1e-30 evolve", "--preset fig5 --E0 1e-30 evolve --three-level",
+    "--preset fig5 --E0 1e-30 evolve",
     "--preset fig5 --E0 1e300 gate", "--preset fig5 --E0 1e300 evolve",
     "--preset fig5 --E0 1e300 qubit-params", "--preset fig5 --E0 1e300 fidelity --samples 10",
-    "--r 1 --R 1.0000001 qubit-params", "--r 1 --R 1.0000001 spectrum",
-    "--r 1 --R 1.0000001 potential", "--r 1 --R 1.0000001 gate",
+    "--r 1 --R 1.0000001 qubit-params", "--r 1 --R 1.0000001 potential",
+    "--r 1 --R 1.0000001 gate",
     "--mass-ratio 1e-30 spectrum", "--mass-ratio 1e-30 qubit-params",
     "--mass-ratio 1e30 spectrum", "--mass-ratio 1e30 qubit-params", "--mass-ratio 1e30 potential",
     "--n-points 64 --stencil-order 4 spectrum --levels 64",
     "--n-points 64 --stencil-order 4 --B 1e80 spectrum --levels 64",
-    "window --scan-max 1e300", "sweep-b --m-list 99999999999999999999 --b-range 0:1:2",
     "--preset fig5 --seed 99999999999999999999999 fidelity",
-    "--preset fig5 --E0 1e-30 gate --mode labframe", "--preset fig5 --E0 1e-30 gate --leakage",
-    "--preset fig5 --E0 1e-30 fidelity --mode labframe --range 0:0.01:2 --samples 2",
-    "--preset fig5 mitigate --mode labframe --e0-range 1e-30:1:2",
-    "--preset fig5 evolve --three-level --duration 1e12",
-    "--preset fig5 evolve --three-level --detuning 1e300",
 ]
 
 
-def _refuse_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
+class Failure(NamedTuple):
+    line: str  # the arguments, as shlex.split reads them
+    code: int  # the exit code
+    pattern: str  # a regex the one stderr line matches in full after "error: "
+    option: bool = False  # an option error, raised before the subcommand loads a layer or numpy
+
+
+OPTION = True
+GEOMETRY = r"invalid configuration: --r, --R, --mass-ratio: "
+AMPLITUDE = r"drive amplitude must be finite and positive, got "
+PERIODS = r"t must span fewer than 2\^63 drive periods, got "
+DEFAULT_DURATION = (r"--rabi \(or --E0\), --detuning: the default duration pi/\(2 Omega\): "
+                    + PERIODS)
+BASIS_CAP = (r"Fourier basis reached its cap of 599 modes with Ritz tail weight \d\.\d{3}e-01; "
+             r"residual \d\.\d{3}e\+")
+NON_FINITE = r"potential evaluated to non-finite values at B="
+STEP_CAP = r"step doubling reached its cap of 8192 Magnus steps with successive results "
+TOL = r"--tol must be finite and in \[1e-12, 1e-06\], got "
+RELATIVE = r" must be finite and in \[-0\.1, 0\.1\], got "
+INCREASING = r" must be positive and increasing, got "
+MONOTONE = r"--b-range must be non-negative and monotone, got "
+
+# every input that must fail, each held to the README's contract by check_failure
+FAILURES = [Failure(*row) for row in [
+    # the parser: a value it cannot read, and a missing or unknown subcommand
+    ("--n-points abc potential", 2, r"--n-points: invalid int value: 'abc'", OPTION),
+    ("spectrum --levels x", 2, r"--levels: invalid int value: 'x'", OPTION),
+    ("gate --mode foo", 2, r"--mode: invalid choice: 'foo' \(choose from 'rwa', 'labframe'\)",
+     OPTION),
+    ("", 2, r"the following arguments are required: command", OPTION),
+    ("foo", 2, r"command: invalid choice: 'foo' \(choose from 'potential', 'spectrum', 'sweep-b', "
+     r"'window', 'qubit-params', 'evolve', 'gate', 'fidelity', 'mitigate'\)", OPTION),
+    # the configuration: each problem after the options it names, all on the one line
+    ("--r 9e-8 --R 3.5e-8 potential", 2,
+     GEOMETRY + r"need 0 < r_minor < R_major, got r=9e-08, R=3\.5e-08", OPTION),
+    ("--r 9e-8 --R 3.5e-8 --n-points 10 potential", 2,
+     GEOMETRY + r"need 0 < r_minor < R_major, got r=9e-08, R=3\.5e-08; "
+     r"--n-points, --stencil-order: n_points must be >= 64, got 10", OPTION),
+    ("--r -3.5e-8 potential", 2, GEOMETRY + r"r_minor must be finite and positive, got -3\.5e-08",
+     OPTION),
+    ("--preset fig5 --mass-ratio nan qubit-params", 2,
+     GEOMETRY + r"effective_mass_ratio must be finite and positive, got nan", OPTION),
+    # r^2, m* r^2 or the energy scale would underflow or overflow
+    ("--mass-ratio 1e-300 potential", 2,
+     GEOMETRY + r"m\* r_minor\^2 must be finite and >= 2\.22507e-308, got 0\.0", OPTION),
+    ("--r 1e-150 --R 2e-150 potential", 2,
+     GEOMETRY + r"m\* r_minor\^2 must be finite and >= 2\.22507e-308, got 0\.0", OPTION),
+    ("--r 1e150 --R 2e150 potential", 2,
+     GEOMETRY + r"energy scale must be finite and >= 2\.22507e-308, got 0\.0", OPTION),
+    ("--r 1e160 --R 2e160 potential", 2,
+     GEOMETRY + r"r_minor\^2 must be finite and >= 2\.22507e-308, got inf", OPTION),
+    ("--r 1e300 --R 1e301 spectrum", 2,
+     GEOMETRY + r"r_minor\^2 must be finite and >= 2\.22507e-308, got inf", OPTION),
+    ("--preset fig5 --E0 nan qubit-params", 2,
+     r"invalid configuration: --B, --E0: E0 must be finite and >= 0, got nan", OPTION),
+    ("--preset fig5 --B nan qubit-params", 2,
+     r"invalid configuration: --B, --E0: B must be finite and >= 0, got nan", OPTION),
+    ("--preset fig5 --seed -1 fidelity", 2,
+     r"invalid configuration: --seed: seed must be a non-negative integer, got -1", OPTION),
+    *[(f"--preset fig5 --loc-threshold {value} {command}", 2, r"invalid configuration: "
+       rf"--loc-threshold: loc_threshold must lie in \(0, 1\), got {shown}", OPTION)
+      for command in ("spectrum", "qubit-params")
+      for value, shown in (("2", r"2\.0"), ("nan", "nan"))],
+    # a subcommand option outside its bounds
+    ("--preset fig5 potential --E-static nan", 2, r"--E-static must be finite, got nan", OPTION),
+    ("--preset fig5 potential --E-static inf", 2, r"--E-static must be finite, got inf", OPTION),
+    ("--preset fig5 spectrum --levels 0", 2, r"--levels must be in \[1, 1024\], got 0", OPTION),
+    ("--preset fig5 spectrum --levels -3", 2, r"--levels must be in \[1, 1024\], got -3", OPTION),
+    ("--preset fig5 --n-points 64 spectrum --levels 65", 2,
+     r"--levels must be in \[1, 64\], got 65", OPTION),
+    ("--preset fig5 sweep-b --levels 0", 2, r"--levels must be in \[1, 1024\], got 0", OPTION),
+    ("--preset fig5 sweep-b --b-range 0:0.1:2 --levels 0", 2,
+     r"--levels must be in \[1, 1024\], got 0", OPTION),
+    ("--preset fig5 sweep-b --b-range 0:1", 2, r"--b-range must look like a:b:n, got '0:1'",
+     OPTION),
+    ("--preset fig5 sweep-b --b-range -1:1:3", 2, MONOTONE + r"'-1:1:3'", OPTION),
+    ("--preset fig5 sweep-b --b-range=-1:1:3", 2, MONOTONE + r"'-1:1:3'", OPTION),
+    ("--preset fig5 sweep-b --b-range 1:1:3", 2, MONOTONE + r"'1:1:3'", OPTION),
+    ("--preset fig5 sweep-b --m-list 0,a", 2,
+     r"--m-list must be comma-separated integers, got '0,a'", OPTION),
+    ("--preset fig5 window --scan-max -1", 2, r"--scan-max must be finite and positive, got -1\.0",
+     OPTION),
+    ("--preset fig5 window --scan-max nan", 2, r"--scan-max must be finite and positive, got nan",
+     OPTION),
+    ("--preset fig5 evolve --samples 0", 2, r"--samples must be >= 2, got 0", OPTION),
+    ("--preset fig5 evolve --samples 1", 2, r"--samples must be >= 2, got 1", OPTION),
+    ("--preset fig5 evolve --rabi nan", 2, r"--rabi must be finite, got nan", OPTION),
+    ("--preset fig5 evolve --three-level --rabi=-1e9 --duration=1e-9", 2,
+     r"--rabi \(with --three-level\) must be finite and >= 0, got -1000000000\.0", OPTION),
+    ("--preset fig5 evolve --detuning inf", 2, r"--detuning must be finite, got inf", OPTION),
+    ("--preset fig5 evolve --phase nan", 2, r"--phase must be finite, got nan", OPTION),
+    ("--preset fig5 evolve --duration nan", 2, r"--duration must be finite and >= 0, got nan",
+     OPTION),
+    ("--preset fig5 evolve --duration=-1e-9", 2, r"--duration must be finite and >= 0, got -1e-09",
+     OPTION),
+    ("--preset fig5 gate --tol 1", 2, TOL + r"1\.0", OPTION),
+    ("--preset fig5 gate --tol nan", 2, TOL + r"nan", OPTION),
+    ("--preset fig5 gate --tol 5 --leakage", 2, TOL + r"5\.0", OPTION),
+    ("--preset fig5 gate --mode labframe --tol 1e-3", 2, TOL + r"0\.001", OPTION),
+    ("--preset fig5 fidelity --samples 0", 2, r"--samples must be >= 1, got 0", OPTION),
+    ("--preset fig5 fidelity --range 0:0.5:3", 2, "--range" + RELATIVE + r"0\.5", OPTION),
+    ("--preset fig5 fidelity --range=-0.2:0:3", 2, "--range" + RELATIVE + r"-0\.2", OPTION),
+    ("--preset fig5 mitigate --samples 0", 2, r"--samples must be >= 1, got 0", OPTION),
+    ("--preset fig5 mitigate --delta-b 0.5", 2, "--delta-b" + RELATIVE + r"0\.5", OPTION),
+    ("--preset fig5 mitigate --delta-e nan", 2, "--delta-e" + RELATIVE + r"nan", OPTION),
+    ("--preset fig5 mitigate --e0-range 1:2", 2, r"--e0-range must look like a:b:n, got '1:2'",
+     OPTION),
+    ("--preset fig5 mitigate --e0-range -1:5:3", 2,
+     r"--e0-range with log spacing needs positive endpoints, got '-1:5:3'", OPTION),
+    ("--preset fig5 mitigate --spacing log --e0-range 0:100:3", 2,
+     r"--e0-range with log spacing needs positive endpoints, got '0:100:3'", OPTION),
+    ("--preset fig5 mitigate --spacing linear --e0-range 0:10:3", 2,
+     "--e0-range" + INCREASING + r"'0:10:3'", OPTION),
+    ("--preset fig5 mitigate --spacing linear --e0-range 0:100:3", 2,
+     "--e0-range" + INCREASING + r"'0:100:3'", OPTION),
+    ("--preset fig5 mitigate --sweep B0 --b0-range 0:1:3", 2,
+     "--b0-range" + INCREASING + r"'0:1:3'", OPTION),
+    ("--preset fig5 mitigate --sweep B0 --b0-range 0:0.9:6", 2,
+     "--b0-range" + INCREASING + r"'0:0\.9:6'", OPTION),
+    ("--preset fig5 mitigate --sweep B0 --b0-range 0.9:0.4:6", 2,
+     "--b0-range" + INCREASING + r"'0\.9:0\.4:6'", OPTION),
+    ("--preset fig5 --E0 0 mitigate --sweep B0", 2, r"--E0 must be finite and positive, got 0\.0",
+     OPTION),
+    # checks that need a layer: a grid, a gate angle, a Rabi rate, a rotation angle or a
+    # drive length; endpoints a few ulps apart pass the endpoint rule and repeat grid values
+    ("--preset fig5 sweep-b --b-range 0:5e-324:3", 2, MONOTONE + r"'0:5e-324:3'"),
+    ("--preset fig5 mitigate --spacing linear --e0-range 1:1.0000000000000002:5", 2,
+     "--e0-range" + INCREASING + r"'1:1\.0000000000000002:5'"),
+    ("--preset fig5 gate --gate phase:abc", 2,
+     r"--gate: must be hadamard, phase:ETA or prep:THETA,ETA, got 'phase:abc'"),
+    ("--preset fig5 gate --gate prep:1.2", 2,
+     r"--gate: must be hadamard, phase:ETA or prep:THETA,ETA, got 'prep:1\.2'"),
+    ("--preset fig5 gate --gate phase:1e300", 2,
+     r"--gate: phase:ETA needs ETA in \[0, 2 pi\), got 'phase:1e300'"),
+    ("--preset fig5 fidelity --gate phase:-1", 2,
+     r"--gate: phase:ETA needs ETA in \[0, 2 pi\), got 'phase:-1'"),
+    ("--preset fig5 gate --gate prep:4,0", 2,
+     r"--gate: prep:THETA,ETA needs THETA in \(0, pi\] and ETA in \[0, pi\], got 'prep:4,0'"),
+    ("--preset fig5 --B 0 fidelity", 2, r"--B must be finite and positive, got 0\.0"),
+    ("--preset fig5 --E0 0 fidelity", 2, r"--E0 must be finite and positive, got 0\.0"),
+    ("--preset fig5 --E0 0 gate", 2, "--E0: " + AMPLITUDE + r"0\.0"),
+    ("--preset fig5 --E0 0 gate --gate prep:1.2,0.7", 2, "--E0: " + AMPLITUDE + r"0\.0"),
+    # a Rabi rate that underflows to 0 or overflows to inf, in a gate or at each point of a study
+    ("--preset fig5 --E0 1e-300 gate", 2, "--E0: " + AMPLITUDE + r"0\.0"),
+    ("--preset fig5 --E0 1e308 gate", 2, "--E0: " + AMPLITUDE + "inf"),
+    ("--preset fig5 --E0 1e-300 fidelity --samples 10", 2, "--E0: " + AMPLITUDE + r"0\.0"),
+    ("--preset fig5 --E0 1e308 fidelity --samples 10", 2, "--E0: " + AMPLITUDE + "inf"),
+    ("--preset fig5 mitigate --e0-range 1e-300:1e-299:2 --samples 10", 2,
+     "--e0-range: " + AMPLITUDE + r"0\.0"),
+    ("--preset fig5 --E0 1e308 mitigate --sweep B0 --samples 10", 2, "--E0: " + AMPLITUDE + "inf"),
+    ("--preset fig5 evolve --rabi 0", 2,
+     r"--rabi \(or --E0\) must be finite and positive, got 0\.0"),
+    ("--preset fig5 --E0 0 evolve", 2, r"--rabi \(or --E0\) must be finite and positive, got 0\.0"),
+    ("--preset fig5 --E0 1e308 evolve --duration 1e-9", 2,
+     r"--rabi \(or --E0\) must be finite, got inf"),
+    # the rotation angle overflows, and so does pi / (2 Omega)
+    ("--preset fig5 evolve --duration 1e300", 2,
+     r"--duration: rotation angle must be finite, got inf"),
+    ("--preset fig5 evolve --three-level --duration 1e300", 2,
+     r"--duration: rotation angle must be finite, got inf"),
+    ("--preset fig5 evolve --rabi 1e-310", 2,
+     r"--rabi \(or --E0\): duration must be finite and >= 0, got inf"),
+    # a drive of 2^63 periods or more; 190390016.74922743 s is the shortest duration whose
+    # float quotient t / T reaches it, and without --duration the Rabi rate and the detuning
+    # set the periods a drive spans
+    ("--preset fig5 evolve --three-level --duration 1e12", 2,
+     "--duration: " + PERIODS + r"5\.6\d*e\+22"),
+    ("--preset fig5 evolve --three-level --detuning 5e10 --duration 190390016.74922743 --samples 2",
+     2, "--duration: " + PERIODS + r"9\.223372036854776e\+18"),
+    ("--preset fig5 evolve --three-level --detuning 1e300", 2, DEFAULT_DURATION + r"7\.6\d*e\+289"),
+    ("--preset fig5 evolve --detuning 1e300 --three-level", 2, DEFAULT_DURATION + r"7\.6\d*e\+289"),
+    ("--preset fig5 --E0 1e-20 evolve --three-level", 2, DEFAULT_DURATION + r"2\.6\d*e\+23"),
+    ("--preset fig5 --E0 1e-30 evolve --three-level", 2, DEFAULT_DURATION + r"2\.6\d*e\+33"),
+    ("--preset fig5 --E0 1e-30 gate --mode labframe", 2, "--E0: " + PERIODS + r"3\.8\d*e\+33"),
+    ("--preset fig5 --E0 1e-30 gate --leakage", 2, "--E0: " + PERIODS + r"3\.8\d*e\+33"),
+    # runtime errors: the error study's propagation names no option
+    ("--preset fig5 --E0 1e-30 fidelity --mode labframe --range 0:0.01:2 --samples 2", 1,
+     PERIODS + r"3\.8\d*e\+33"),
+    ("--preset fig5 mitigate --mode labframe --e0-range 1e-30:1:2", 1, PERIODS + r"3\.8\d*e\+33"),
+    # ~3e18 drive periods: the per-period roundoff compounds far past the guard
+    ("--preset fig5 evolve --three-level --duration 5e7", 1,
+     r"propagator departs from unitarity by \S+ over 2\.82e\+18 drive periods: "
+     r"the per-period roundoff has compounded; shorten the duration"),
+    # a drive too fast for the step cap: 8192 Magnus steps leave successive results apart by
+    # more than tol and roundoff, so no unverified propagator is returned
+    ("--preset fig5 evolve --three-level --rabi 1e16 --duration 1e-11 --samples 3", 1,
+     STEP_CAP + r"1\.2e-05 apart, above tol 1e-09"),
+    ("--preset fig5 evolve --three-level --rabi 1e15 --duration 1e-11 --samples 3", 1,
+     STEP_CAP + r"5\.4e-09 apart, above tol 1e-09"),
+    # the Rabi rate overflows to inf, which strict JSON cannot hold
+    ("--preset fig5 --E0 1e308 qubit-params", 1,
+     r"Out of range float values are not JSON compliant: inf"),
+    # no Fourier basis within the cap resolves a sector of so large an m, or so thin a torus
+    ("--preset fig5 spectrum --m 1000000000000", 1,
+     r"eigensolve failed at B=0\.45, m=1000000000000: " + BASIS_CAP + "19"),
+    ("sweep-b --m-list 99999999999999999999 --b-range 0:1:2", 1,
+     r"eigensolve failed at B=0\.0, m=99999999999999999999: " + BASIS_CAP + "35"),
+    ("--r 1 --R 1.0000001 spectrum", 1, r"eigensolve failed at B=0\.0, m=0: " + BASIS_CAP + "13"),
+    # an overflow in the Fourier sums or the potential prints no numpy warning: the check it
+    # fails reports it, on this one line; a residual whose square overflows keeps a finite norm
+    ("--B 1e80 spectrum", 1, r"eigensolve failed at B=1e\+80, m=0: " + BASIS_CAP + "157"),
+    ("--B 1e80 sweep-b --b-range 0:1e80:2", 1,
+     r"eigensolve failed at B=1e\+80, m=0: " + BASIS_CAP + "157"),
+    ("--preset fig3a window --scan-max 1e80", 1,
+     r"eigensolve failed at B=2\.5e\+78, m=0: " + BASIS_CAP + "154"),
+    # the potential is finite, but its Fourier transform overflows and LAPACK's eigh raises
+    # LinAlgError on the Ritz matrix
+    ("--B 1e153 spectrum", 1, r"eigensolve failed at B=1e\+153, m=0: .*"),
+    ("sweep-b --b-range 0:1e153:2", 1, r"eigensolve failed at B=1e\+153, m=0: .*"),
+    ("--B 5e153 spectrum", 1, NON_FINITE + r"5e\+153, m=0"),
+    ("--B 5e153 potential", 1, r"CSV column V_B must be finite at theta=0\.0, got inf"),
+    ("--B 1e200 spectrum", 1, NON_FINITE + r"1e\+200, m=0"),
+    ("--preset fig5 --B 1e200 spectrum", 1, NON_FINITE + r"1e\+200, m=0"),
+    ("--preset fig5 sweep-b --b-range 0:1e200:2", 1, NON_FINITE + r"1e\+200, m=0"),
+    ("window --scan-max 1e300", 1, NON_FINITE + r"2\.5e\+298, m=0"),
+    ("--preset fig3a window --scan-max 1e300", 1, NON_FINITE + r"2\.5e\+298, m=0"),
+    ("--B 1e200 potential", 1, r"CSV column V_B must be finite at theta=0\.0, got inf"),
+    # the coefficients' arithmetic: (e B)^2, or a potential the numerical Taylor route
+    # differences, overflows; a geometry's (R - r)^4 underflows or overflows
+    ("--preset fig5 --B 1e200 qubit-params", 1, r"closed_form coefficients overflow at B=1e\+200"),
+    ("--preset fig5 --B 1e160 qubit-params", 1,
+     r"numerical_taylor coefficients overflow at B=1e\+160"),
+    ("--preset fig5 --B 1e200 gate", 1, r"numerical_taylor coefficients overflow at B=1e\+200"),
+    ("--B 1e200 gate", 1, r"numerical_taylor coefficients overflow at B=1e\+200"),
+    ("--preset fig5 --B 1e160 evolve", 1, r"numerical_taylor coefficients overflow at B=1e\+160"),
+    ("--preset fig5 --B 1e160 fidelity --samples 10 --range 0:0.01:2", 1,
+     r"numerical_taylor coefficients overflow at B=1e\+160"),
+    ("--r 1e-100 --R 2e-100 qubit-params", 1, r"closed_form coefficients underflow at B=0\.0"),
+    ("--r 1e100 --R 2e100 --mass-ratio 1e-250 qubit-params", 1,
+     r"closed_form coefficients overflow at B=0\.0"),
+]]
+
+
+# inputs that break the contract today, found by the generated table: a run that fails
+# prints the physics warnings it raised before its error line
+WARNED_FAILURES = [
+    pytest.param(Failure(line, 2, pattern), marks=pytest.mark.xfail(
+        strict=True, reason="cli.main prints the run's warnings before its error line"))
+    for line, pattern in [
+        # s >= 1 makes the dipole, and so the Rabi rate, negative
+        ("--preset fig5 --r 1e-9 gate", "--E0: " + AMPLITUDE + r"-35986872\.98\d*"),
+        # an unresolvable anharmonicity, and a drive too long to propagate
+        ("--preset fig5 --B 1e16 gate --mode labframe", "--E0: " + PERIODS + r"3\.73\d*e\+25"),
+    ]]
+
+
+@pytest.fixture(scope="module")
+def option_error_runs(tmp_path_factory):
+    return runs_in_one_interpreter([shlex.split(row.line) for row in FAILURES if row.option],
+                                   ("torusqubit", "numpy"), tmp_path_factory.mktemp("option"))
+
+
+class TestFailingInputs:
+    @pytest.mark.parametrize("row", [*FAILURES, *WARNED_FAILURES],
+                             ids=lambda row: row.line or "no-arguments")
+    def test_exits_with_one_error_line_and_no_output(self, request, tmp_path, capsys, row):
+        argv = shlex.split(row.line)
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        check_failure(code, capsys.readouterr(), row.code, row.pattern, tmp_path)
+        if row.option:  # an option's bounds live in model, so no layer is needed to check it
+            assert request.getfixturevalue("option_error_runs")[tuple(argv)] == (2, [])
+
+
+def check_success(checks, code, captured, out):
+    """A run that succeeds exits 0 with no error line, and every file it wrote, data and
+    manifest, passes bench/checks.py's strict loaders: JSON without NaN or infinities,
+    CSV rows of finite numbers and booleans."""
+    assert code == 0 and not re.search("^error: ", captured.err, re.MULTILINE), captured.err
+    for path in out.iterdir():
+        (checks.load_json if path.suffix == ".json" else checks.load_csv)(path)
+
+
+def value(low, high):
+    """An option's value: typical, in [low, high], or any double at all."""
+    return st.one_of(st.floats(low, high), st.floats()).map(repr)
+
+
+FLAG = st.just(None)  # an option that takes no value
+# the value families of EDGE_INPUTS and FAILURES, drawn: fields, Rabi rates, geometries,
+# masses, grids, orbital numbers, seeds and drive lengths, each typical or any double.
+# Grids stop at 2048 points, since a grid's memory grows with it (about 270 B a point), a
+# sweep and a study run at two points and a study on at most 50 samples, and window, whose
+# scan makes 41 or more sector solves (seconds for a thin torus), is left to the tables
+GLOBAL_OPTIONS = {
+    "--preset": st.sampled_from(["fig3a", "fig3b", "fig5"]),
+    "--B": value(0.0, 2.0), "--E0": value(0.0, 1e4),
+    "--r": value(1e-9, 1e-7), "--R": value(1e-8, 1e-6), "--mass-ratio": value(1e-2, 10.0),
+    "--n-points": st.integers(-1, 2048).map(str), "--stencil-order": st.sampled_from("234"),
+    "--seed": st.integers(-1, 2**80).map(str),
+}
+ORBITAL = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20)).map(str)
+SUBCOMMAND_OPTIONS = {
+    "potential": {"--E-static": value(-1e7, 1e7)},
+    "spectrum": {"--m": ORBITAL, "--levels": st.integers(-1, 70).map(str)},
+    "sweep-b": {"--b-range": value(0.0, 2.0).map("0:{}:2".format),
+                "--m-list": st.lists(ORBITAL, min_size=1, max_size=3).map(",".join)},
+    "qubit-params": {},
+    "evolve": {"--three-level": FLAG, "--rabi": value(0.0, 1e13), "--detuning": value(-1e12, 1e12),
+               "--phase": value(0.0, 7.0), "--duration": value(0.0, 1e-8),
+               "--samples": st.integers(0, 20).map(str)},
+    "gate": {"--gate": st.sampled_from(["hadamard", "phase:1.0", "prep:1.2,0.7"]),
+             "--mode": st.sampled_from(["rwa", "labframe"]), "--leakage": FLAG,
+             "--tol": value(1e-12, 1e-6)},
+    "fidelity": {"--scan": st.sampled_from(["dB", "dE"]), "--mode": st.sampled_from(["rwa", "labframe"]),
+                 "--range": value(-0.1, 0.1).map("0:{}:2".format),
+                 "--samples": st.integers(0, 50).map(str)},
+}
+ALWAYS = {("sweep-b", "--b-range"), ("fidelity", "--range"), ("fidelity", "--samples")}
+
+
+@st.composite
+def cli_arguments(draw):
+    """The arguments of one CLI run: a subcommand, and some of the options of each level."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))
+    argv = []
+    for options in (GLOBAL_OPTIONS, SUBCOMMAND_OPTIONS[command]):
+        for flag, values in options.items():
+            if (command, flag) in ALWAYS or draw(st.booleans()):
+                given_value = draw(values)
+                argv.append(flag if given_value is None else f"{flag}={given_value}")
+        if options is GLOBAL_OPTIONS:
+            argv.append(command)
+    return argv
 
 
 class TestEdgeInputs:
     @pytest.mark.parametrize("line", EDGE_INPUTS)
-    def test_edge_input_fails_cleanly_or_writes_finite_data(self, tmp_path, capsys, line):
+    def test_edge_input_writes_strict_data(self, checks, tmp_path, capsys, line):
         code, out = run(shlex.split(line), tmp_path, "out")
-        err = capsys.readouterr().err.splitlines()
-        assert code in (0, 1, 2)
-        if code:  # warnings may come first; the error is the one last line, and no file
-            assert [e for e in err if e.startswith("error: ")] == err[-1:]
-            assert not out.exists()
-            return
-        assert not any(e.startswith("error: ") for e in err)
-        for path in out.iterdir():
-            text = path.read_text(encoding="utf-8")
-            if path.suffix == ".json":
-                json.loads(text, parse_constant=_refuse_constant)
-            else:
-                _, data = read_csv(path)
-                assert data and all(v in ("true", "false") or math.isfinite(float(v))
-                                    for row in data for v in row), path.name
+        check_success(checks, code, capsys.readouterr(), out)
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_arguments())
+    def test_generated_input_fails_cleanly_or_writes_strict_data(self, checks, tmp_path_factory,
+                                                                 capsys, argv):
+        root = tmp_path_factory.mktemp("generated")
+        code = main([*argv, "--output-dir", str(root / "out")])
+        if code == 0:
+            check_success(checks, code, capsys.readouterr(), root / "out")
+        else:
+            assert code in (1, 2)
+            check_failure(code, capsys.readouterr(), code, ".*", root)
 
 
 class TestArtifacts:
@@ -845,16 +891,11 @@ class TestArtifacts:
         bound = [r for r in data if r[4] == "true"]
         assert len(bound) == 1
 
-    def test_spectrum_dump_wavefunctions(self, tmp_path):
+    def test_spectrum_dump_wavefunctions(self, checks, tmp_path):
         code, out = run(["--preset", "fig3a", "--n-points", "256", "spectrum", "--levels", "4",
                          "--dump-wavefunctions"], tmp_path)
         assert code == 0
-
-        def no_constant(name):
-            raise ValueError(f"non-strict JSON constant {name}")
-
-        payload = json.loads((out / "spectrum_states.json").read_text(),
-                             parse_constant=no_constant)
+        payload = checks.load_json(out / "spectrum_states.json")
         theta = np.array(payload["theta"])
         _, data = read_csv(out / "spectrum.csv")
         assert [s["energy_J"] for s in payload["states"]] == [float(r[3]) for r in data]
@@ -1063,12 +1104,6 @@ class TestNewSurfaces:
         assert [m for m in loaded if not m.startswith("numpy")] == sorted(expected)
         assert ("numpy" in loaded) == (args[0] != "qubit-params")
         assert "numpy.ma" not in loaded
-
-    @pytest.mark.parametrize("args", OPTION_ERRORS, ids=" ".join)
-    def test_option_error_loads_no_layer(self, option_error_runs, args):
-        # an option's bounds live in model, so it is checked before the
-        # subcommand imports its first layer or numpy
-        assert option_error_runs[("--preset", "fig5", *args)] == (2, [])
 
     @pytest.mark.parametrize("args, exit_code", SCALAR_RUNS)
     def test_scalar_run_loads_no_numpy(self, scalar_runs, args, exit_code):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.linalg import expm
 
@@ -108,6 +109,18 @@ class TestEvolveRwa:
         with pytest.raises(ValueError):
             PulseSpec(1.0, 0.0, 0.0, -1.0)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(rabi=st.floats(1e-3, 1e12), ratio=st.floats(-2.0, 2.0), phi=st.floats(0.0, 2 * math.pi),
+           angles=st.tuples(st.floats(0.0, 20 * math.pi), st.floats(0.0, 20 * math.pi)))
+    def test_composition_over_random_pulses(self, rabi, ratio, phi, angles):
+        # U(t1 + t2) = U(t2) U(t1), for rotation angles up to 20 pi each
+        t1, t2 = (angle / (rabi * math.hypot(1.0, ratio)) for angle in angles)
+
+        def u(t):
+            return rwa_unitary(PulseSpec(rabi, ratio * rabi, phi, t))
+
+        assert np.abs(u(t1 + t2) - u(t2) @ u(t1)).max() <= 1e-12
+
 
 class TestEvolveLabframe:
     def test_free_evolution_phases(self, fig5_qubit):
@@ -128,6 +141,24 @@ class TestEvolveLabframe:
         rot = rotating_frame(lab, field.omega_rf, t)
         rwa = evolve_rwa(QuantumState.ground(), _resonant(omega_rabi, 0.0, t))
         assert rwa.fidelity(rot) >= 0.9999
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(ratio=st.floats(1e-3, 1e-1), detuning=st.floats(-1.0, 1.0),
+           phi=st.floats(0.0, 2 * math.pi), fraction=st.floats(0.0, 1.0),
+           polar=st.floats(0.0, math.pi), azimuth=st.floats(0.0, 2 * math.pi))
+    def test_lab_frame_within_the_rwa_bound(self, fig5_qubit, ratio, detuning, phi, fraction,
+                                            polar, azimuth):
+        # a pulse of Rabi rate Omega = ratio * omega, detuning in [-Omega, Omega] and up to
+        # one Rabi period, from a random state: the lab frame, rotated into the drive's frame,
+        # is the RWA state to within 1 - F <= (2 Omega / omega)^2
+        omega_rabi = ratio * fig5_qubit.omega
+        pulse = PulseSpec(omega_rabi, detuning * omega_rabi, phi, fraction * 2 * math.pi / omega_rabi)
+        field = drive_field(pulse, fig5_qubit)
+        state = QuantumState.of(math.cos(polar / 2), np.exp(1j * azimuth) * math.sin(polar / 2))
+        lab = evolve_labframe(state, fig5_qubit, field, pulse.duration)
+        rwa = evolve_rwa(state, pulse)
+        rotated = rotating_frame(lab, field.omega_rf, pulse.duration)
+        assert 1.0 - rwa.fidelity(rotated) <= (2 * ratio) ** 2
 
     def test_self_convergence_under_tol_halving(self, fig5_qubit):
         omega_rabi, field = _drive_for_ratio(fig5_qubit, 2e-3)
@@ -398,6 +429,17 @@ class TestPeriodPropagator:
         u = dynamics.labframe_unitary(fig5_qubit, field, cycles * 2 * math.pi / field.omega_rf, tol)
         assert np.all(np.isfinite(u))
         assert len(evals) == 1 and 0 < evals[0] < 12 * (dynamics._MAX_STEPS + 2)
+
+    def test_step_cap_refuses_an_unverified_propagator(self, fig5_qubit):
+        # 1e3 to 1e5 rad within 1e-11 s: at the cap of 8192 steps, successive results at
+        # 1e16 and 1e15 rad/s still differ by more than tol 1e-9; at 1e14 they meet it (1.5e-13)
+        for rabi, difference in ((1e16, r"1\.1e-05"), (1e15, r"4\.3e-09")):
+            _, field = _drive_for_ratio(fig5_qubit, rabi / fig5_qubit.omega)
+            with pytest.raises(RuntimeError, match=r"^step doubling reached its cap of 8192 Magnus "
+                               rf"steps with successive results {difference} apart, above tol 1e-09$"):
+                dynamics.labframe_unitary(fig5_qubit, field, 1e-11)
+        _, field = _drive_for_ratio(fig5_qubit, 1e14 / fig5_qubit.omega)
+        assert np.all(np.isfinite(dynamics.labframe_unitary(fig5_qubit, field, 1e-11)))
 
     @pytest.mark.parametrize("cycles", [2.0**63, 1e30, math.inf])
     def test_cycle_count_beyond_int64_rejected(self, fig5_qubit, cycles):

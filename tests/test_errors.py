@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusqubit.control import PulseSequence, gate_unitary, hadamard_sequence
 from torusqubit.dynamics import PulseSpec, QuantumState
@@ -21,6 +22,7 @@ from torusqubit.errors import (
 )
 
 from oracles import (
+    ICOSAHEDRON,
     sphere_mean_infidelity,
     sphere_mean_infidelity_closed_form,
 )
@@ -242,6 +244,34 @@ class TestEnsembleKernel:
             cases.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * near * (1.0 + 1e-12 * rng.normal()))
         for m in cases:
             assert _exact_terms(m) == rational(m)
+
+
+class TestMonteCarloMean:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(angle=st.floats(1e-6, math.pi - 1e-6), polar=st.floats(0.0, math.pi),
+           azimuth=st.floats(0.0, 2 * math.pi), phase=st.floats(0.0, 2 * math.pi),
+           seed=st.integers(0, 2**32))
+    # sigma = 0: M a phase times I, which the drawn angles stay 1e-6 away from, so that
+    # every sample is the one value 1 - |Tr M|^2 / 4, the exact worst case
+    @example(angle=0.0, polar=0.0, azimuth=0.0, phase=0.7, seed=0)
+    @example(angle=0.0, polar=0.0, azimuth=0.0, phase=0.015707963267948967, seed=0).xfail(
+        raises=ValueError, reason="the pairwise mean of equal samples rounds an ulp above their max")
+    def test_within_five_design_sigmas(self, angle, polar, azimuth, phase, seed):
+        # M = e^{i phase} (cos a - i sin a n . sigma), so sample n' has infidelity
+        # |v|^2 - (v . n')^2 with v = sin a n: quadratic in n', and its square quartic,
+        # so the icosahedron's 12 vertices give the exact mean and standard deviation sigma
+        v = math.sin(angle) * np.array([math.sin(polar) * math.cos(azimuth),
+                                        math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        (x, y, z), c = v, math.cos(angle)
+        m = np.exp(1j * phase) * np.array([[c - 1j * z, -1j * x - y], [-1j * x + y, c + 1j * z]])
+        n = 2048
+        [report] = _monte_carlo([m], n, seed)
+        sigma = math.sqrt(np.var(v @ v - (ICOSAHEDRON @ v) ** 2))
+        # roundoff in M moves the samples and the exact mean alike, by a few ulps of 1
+        bound = 5 * sigma / math.sqrt(n) + 1e-15
+        assert abs(report.mean_infidelity - report.haar_mean_exact) <= bound
+        if sigma == 0.0:
+            assert report.max_infidelity == report.worst_case_exact
 
 
 class TestAverageGateInfidelity:

@@ -11,7 +11,6 @@ physics cannot also hide there.
 """
 
 import ast
-import importlib.util
 import math
 import re
 import shlex
@@ -20,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import README, readme_commands
+from conftest import README, check_failure, readme_commands
+from oracles import ICOSAHEDRON
 from torusqubit.cli import build_parser, main
 from torusqubit.model import E_CHARGE, HBAR, Discretization, TorusGeometry, UnitSystem
 from torusqubit.potential import PotentialParams
@@ -28,16 +28,7 @@ from torusqubit.reduction import coefficients_closed_form, coefficients_numerica
 from torusqubit.spectral import initialization_window, solve_sector
 
 TESTS = Path(__file__).resolve().parent
-CHECKS = TESTS.parent / "bench" / "checks.py"
 COMMANDS = readme_commands()
-
-
-@pytest.fixture(scope="module")
-def checks():
-    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -228,11 +219,6 @@ def test_reduction_gap_ratio_is_converged(fig3a_geom):
 
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-PHI = (1 + math.sqrt(5)) / 2
-# the 12 vertices of the icosahedron, a spherical 5-design: their average of
-# a polynomial of degree <= 5 in the unit vector is its average over the sphere
-ICOSAHEDRON = np.array([np.roll((0.0, a, b * PHI), k) for k in range(3)
-                        for a in (1, -1) for b in (1, -1)]) / math.hypot(1.0, PHI)
 DB_LINES = [*readme_commands("fidelity --scan dB"), *readme_commands("mitigate --delta-b 0.005")]
 
 
@@ -332,15 +318,11 @@ def readme_exit_examples(code: int) -> list[tuple[str, list[str]]]:
     pytest.param(code, line, errors, id=line)
     for code in (2, 1) for line, errors in readme_exit_examples(code)])
 def test_readme_exit_example(tmp_path, monkeypatch, capsys, code, line, errors):
-    # run as written, in a directory of its own: `…` in a quoted line stands for any text;
-    # the failure is one `error:` line on stderr, with no warning before it, and no artifact
+    # run as written, in a directory of its own: `…` in a quoted line stands for any text
+    [error] = errors or ["error: …"]
+    pattern = ".*".join(map(re.escape, error.removeprefix("error: ").split("…")))
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(line)) == code
-    [only] = capsys.readouterr().err.splitlines()
-    assert only.startswith("error: ")
-    for error in errors:
-        assert re.fullmatch(".*".join(map(re.escape, error.split("…"))), only), (error, only)
-    assert not any(tmp_path.iterdir())
+    check_failure(main(shlex.split(line)), capsys.readouterr(), code, pattern, tmp_path)
 
 
 def test_claims_name_existing_tests():
