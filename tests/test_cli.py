@@ -731,6 +731,26 @@ class TestFailingInputs:
         if row.option:  # an option's bounds live in model, so no layer is needed to check it
             assert request.getfixturevalue("option_error_runs")[tuple(argv)] == (2, [])
 
+    # each case breaks one clause of a clean failure: exit 2, no stdout, the one line
+    # `error: eigensolve failed` and an empty run directory
+    @pytest.mark.parametrize("code, out, err, written", [
+        (1, "", "error: eigensolve failed\n", False),
+        (2, "wrote out/spectrum.csv\n", "error: eigensolve failed\n", False),
+        (2, "", "RuntimeWarning: overflow\nerror: eigensolve failed\n", False),
+        (2, "", "error: eigensolve failed\nerror: eigensolve failed\n", False),
+        (2, "", "error: eigensolve failed at B=0.0\n", False),
+        (2, "", "error: eigensolve failed\n", True),
+    ], ids=["exit-code", "stdout", "warning-line", "second-line", "partial-match",
+           "artifact"])
+    def test_contract_check_refuses_each_breach(self, tmp_path, code, out, err, written):
+        check_failure(2, argparse.Namespace(out="", err="error: eigensolve failed\n"), 2,
+                      "eigensolve failed", tmp_path)
+        if written:
+            (tmp_path / "out").mkdir()
+        with pytest.raises(AssertionError):
+            check_failure(code, argparse.Namespace(out=out, err=err), 2, "eigensolve failed",
+                          tmp_path)
+
 
 def check_success(checks, code, captured, out):
     """A run that succeeds exits 0 with no error line, and every file it wrote, data and
@@ -799,6 +819,18 @@ class TestEdgeInputs:
     def test_edge_input_writes_strict_data(self, checks, tmp_path, capsys, line):
         code, out = run(shlex.split(line), tmp_path, "out")
         check_success(checks, code, capsys.readouterr(), out)
+
+    # each case breaks one clause of a clean success: exit 0, no error line, strict data
+    @pytest.mark.parametrize("err, name, text", [
+        ("error: eigensolve failed\n", "levels.csv", "B,energy\n0.0,1.5\n"),
+        ("", "qubit.json", '{"omega": NaN}'),
+        ("", "levels.csv", "B,energy\n0.0,inf\n"),
+    ], ids=["error-line", "json-nan", "csv-inf"])
+    def test_success_check_refuses_each_breach(self, checks, tmp_path, err, name, text):
+        check_success(checks, 0, argparse.Namespace(out="", err=""), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises((AssertionError, checks.CheckFailed)):
+            check_success(checks, 0, argparse.Namespace(out="", err=err), tmp_path)
 
     @settings(max_examples=60, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
