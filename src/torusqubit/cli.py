@@ -452,7 +452,7 @@ def cmd_evolve(args, config: RunConfig) -> Output:
 def cmd_gate(args, config: RunConfig) -> Output:
     _option(check_finite, args.tol, "--tol", *TOL_RANGE)
     from .control import Gate, gate_unitary
-    from .dynamics import drive_field, leakage_probe
+    from .dynamics import drive_field, leakage_probe, unitarity_drift
 
     gate = _named("--gate", Gate.parse, args.gate)
     qubit = config.qubit(config.B)
@@ -474,7 +474,9 @@ def cmd_gate(args, config: RunConfig) -> Output:
         leakage = (_named("--E0", leakage_probe, qubit, drive_field(p, qubit), p.duration,
                           tol=args.tol) for p in seq.pulses)
         payload["max_leakage"] = max(leakage, default=0.0)
+    # the propagation's loss of unitarity, past which the fidelity is clipped at 1
     return Output({"gate.json": _json_dumps(payload)},
+                  {"unitarity_drift": unitarity_drift(unitary)},
                   summary=f"{args.gate} ({args.mode}): fidelity_to_ideal = {fidelity:.12f}")
 
 
@@ -653,8 +655,10 @@ def _distinct(caught: list[warnings.WarningMessage]) -> dict[str, warnings.Warni
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; 0 on success, 2 on a config error, 1 on a runtime error.
 
-    Warnings raised anywhere in the run are recorded in every manifest and
-    echoed to stderr in the standard "file:line: Category: message" form.
+    Warnings raised anywhere in the run are recorded in every manifest and,
+    once the artifacts are written, echoed to stderr in the standard
+    "file:line: Category: message" form.  A run that fails prints one line,
+    `error: <message>`, and no warning.
     """
     # Before any layer loads numpy: OpenBLAS's idle workers then spin 2^4
     # cycles (the least it takes) before they sleep, not 2^28.  The thread
@@ -677,10 +681,11 @@ def main(argv: list[str] | None = None) -> int:
             code, error = 1, exc
         except MemoryError as exc:  # numpy's message names the failed allocation
             code, error = 1, f"out of memory: {exc}" if str(exc) else "out of memory"
+    if error is not None:  # the one line of a failing run
+        print(f"error: {error}", file=sys.stderr)
+        return code
     for w in _distinct(caught).values():
         sys.stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
     return code
 
 

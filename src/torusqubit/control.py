@@ -158,12 +158,16 @@ class Gate:
         return prepare_state(*self.angles, qubit, E0)
 
     def fidelity(self, unitary: np.ndarray) -> float:
-        """|Tr(G^dagger U)| / 2 against the ideal G; for "prep", U|0>'s fidelity to target_state."""
+        """|Tr(G^dagger U)| / 2 against the ideal G; for "prep", U|0>'s fidelity to target_state.
+        Clipped at 1, past which a propagator's unitarity drift can carry either."""
         if self.kind == "prep":
-            return target_state(*self.angles).fidelity(QuantumState(unitary[:, 0]))
-        if self.kind == "hadamard":
-            return phase_insensitive_fidelity(HADAMARD, unitary)
-        return phase_insensitive_fidelity(np.diag([1.0, cmath.exp(1j * self.angles[0])]), unitary)
+            value = target_state(*self.angles).fidelity(QuantumState(unitary[:, 0]))
+        elif self.kind == "hadamard":
+            value = phase_insensitive_fidelity(HADAMARD, unitary)
+        else:
+            ideal = np.diag([1.0, cmath.exp(1j * self.angles[0])])
+            value = phase_insensitive_fidelity(ideal, unitary)
+        return min(value, 1.0)
 
 
 def gate_unitary(

@@ -259,10 +259,15 @@ def solve_ivp(
     return MagnusSolution(np.exp(scalar * times)[:, None, None] * u, nfev + 3 * (edges.size - 1))
 
 
+def unitarity_drift(u: np.ndarray) -> float:
+    """max |U^dagger U - I| over u, a stack of square matrices."""
+    return float(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])).max())
+
+
 def _check_unitary(u: np.ndarray, periods: float) -> np.ndarray:
     """u, a stack of square matrices, if none departs from unitarity by more
     than _NORM_GUARD; otherwise RuntimeError naming the drive's length."""
-    drift = float(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])).max())
+    drift = unitarity_drift(u)
     if not drift <= _NORM_GUARD:
         raise RuntimeError(
             f"propagator departs from unitarity by {drift:.2g} over {periods:.3g} drive"

@@ -207,9 +207,9 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
 
     Every point's per-sample infidelities are evaluated on each chunk while
     it is in cache, clipped to [0, 1], and reduced to the chunk's max and
-    pairwise sum; the mean is the pairwise sum of the chunk sums over n.
-    Memory is a few chunks plus 16 B per chunk and point; only
-    keep_samples, for a single point, keeps all n values.
+    pairwise sum; the mean is the pairwise sum of the chunk sums over n,
+    capped at the max.  Memory is a few chunks plus 16 B per chunk and
+    point; only keep_samples, for a single point, keeps all n values.
     """
     check_count(n_samples, "n_samples", 1)
     per_sample = np.empty(n_samples) if keep_samples else None
@@ -224,16 +224,18 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
             sums[i, k] = np.add.reduce(out)
             if per_sample is not None:
                 per_sample[k * _CHUNK : k * _CHUNK + out.size] = out
-    return [
-        InfidelityReport(
-            mean_infidelity=float(np.add.reduce(chunk_sums) / n_samples),
-            max_infidelity=float(chunk_maxima.max()),
+    reports = []
+    for (s, exact), chunk_sums, chunk_maxima in zip(terms, sums, maxima):
+        peak = float(chunk_maxima.max())
+        reports.append(InfidelityReport(
+            # the pairwise mean of n equal samples can round an ulp above their max
+            mean_infidelity=min(float(np.add.reduce(chunk_sums) / n_samples), peak),
+            max_infidelity=peak,
             haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
             worst_case_exact=min(max(s, 0.0), 1.0),
             per_sample=per_sample,
-        )
-        for (s, exact), chunk_sums, chunk_maxima in zip(terms, sums, maxima)
-    ]
+        ))
+    return reports
 
 
 def average_gate_infidelity(

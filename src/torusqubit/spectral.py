@@ -26,7 +26,6 @@ the grid (fig3a: 0.9789 T at n = 256, 0.9891 T at n = 4096).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,9 @@ _RITZ_CAP = 600  # most modes a Ritz basis may hold (or 2k + 1): bounds an uncon
 # B in [0, 2.2] T and m in {0, +-1}, the worst Ritz tail at 24 is 1.3e-21 and
 # 2.4e-17 against _RITZ_TAIL (at 20, 2.2e-11 for fig3b).  A parity block of at
 # most 25 modes runs eigh's QL/QR (below SMLSIZ = 25), which wakes no BLAS worker;
-# k > 24 or a doubled cutoff runs divide-and-conquer, whose BLAS calls can
+# k > 24 or a doubled cutoff runs divide-and-conquer, whose BLAS calls can wake
+# OpenBLAS workers: at 2 BLAS threads eigh wakes one from 26 rows up, and a
+# parity-broken solve's single block starts at 49 rows.
 _RITZ_START = 24
 _RITZ_TAIL = 1e-14  # converged: most weight any Ritz vector keeps in the top quarter of the modes
 
@@ -179,58 +180,6 @@ def _kinetic_eigenvalues(disc: Discretization, q: np.ndarray) -> np.ndarray:
     return (16.0 * half - np.sin(q * h) ** 2) / (3.0 * h**2)
 
 
-@dataclass(frozen=True)
-class _RitzBasis:
-    """Read-only setup of the Ritz matrix of the grid Fourier modes q <= cutoff,
-    the cosines first: its cosine block is the even block of a mirror-symmetric
-    solve and its sine block the odd one.
-
-    Entry (a, b) of the Ritz matrix of diag(v) is
-    0.5 * (sums[first[a, b]] + sums[second[a, b]]) * scale[a, b], where sums
-    stacks the cosine sums, the sine sums and their negatives (blocks of n,
-    in that order) at the frequency indices (p - q) mod n and (p + q) mod n
-    of the two modes p and q.  A cosine-sine entry is negated through its
-    scale, which is exact.
-    """
-
-    cos_q: np.ndarray  # frequencies of the cosine modes, 0 .. cutoff
-    sin_q: np.ndarray  # of the sine modes, 1 .. cutoff, no Nyquist sine
-    norm_c: np.ndarray  # (cos_q.size, 1) normalizations of the cosines
-    first: np.ndarray
-    second: np.ndarray
-    scale: np.ndarray
-    kinetic: np.ndarray  # kinetic-stencil eigenvalue of each mode: the Ritz diagonal
-    top: np.ndarray  # mask of the modes in the top quarter of the frequencies
-
-
-@functools.lru_cache(maxsize=16)
-def _ritz_basis(disc: Discretization, cutoff: int) -> _RitzBasis:
-    """The _RitzBasis of the modes q <= cutoff on disc.  One per (n, order,
-    cutoff); a sweep builds it once."""
-    n = disc.n_points
-    cos_q = np.arange(cutoff + 1)
-    sin_q = np.arange(1, min(cutoff, (n - 1) // 2) + 1)
-    norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
-    norm_c = np.where((cos_q == 0) | (2 * cos_q == n), 1.0 / math.sqrt(n), norm_s)[:, None]
-
-    def layout(cc, cs, ss):
-        """The Ritz matrix of its cosine-cosine, cosine-sine and sine-sine blocks."""
-        return np.block([[cc, cs], [cs.T, ss]])
-
-    first = layout((cos_q[:, None] - cos_q) % n, n + (cos_q[:, None] - sin_q) % n,
-                   (sin_q[:, None] - sin_q) % n)
-    second = layout((cos_q[:, None] + cos_q) % n, 3 * n + (cos_q[:, None] + sin_q) % n,
-                    2 * n + (sin_q[:, None] + sin_q) % n)
-    scale = layout(norm_c * norm_c.T, np.broadcast_to(-norm_c * norm_s, (cos_q.size, sin_q.size)),
-                   np.full((sin_q.size, sin_q.size), norm_s**2))
-    freq = np.concatenate([cos_q, sin_q])
-    basis = _RitzBasis(cos_q, sin_q, norm_c, first, second, scale,
-                       _kinetic_eigenvalues(disc, freq), freq > 0.75 * cutoff)
-    for array in vars(basis).values():
-        array.flags.writeable = False
-    return basis
-
-
 def _apply_operator(stencil: tuple[float, ...], diagonal: np.ndarray,
                     vectors: np.ndarray) -> np.ndarray:
     """The periodic stencil operator with the given diagonal applied to the
@@ -275,24 +224,37 @@ def _sector_eigenpairs(
     """
     n = disc.n_points
     f = np.fft.rfft(v)
-    # sum_j v_j cos(q theta_j) and sum_j v_j sin(q theta_j) for q = 0 .. n-1,
-    # then their negatives: the sums of _RitzBasis
-    sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1],
-                           -f.imag, f.imag[1 : (n + 1) // 2][::-1]])
-    sums = np.concatenate([sums, -sums])
+    # sum_j v_j cos(q theta_j) and sum_j v_j sin(q theta_j) for q = 0 .. n-1
+    cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
+    sin_sums = np.concatenate([-f.imag, f.imag[1 : (n + 1) // 2][::-1]])
+    norm_s = math.sqrt(2.0 / n)  # of every sine, and of the cosines but q = 0 and q = n / 2
     cap = max(_RITZ_CAP, 2 * k + 1)
     limit = n // 2 if n <= cap else (cap - 1) // 2
     cutoff = min(max(_RITZ_START, k), limit)
     while True:
-        basis = _ritz_basis(disc, cutoff)
-        ritz = (sums[basis.first] + sums[basis.second]) * 0.5 * basis.scale
-        ritz.ravel()[:: ritz.shape[0] + 1] += basis.kinetic
-        even = basis.cos_q.size
-        levels, coeffs = np.empty(len(ritz)), np.zeros_like(ritz)
+        q = np.arange(cutoff + 1)  # frequencies of the cosine modes, first in the basis
+        sines = slice(1, min(cutoff, (n - 1) // 2) + 1)  # q[sines], of the sines: no Nyquist sine
+        norm_c = np.where((q == 0) | (2 * q == n), 1.0 / math.sqrt(n), norm_s)
+        freq = np.concatenate([q, q[sines]])
+        even = q.size
+        # <p|diag(v)|q> from the sums at (p - q) mod n and (p + q) mod n, times both normalizations
+        diff, total = (q[:, None] - q) % n, (q[:, None] + q) % n
+        ritz = np.zeros((freq.size, freq.size))
+        at_diff, at_total = cos_sums[diff], cos_sums[total]
+        ritz[:even, :even] = (at_diff + at_total) * 0.5 * np.outer(norm_c, norm_c)
+        ritz[even:, even:] = (at_diff - at_total)[sines, sines] * 0.5 * norm_s**2
+        if not mirror:  # for a mirror-symmetric v the cosine-sine block holds only roundoff
+            # cos(p theta) sin(q theta) = [sin((p + q) theta) - sin((p - q) theta)] / 2
+            diff, total = diff[:, sines], total[:, sines]
+            ritz[:even, even:] = -((sin_sums[diff] - sin_sums[total]) * 0.5
+                                   * (norm_c[:, None] * norm_s))
+            ritz[even:, :even] = ritz[:even, even:].T
+        ritz.ravel()[:: freq.size + 1] += _kinetic_eigenvalues(disc, freq)
+        levels, coeffs = np.empty(freq.size), np.zeros_like(ritz)
         for block in (slice(None, even), slice(even, None)) if mirror else (slice(None),):
             levels[block], coeffs[block, block] = np.linalg.eigh(ritz[block, block])
         order = np.argsort(levels, kind="stable")[:k]
-        tail = float(np.max(np.sum(coeffs[basis.top] ** 2, axis=0)[order]))
+        tail = float(np.max(np.sum(coeffs[freq > 0.75 * cutoff] ** 2, axis=0)[order]))
         converged = cutoff == n // 2 or tail <= _RITZ_TAIL
         if converged or cutoff == limit:
             break
@@ -300,8 +262,8 @@ def _sector_eigenpairs(
 
     coeffs = coeffs[:, order]
     spectrum = np.zeros((n // 2 + 1, k), dtype=complex, order="F")
-    spectrum[basis.cos_q] = coeffs[:even] / basis.norm_c
-    spectrum[basis.sin_q] -= 1j * coeffs[even:] / math.sqrt(2.0 / n)  # the sine normalization
+    spectrum[q] = coeffs[:even] / norm_c[:, None]
+    spectrum[q[sines]] -= 1j * coeffs[even:] / norm_s
     vectors = np.fft.irfft(spectrum, n, axis=0)
     energies = levels[order]
 

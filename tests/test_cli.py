@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from torusqubit import cli, dynamics, errors, potential, spectral
+from torusqubit import cli, control, dynamics, errors, potential, spectral
 from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 from torusqubit.model import MAX_DRIVE_CYCLES, TWO_PI
 from torusqubit.reduction import rabi_frequency
@@ -448,6 +448,11 @@ class TestConfigHandling:
         assert code == (2 if raised else 1)
 
 
+# lab-frame gates whose propagators drift from unitarity enough to carry |Tr(G^dagger U)| / 2
+# past 1 (by 8.3e-6 and 1.0e-10)
+DRIFTING_GATES = ["--preset fig5 --B 1e6 gate --mode labframe",
+                  "--preset fig5 --r 1e-9 --R 2e-9 gate --mode labframe"]
+
 # extreme values of each kind of input that the program computes with: the smallest and
 # large fields, Rabi rates that under- and overflow, a torus whose hole all but closes,
 # extreme masses, every level of the smallest grid and a huge seed; the extremes it
@@ -466,6 +471,7 @@ EDGE_INPUTS = [
     "--n-points 64 --stencil-order 4 spectrum --levels 64",
     "--n-points 64 --stencil-order 4 --B 1e80 spectrum --levels 64",
     "--preset fig5 --seed 99999999999999999999999 fidelity",
+    *DRIFTING_GATES,
 ]
 
 
@@ -699,20 +705,12 @@ FAILURES = [Failure(*row) for row in [
     ("--r 1e-100 --R 2e-100 qubit-params", 1, r"closed_form coefficients underflow at B=0\.0"),
     ("--r 1e100 --R 2e100 --mass-ratio 1e-250 qubit-params", 1,
      r"closed_form coefficients overflow at B=0\.0"),
+    # runs that raise physics warnings before they fail, and print none of them
+    # s >= 1 makes the dipole, and so the Rabi rate, negative
+    ("--preset fig5 --r 1e-9 gate", 2, "--E0: " + AMPLITUDE + r"-35986872\.98\d*"),
+    # an unresolvable anharmonicity, and a drive too long to propagate
+    ("--preset fig5 --B 1e16 gate --mode labframe", 2, "--E0: " + PERIODS + r"3\.73\d*e\+25"),
 ]]
-
-
-# inputs that break the contract today, found by the generated table: a run that fails
-# prints the physics warnings it raised before its error line
-WARNED_FAILURES = [
-    pytest.param(Failure(line, 2, pattern), marks=pytest.mark.xfail(
-        strict=True, reason="cli.main prints the run's warnings before its error line"))
-    for line, pattern in [
-        # s >= 1 makes the dipole, and so the Rabi rate, negative
-        ("--preset fig5 --r 1e-9 gate", "--E0: " + AMPLITUDE + r"-35986872\.98\d*"),
-        # an unresolvable anharmonicity, and a drive too long to propagate
-        ("--preset fig5 --B 1e16 gate --mode labframe", "--E0: " + PERIODS + r"3\.73\d*e\+25"),
-    ]]
 
 
 @pytest.fixture(scope="module")
@@ -722,7 +720,7 @@ def option_error_runs(tmp_path_factory):
 
 
 class TestFailingInputs:
-    @pytest.mark.parametrize("row", [*FAILURES, *WARNED_FAILURES],
+    @pytest.mark.parametrize("row", FAILURES,
                              ids=lambda row: row.line or "no-arguments")
     def test_exits_with_one_error_line_and_no_output(self, request, tmp_path, capsys, row):
         argv = shlex.split(row.line)
@@ -819,6 +817,17 @@ class TestEdgeInputs:
     def test_edge_input_writes_strict_data(self, checks, tmp_path, capsys, line):
         code, out = run(shlex.split(line), tmp_path, "out")
         check_success(checks, code, capsys.readouterr(), out)
+
+    @pytest.mark.parametrize("line", DRIFTING_GATES)
+    def test_gate_fidelity_is_clipped_and_drift_recorded(self, tmp_path, line):
+        code, out = run(shlex.split(line), tmp_path, "out")
+        payload = json.loads((out / "gate.json").read_text())
+        unitary = np.array([[complex(*value) for value in row] for row in payload["unitary"]])
+        unclipped = control.phase_insensitive_fidelity(control.HADAMARD, unitary)
+        assert code == 0 and unclipped > 1.0 and payload["fidelity_to_ideal"] <= 1.0
+        # |Tr(G^dagger U)| / 2 <= ||U||_2 <= sqrt(1 + 2 max |U^dagger U - I|) <= 1 + drift
+        results = json.loads((out / "gate.json.manifest.json").read_text())["results"]
+        assert results["unitarity_drift"] >= unclipped - 1.0
 
     # each case breaks one clause of a clean success: exit 0, no error line, strict data
     @pytest.mark.parametrize("err, name, text", [

@@ -706,16 +706,19 @@ class TestParitySplit:
 
 
 class TestAssemblyReference:
-    """The sector solve's setup tables, in-place fills and single reductions
-    against the per-call arithmetic they replaced, bit for bit."""
+    """The sector solve's Ritz assembly, in-place fills and single reductions
+    against reference arithmetic, bit for bit."""
 
-    @pytest.mark.parametrize("geom, n, order, e_static", [
-        ("fig3a", 64, 2, 0.0),
-        ("fig3a", 1025, 4, 400.0),
-        ("thin", 1024, 2, -300.0),  # grows the basis: several cutoffs
+    @pytest.mark.parametrize("geom, n, order, e_static, k", [
+        ("fig3a", 64, 2, 0.0, 6),
+        ("fig3a", 1025, 4, 400.0, 6),
+        ("thin", 1024, 2, -300.0, 6),  # grows the basis: several cutoffs
+        # complete bases, cutoff k = n // 2: the (p + q) mod n = 0 entries and the Nyquist cosine
+        ("fig3a", 64, 2, 0.0, 32),
+        ("fig3a", 64, 4, 200.0, 32),
     ])
     def test_ritz_matrix_matches_block_assembly(self, fig3a_geom, monkeypatch, geom, n, order,
-                                                e_static):
+                                                e_static, k):
         eigh, matrices = np.linalg.eigh, []
 
         def recording_eigh(matrix):
@@ -726,7 +729,7 @@ class TestAssemblyReference:
         params = PotentialParams(geom=fig3a_geom if geom == "fig3a" else THIN_GEOM, B=0.45,
                                  E_static=e_static)
         disc = Discretization(n, order)
-        solve_sector(params, disc)
+        solve_sector(params, disc, k=k)
 
         f = np.fft.rfft(spectral._grid_potential(params, disc.theta))
         cos_sums = np.concatenate([f.real, f.real[1 : (n + 1) // 2][::-1]])
@@ -759,13 +762,6 @@ class TestAssemblyReference:
             assert [m.tobytes() for m in recorded] == [b.tobytes() for b in blocks]
         assert len(matrices) == (3 if geom == "thin" else 1) * (2 if split else 1)
 
-    def test_ritz_setup_is_shared_and_read_only(self):
-        basis = spectral._ritz_basis(Discretization(1024, 4), 32)
-        # one table per (n, order, cutoff)
-        assert spectral._ritz_basis(Discretization(1024, 4), 32) is basis
-        assert spectral._ritz_basis(Discretization(1024, 2), 32) is not basis
-        assert not any(array.flags.writeable for array in vars(basis).values())
-
     @pytest.mark.parametrize("order", [2, 4])
     def test_operator_from_slices_matches_roll(self, order):
         rng = np.random.default_rng(3)
@@ -789,15 +785,6 @@ class TestAssemblyReference:
             assert state.localization == float(np.sum(vectors[inner, i] ** 2))
             wavefunction = vectors[:, i] / math.sqrt(disc.spacing)
             assert state.wavefunction.tobytes() == wavefunction.tobytes()
-
-
-def test_both_parities_share_one_ritz_table(fig3a_geom, disc1024):
-    # the mirror-symmetric solve reads the diagonal blocks of the one table
-    # the parity-broken solve reads whole
-    spectral._ritz_basis.cache_clear()
-    for e_static in (0.0, 200.0):
-        solve_sector(PotentialParams(geom=fig3a_geom, B=0.45, E_static=e_static), disc1024)
-    assert spectral._ritz_basis.cache_info().currsize == 1
 
 
 class TestFourierRitzAccuracy:
