@@ -3,8 +3,8 @@
 Each subcommand computes its machine-readable data files (CSV or JSON,
 serialized by `_csv` or `_json_dumps`, which both refuse NaN and infinities)
 and returns them; `main` alone writes them, each with a sidecar manifest
-recording the resolved configuration, software version, unit scales, and
-every warning raised during the run.  Identical config and seed give
+recording the resolved configuration, the subcommand's options, software
+version, unit scales, and the run's warnings.  Identical config and seed give
 byte-identical data files; timestamps live only in the manifest.  Each
 subcommand imports the layers it runs, so a cold process loads only those,
 and checks each option against the bounds in `model` before its first layer
@@ -255,7 +255,8 @@ def _csv(header: list[str], rows, comment: str | None = None) -> str:
 
 
 def write_artifacts(
-    out_dir: Path, command: str, config: RunConfig, output: Output, raised: list[str]
+    out_dir: Path, command: str, config: RunConfig, output: Output, raised: list[str],
+    options: dict,
 ) -> None:
     """Write every data file with its sidecar manifest.
 
@@ -266,6 +267,7 @@ def write_artifacts(
     manifest = _json_dumps({
         "command": command,
         "config": dataclasses.asdict(config),
+        "options": options,
         "software_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "unit_scales": {
@@ -644,6 +646,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The subcommand's options after defaults, keyed by flag.  The global
+    options, which default to SUPPRESS, are left out: the manifest's config
+    holds them, resolved from --config, --preset and the flags."""
+    [subcommands] = [action.choices for action in parser._actions if action.dest == "command"]
+    return {action.option_strings[0]: getattr(args, action.dest)
+            for action in subcommands[args.command]._actions
+            if action.default is not argparse.SUPPRESS}
+
+
 def _distinct(caught: list[warnings.WarningMessage]) -> dict[str, warnings.WarningMessage]:
     """First occurrence of each distinct warning message, in the order raised."""
     first: dict[str, warnings.WarningMessage] = {}
@@ -668,11 +680,13 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # record every warning, whatever -W says
         try:
-            args = build_parser().parse_args(argv)
+            parser = build_parser()
+            args = parser.parse_args(argv)
             config = load_config(args)
             output = args.func(args, config)
             out_dir = Path(getattr(args, "output_dir", "."))
-            write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)))
+            write_artifacts(out_dir, args.command, config, output, list(_distinct(caught)),
+                            _options(parser, args))
             if output.summary is not None:  # a result, only once its artifacts exist
                 print(output.summary)
         except (ConfigError, OSError) as exc:

@@ -1,13 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import re
 import shlex
 import sys
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from torusqubit.cli import main
 from torusqubit.model import TorusGeometry
 from torusqubit.reduction import coefficients_numerical, qubit_parameters
 from torusqubit.spectral import Discretization
@@ -37,26 +42,75 @@ def readme_commands(selector: str = "") -> list[str]:
     return lines
 
 
-def check_failure(code, captured, exit_code: int, pattern: str, root: Path) -> None:
-    """The README's contract for a run that fails: it exits with exit_code,
-    writes nothing on stdout and one stderr line that is `error: ` followed
-    by a full match of the regex pattern, and leaves root, the directory
-    that held its output, empty.  captured holds the run's out and err."""
-    assert code == exit_code, captured.err
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and re.fullmatch(f"error: (?:{pattern})", lines[0]), lines
-    assert not any(root.iterdir())
-
-
-@pytest.fixture(scope="session")
-def checks():
+def _load_checks():
     """bench/checks.py, imported by its path: the artifact checks and strict
     loaders, typed apart from the package, which they do not import."""
     spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+CHECKS_MODULE = _load_checks()
+
+
+def check_failure(code, out: str, err: str, exit_code: int, pattern: str, root: Path) -> None:
+    """The README's contract for a run that fails: it exits with exit_code,
+    writes nothing on stdout and one stderr line that is `error: ` followed
+    by a full match of the regex pattern, and leaves root, the directory
+    that held its output, empty."""
+    assert code == exit_code, err
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and re.fullmatch(f"error: (?:{pattern})", lines[0]), lines
+    assert not any(root.iterdir())
+
+
+def check_success(code, out: str, err: str, directory: Path) -> None:
+    """The contract of a run that succeeds, as the benchmark holds each run to
+    it: exit 0 and no `error:` line; on stdout one `wrote <path>` line per
+    data file, then at most the one summary line; every file parses with
+    bench/checks.py's strict loaders (JSON without NaN or infinities, CSV rows
+    of finite numbers and booleans), each data file with its manifest; and
+    every warning printed on stderr is recorded in a manifest."""
+    assert code == 0 and not re.search("^error: ", err, re.MULTILINE), err
+    CHECKS_MODULE.check_artifacts(directory)
+    CHECKS_MODULE.check_warnings_recorded(err, directory)
+    wrote = [f"wrote {path}" for path in CHECKS_MODULE.data_files(directory)]
+    lines = out.splitlines()
+    assert sorted(lines[:len(wrote)]) == wrote and len(lines) <= len(wrote) + 1, lines
+
+
+class Run(NamedTuple):
+    dir: Path  # the run's --output-dir
+    out: str
+    err: str
+
+
+def run_cli(args, parent: Path, code: int | None = 0, pattern: str = ".*") -> Run:
+    """Run `torusqubit args` (a line or an argument list) in-process, with a
+    fresh directory under parent as its --output-dir, which an --output-dir
+    in args overrides, and capture its stdout and stderr.  It must meet
+    check_success when code is 0, and check_failure with code and pattern
+    otherwise; code None accepts either outcome, each held to its contract."""
+    argv = shlex.split(args) if isinstance(args, str) else list(args)
+    root = Path(tempfile.mkdtemp(dir=parent))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        exit_code = main(["--output-dir", str(root / "out"), *argv])
+    run = Run(root / "out", out.getvalue(), err.getvalue())
+    if code is None:
+        code = exit_code if exit_code in (1, 2) else 0
+    if code == 0:
+        check_success(exit_code, run.out, run.err, run.dir)
+    else:
+        check_failure(exit_code, run.out, run.err, code, pattern, root)
+    return run
+
+
+@pytest.fixture(scope="session")
+def checks():
+    return CHECKS_MODULE
 
 
 @pytest.fixture(scope="session")

@@ -20,12 +20,7 @@ from torusqubit.cli import main, parse_range, load_config, PRESETS, ConfigError
 from torusqubit.model import MAX_DRIVE_CYCLES, TWO_PI
 from torusqubit.reduction import rabi_frequency
 
-from conftest import check_failure, readme_commands
-
-
-def run(args, tmp_path, sub=None):
-    out = tmp_path if sub is None else tmp_path / sub
-    return main(args + ["--output-dir", str(out)]), out
+from conftest import check_failure, check_success, readme_commands, run_cli
 
 
 def source_env(**extra):
@@ -134,19 +129,14 @@ class TestConfigHandling:
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "fig5", "nonsense": 1}))
-        code = main(["--config", str(config), "--output-dir", str(tmp_path), "potential"])
-        assert code == 2
+        run_cli(["--config", str(config), "potential"], tmp_path, 2,
+                r"--config .*: unknown config keys: \['nonsense'\]")
 
-    def test_wrong_types_in_config_file_all_listed(self, tmp_path, capsys):
+    def test_wrong_types_in_config_file_all_listed(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "fig5", "n_points": "many", "B": "x"}))
-        code = main(["--config", str(config), "--output-dir", str(tmp_path / "out"), "potential"])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: invalid configuration: ")
-        problems = err[0].removeprefix("error: invalid configuration: ").split("; ")
-        assert [p.split(": ")[0] for p in problems] == ["--n-points, --stencil-order", "--B, --E0"]
-        assert not (tmp_path / "out").exists()
+        run_cli(["--config", str(config), "potential"], tmp_path, 2,
+                r"invalid configuration: --n-points, --stencil-order: [^;]*; --B, --E0: [^;]*")
 
     @pytest.mark.parametrize("content, named", [
         (b"5", "--config"),
@@ -165,14 +155,10 @@ class TestConfigHandling:
                      id="B-past-the-double-range"),
     ])
     @pytest.mark.parametrize("command", ["potential", "spectrum", "qubit-params"])
-    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, command, content, named):
+    def test_malformed_config_file_is_one_line(self, tmp_path, command, content, named):
         config = tmp_path / "config.json"
         config.write_bytes(content)
-        code, out = run(["--config", str(config), command], tmp_path, "out")
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
-        assert not out.exists()
+        run_cli(["--config", str(config), command], tmp_path, 2, f".*{re.escape(named)}.*")
 
     @pytest.mark.parametrize("args", [["-h"], ["spectrum", "-h"]])
     def test_help_exits_zero(self, capsys, args):
@@ -195,16 +181,12 @@ class TestConfigHandling:
         ("source", "foo", "--source: source must be 'numerical_taylor' or 'closed_form'"),
         ("stencil_order", 3, "--n-points, --stencil-order: stencil_order must be 2 or 4"),
     ])
-    def test_flag_and_file_share_one_check(self, tmp_path, capsys, key, value, named):
+    def test_flag_and_file_share_one_check(self, tmp_path, key, value, named):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}))
         flag = "--" + key.replace("_", "-")
         for args in ([flag, str(value), "potential"], ["--config", str(config), "potential"]):
-            code, out = run(args, tmp_path, "out")
-            assert code == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
-            assert not out.exists()
+            run_cli(args, tmp_path, 2, f".*{re.escape(named)}.*")
 
     def test_unknown_preset_without_a_file_names_only_the_flag(self):
         # a library caller skips the parser, whose --preset is any string
@@ -217,11 +199,10 @@ class TestConfigHandling:
         # depend on its value, not on how the JSON spelled it
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "fig3a", "B": 0, "n_points": 256}))
-        outs = [run([*args, "spectrum", "--levels", "2"], tmp_path, sub)
-                for sub, args in (("file", ["--config", str(config)]),
-                                  ("flags", ["--preset", "fig3a", "--B", "0", "--n-points", "256"]))]
-        assert [code for code, _ in outs] == [0, 0]
-        (_, file_out), (_, flag_out) = outs
+        file_out, flag_out = (
+            run_cli([*args, "spectrum", "--levels", "2"], tmp_path).dir
+            for args in (["--config", str(config)],
+                         ["--preset", "fig3a", "--B", "0", "--n-points", "256"]))
         data = [(out / "spectrum.csv").read_bytes() for out in (file_out, flag_out)]
         assert data[0] == data[1] and data[0].splitlines()[2].startswith(b"0.0,0,0,")
         manifests = [json.loads((out / "spectrum.csv.manifest.json").read_text())
@@ -275,12 +256,12 @@ class TestConfigHandling:
         (["--n-points", "256", "sweep-b", "--b-range", "0.4:0.5:2"], spectral, "sweep_field"),
         (["evolve"], dynamics, "trajectory"),
     ])
-    def test_non_finite_csv_value_writes_no_artifact(self, tmp_path, capsys, monkeypatch,
-                                                     args, layer, patch):
+    def test_non_finite_csv_value_writes_no_artifact(self, tmp_path, monkeypatch, args, layer,
+                                                     patch):
         # one NaN in one row of the data file: the CSV writer refuses it, as strict JSON does,
         # naming its column and, unless the NaN is there, the row's first field
-        error = {"sweep_field": "error: CSV column localization must be finite at B=0.5, got nan",
-                 "trajectory": "error: CSV column t must be finite, got nan"}[patch]
+        error = {"sweep_field": "CSV column localization must be finite at B=0.5, got nan",
+                 "trajectory": "CSV column t must be finite, got nan"}[patch]
         computed = getattr(layer, patch)
 
         def poisoned(*args, **kwargs):
@@ -292,41 +273,32 @@ class TestConfigHandling:
             return [result[0], dataclasses.replace(result[1], states=(state,))]
 
         monkeypatch.setattr(layer, patch, poisoned)
-        code, out = run(["--preset", "fig5", *args], tmp_path, "out")
-        assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [error]
-        assert not out.exists()
+        run_cli(["--preset", "fig5", *args], tmp_path, 1, re.escape(error))
 
     @pytest.mark.skipif(not openblas_dynamic_arch(),
                         reason="OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
     def test_non_unitary_long_drive_on_an_avx2_kernel(self, tmp_path):
         # the squaring's roundoff differs by kernel; on Haswell it used to
         # overflow to nan before the guard looked at the product
-        out = tmp_path / "out"
         done = subprocess.run(
             [sys.executable, "-m", "torusqubit.cli", "--preset", "fig5", "evolve",
-             "--three-level", "--duration", "5e7", "--output-dir", str(out)],
+             "--three-level", "--duration", "5e7", "--output-dir", str(tmp_path / "out")],
             env=source_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True)
-        assert done.returncode == 1
-        err = done.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: propagator departs from unitarity")
-        assert "nan" not in err[0]
-        assert not out.exists()
+        check_failure(done.returncode, done.stdout, done.stderr, 1,
+                      r"propagator departs from unitarity by (?!nan)\S+ over \S+ drive periods: "
+                      r"the per-period roundoff has compounded; shorten the duration", tmp_path)
 
     @pytest.mark.parametrize("message, expected", [
-        ("Unable to allocate 7.45 GiB", "error: out of memory: Unable to allocate 7.45 GiB"),
-        ("", "error: out of memory"),
+        ("Unable to allocate 7.45 GiB", "out of memory: Unable to allocate 7.45 GiB"),
+        ("", "out of memory"),
     ])
-    def test_memory_error_is_one_line_without_artifact(self, tmp_path, capsys, monkeypatch,
-                                                       message, expected):
+    def test_memory_error_is_one_line_without_artifact(self, tmp_path, monkeypatch, message,
+                                                       expected):
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
         monkeypatch.setattr(potential, "internal_terms", exhausted)
-        code, out = run(["--preset", "fig3a", "potential"], tmp_path, "out")
-        assert code == 1
-        assert capsys.readouterr().err.strip().splitlines() == [expected]
-        assert not out.exists()
+        run_cli(["--preset", "fig3a", "potential"], tmp_path, 1, re.escape(expected))
 
     @pytest.mark.parametrize("args", UNWRITABLE_OUTPUT_RUNS, ids=unwritable_output_id)
     def test_unwritable_output_prints_no_result(self, tmp_path, capsys, args):
@@ -351,34 +323,27 @@ class TestConfigHandling:
         (lambda path: None, "No such file or directory"),
         (Path.mkdir, "Is a directory"),
     ], ids=["missing", "directory"])
-    def test_unreadable_config_names_its_option(self, tmp_path, capsys, make, reason):
+    def test_unreadable_config_names_its_option(self, tmp_path, make, reason):
         config = tmp_path / "config.json"
         make(config)
-        code, out = run(["--config", str(config), "qubit-params"], tmp_path, "out")
-        assert code == 2
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: --config {config}: {reason}"]
-        assert not out.exists()
+        run_cli(["--config", str(config), "qubit-params"], tmp_path, 2,
+                re.escape(f"--config {config}: {reason}"))
 
     @pytest.mark.parametrize("sign", ["", "-"])
-    def test_range_bound_is_inclusive(self, tmp_path, capsys, sign):
+    def test_range_bound_is_inclusive(self, tmp_path, sign):
         # errors.MAX_RELATIVE_ERROR = 0.1 is accepted, the next double past it is not
         past = repr(math.nextafter(0.1, 1.0))
         for edge, exit_code in (("0.1", 0), (past, 2)):
             spec = f"{sign}{edge}:0:2" if sign else f"0:{edge}:2"
-            code, _ = run(["--preset", "fig5", "fidelity", f"--range={spec}", "--samples", "10"],
-                          tmp_path, edge)
-            assert code == exit_code, spec
-        assert capsys.readouterr().err.strip().endswith(
-            f"--range must be finite and in [-0.1, 0.1], got {sign}{past}")
+            run_cli(["--preset", "fig5", "fidelity", f"--range={spec}", "--samples", "10"],
+                    tmp_path, exit_code, "--range" + RELATIVE + re.escape(f"{sign}{past}"))
 
     def test_negative_value_with_exponent_is_a_value(self, tmp_path):
         # argparse's own pattern has no exponent, so it read -5e-3 as an option
         common = ["--preset", "fig5", "mitigate", "--samples", "50"]
-        assert run([*common, "--delta-b", "-5e-3"], tmp_path, "spaced")[0] == 0
-        assert run([*common, "--delta-b=-5e-3"], tmp_path, "joined")[0] == 0
-        assert ((tmp_path / "spaced" / "mitigate.csv").read_bytes()
-                == (tmp_path / "joined" / "mitigate.csv").read_bytes())
+        spaced, joined = (run_cli([*common, *value], tmp_path).dir / "mitigate.csv"
+                          for value in (["--delta-b", "-5e-3"], ["--delta-b=-5e-3"]))
+        assert spaced.read_bytes() == joined.read_bytes()
 
     @pytest.mark.parametrize("args, dest, value", [
         (["fidelity", "--range", "-0.01:0.01:5"], "range", "-0.01:0.01:5"),
@@ -400,9 +365,8 @@ class TestConfigHandling:
             cli.build_parser().parse_args(args)
 
     def test_negative_range_start_runs(self, tmp_path):
-        code, out = run(["--preset", "fig5", "fidelity", "--range", "-0.01:0.01:5",
-                         "--samples", "50"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig5", "fidelity", "--range", "-0.01:0.01:5",
+                       "--samples", "50"], tmp_path).dir
         _, data = read_csv(out / "fidelity.csv")
         assert [float(row[0]) for row in data] == np.linspace(-0.01, 0.01, 5).tolist()
 
@@ -410,10 +374,9 @@ class TestConfigHandling:
         ["--preset", "fig5", "evolve", "--rabi", "-1e9", "--duration", "1e-9"],
         ["evolve", "--rabi", "1e9", "--duration", "1e9"],
     ])
-    def test_rwa_evolve_builds_no_lab_frame_drive(self, tmp_path, capsys, args):
+    def test_rwa_evolve_builds_no_lab_frame_drive(self, tmp_path, args):
         # a negative Rabi rate is a phase flip, and the RWA rotation has no drive periods
-        code, out = run([*args, "--samples", "5"], tmp_path)
-        assert code == 0, capsys.readouterr().err
+        out = run_cli([*args, "--samples", "5"], tmp_path).dir
         header, data = read_csv(out / "trajectory.csv")
         assert header == ["t", "x", "y", "z", "p0", "p1"] and len(data) == 5
 
@@ -442,10 +405,9 @@ class TestConfigHandling:
                 raised = True
             except RuntimeError:
                 raised = False
-            code = main(["--preset", "fig5", "evolve", "--three-level", "--detuning",
-                         repr(detuning), "--duration", repr(t), "--samples", "2",
-                         "--output-dir", str(tmp_path_factory.mktemp("out"))])
-        assert code == (2 if raised else 1)
+            run_cli(["--preset", "fig5", "evolve", "--three-level", "--detuning", repr(detuning),
+                     "--duration", repr(t), "--samples", "2"], tmp_path_factory.mktemp("out"),
+                    *((2, "--duration: " + PERIODS + ".*") if raised else (1, "integrated")))
 
 
 # lab-frame gates whose propagators drift from unitarity enough to carry |Tr(G^dagger U)| / 2
@@ -722,12 +684,11 @@ def option_error_runs(tmp_path_factory):
 class TestFailingInputs:
     @pytest.mark.parametrize("row", FAILURES,
                              ids=lambda row: row.line or "no-arguments")
-    def test_exits_with_one_error_line_and_no_output(self, request, tmp_path, capsys, row):
-        argv = shlex.split(row.line)
-        code = main([*argv, "--output-dir", str(tmp_path / "out")])
-        check_failure(code, capsys.readouterr(), row.code, row.pattern, tmp_path)
+    def test_exits_with_one_error_line_and_no_output(self, request, tmp_path, row):
+        run_cli(row.line, tmp_path, row.code, row.pattern)
         if row.option:  # an option's bounds live in model, so no layer is needed to check it
-            assert request.getfixturevalue("option_error_runs")[tuple(argv)] == (2, [])
+            runs = request.getfixturevalue("option_error_runs")
+            assert runs[tuple(shlex.split(row.line))] == (2, [])
 
     # each case breaks one clause of a clean failure: exit 2, no stdout, the one line
     # `error: eigensolve failed` and an empty run directory
@@ -741,22 +702,11 @@ class TestFailingInputs:
     ], ids=["exit-code", "stdout", "warning-line", "second-line", "partial-match",
            "artifact"])
     def test_contract_check_refuses_each_breach(self, tmp_path, code, out, err, written):
-        check_failure(2, argparse.Namespace(out="", err="error: eigensolve failed\n"), 2,
-                      "eigensolve failed", tmp_path)
+        check_failure(2, "", "error: eigensolve failed\n", 2, "eigensolve failed", tmp_path)
         if written:
             (tmp_path / "out").mkdir()
         with pytest.raises(AssertionError):
-            check_failure(code, argparse.Namespace(out=out, err=err), 2, "eigensolve failed",
-                          tmp_path)
-
-
-def check_success(checks, code, captured, out):
-    """A run that succeeds exits 0 with no error line, and every file it wrote, data and
-    manifest, passes bench/checks.py's strict loaders: JSON without NaN or infinities,
-    CSV rows of finite numbers and booleans."""
-    assert code == 0 and not re.search("^error: ", captured.err, re.MULTILINE), captured.err
-    for path in out.iterdir():
-        (checks.load_json if path.suffix == ".json" else checks.load_csv)(path)
+            check_failure(code, out, err, 2, "eigensolve failed", tmp_path)
 
 
 def value(low, high):
@@ -814,45 +764,56 @@ def cli_arguments(draw):
 
 class TestEdgeInputs:
     @pytest.mark.parametrize("line", EDGE_INPUTS)
-    def test_edge_input_writes_strict_data(self, checks, tmp_path, capsys, line):
-        code, out = run(shlex.split(line), tmp_path, "out")
-        check_success(checks, code, capsys.readouterr(), out)
+    def test_edge_input_writes_strict_data(self, tmp_path, line):
+        run_cli(line, tmp_path)
 
     @pytest.mark.parametrize("line", DRIFTING_GATES)
     def test_gate_fidelity_is_clipped_and_drift_recorded(self, tmp_path, line):
-        code, out = run(shlex.split(line), tmp_path, "out")
+        out = run_cli(line, tmp_path).dir
         payload = json.loads((out / "gate.json").read_text())
         unitary = np.array([[complex(*value) for value in row] for row in payload["unitary"]])
         unclipped = control.phase_insensitive_fidelity(control.HADAMARD, unitary)
-        assert code == 0 and unclipped > 1.0 and payload["fidelity_to_ideal"] <= 1.0
+        assert unclipped > 1.0 and payload["fidelity_to_ideal"] <= 1.0
         # |Tr(G^dagger U)| / 2 <= ||U||_2 <= sqrt(1 + 2 max |U^dagger U - I|) <= 1 + drift
         results = json.loads((out / "gate.json.manifest.json").read_text())["results"]
         assert results["unitarity_drift"] >= unclipped - 1.0
 
-    # each case breaks one clause of a clean success: exit 0, no error line, strict data
-    @pytest.mark.parametrize("err, name, text", [
-        ("error: eigensolve failed\n", "levels.csv", "B,energy\n0.0,1.5\n"),
-        ("", "qubit.json", '{"omega": NaN}'),
-        ("", "levels.csv", "B,energy\n0.0,inf\n"),
-    ], ids=["error-line", "json-nan", "csv-inf"])
-    def test_success_check_refuses_each_breach(self, checks, tmp_path, err, name, text):
-        check_success(checks, 0, argparse.Namespace(out="", err=""), tmp_path)
-        (tmp_path / name).write_text(text)
+    # each case breaks one clause of a clean success: exit 0, no error line, one `wrote` line
+    # per data file and at most a summary line, strict data, each data file's manifest, and
+    # each printed warning recorded in a manifest
+    @pytest.mark.parametrize("code, out, err, name, text", [
+        (1, None, None, None, None),
+        (0, None, "error: eigensolve failed\n", None, None),
+        (0, "wrote {0}/qubit.json\nargmin: E0 = 100\n", None, None, None),
+        (0, "wrote {0}/levels.csv\nwrote {0}/qubit.json\nargmin: E0 = 100\nwarning\n", None,
+         None, None),
+        (0, None, None, "qubit.json", '{"omega": NaN}'),
+        (0, None, None, "levels.csv", "B,energy\n0.0,inf\n"),
+        (0, None, None, "qubit.json.manifest.json", None),
+        (0, None, "x.py:1: UserWarning: low field\nx.py:2: UserWarning: high field\n", None,
+         None),
+    ], ids=["exit-code", "error-line", "missing-wrote-line", "stray-stdout-line", "json-nan",
+           "csv-inf", "missing-manifest", "unrecorded-warning"])
+    def test_success_check_refuses_each_breach(self, checks, tmp_path, code, out, err, name,
+                                               text):
+        clean_out = "wrote {0}/levels.csv\nwrote {0}/qubit.json\nargmin: E0 = 100\n"
+        clean_err = "x.py:1: UserWarning: low field\n"
+        for data, body in (("levels.csv", "B,energy\n0.0,1.5\n"), ("qubit.json", "{}")):
+            (tmp_path / data).write_text(body)
+            (tmp_path / f"{data}.manifest.json").write_text('{"warnings": ["low field"]}')
+        check_success(0, clean_out.format(tmp_path), clean_err, tmp_path)
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        elif name is not None:
+            (tmp_path / name).unlink()
         with pytest.raises((AssertionError, checks.CheckFailed)):
-            check_success(checks, 0, argparse.Namespace(out="", err=err), tmp_path)
+            check_success(code, (out or clean_out).format(tmp_path), err or clean_err, tmp_path)
 
     @settings(max_examples=60, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=cli_arguments())
-    def test_generated_input_fails_cleanly_or_writes_strict_data(self, checks, tmp_path_factory,
-                                                                 capsys, argv):
-        root = tmp_path_factory.mktemp("generated")
-        code = main([*argv, "--output-dir", str(root / "out")])
-        if code == 0:
-            check_success(checks, code, capsys.readouterr(), root / "out")
-        else:
-            assert code in (1, 2)
-            check_failure(code, capsys.readouterr(), code, ".*", root)
+    def test_generated_input_fails_cleanly_or_writes_strict_data(self, tmp_path_factory, argv):
+        run_cli(argv, tmp_path_factory.mktemp("generated"), None)
 
 
 class TestArtifacts:
@@ -869,16 +830,14 @@ class TestArtifacts:
                 cli._csv(["a", "b", "c"], [(np.int64(-2), True, value)])
 
     def test_potential_profile_symmetric(self, tmp_path):
-        code, out = run(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path).dir
         header, data = read_csv(out / "potential.csv")
         assert header == ["theta", "V_bare", "V_E", "V_B", "V_total"]
         totals = [float(r[4]) for r in data]
         assert totals[1:] == pytest.approx(totals[1:][::-1], rel=1e-12)
-        assert (out / "potential.csv.manifest.json").exists()
 
     def test_manifest_contents(self, tmp_path):
-        code, out = run(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path)
+        out = run_cli(["--preset", "fig3a", "--n-points", "64", "potential"], tmp_path).dir
         manifest = json.loads((out / "potential.csv.manifest.json").read_text())
         assert manifest["command"] == "potential"
         assert manifest["config"]["r_minor"] == pytest.approx(3.5e-8)
@@ -886,9 +845,37 @@ class TestArtifacts:
         assert "created" in manifest
         assert manifest["software_version"]
 
+    @pytest.mark.parametrize("line, options", [
+        ("--n-points 64 potential --E-static 10", {"--m": 0, "--E-static": 10.0}),
+        ("--n-points 256 spectrum --m 1 --levels 3",
+         {"--m": 1, "--levels": 3, "--dump-wavefunctions": False}),
+        ("--n-points 256 sweep-b --b-range 0:0.1:2 --m-list 0,1",
+         {"--b-range": "0:0.1:2", "--m-list": "0,1", "--levels": 6}),
+        ("--n-points 256 window --scan-max 1.5", {"--scan-max": 1.5}),
+        ("qubit-params", {}),
+        ("evolve --samples 5 --phase 0.5", {"--rabi": None, "--detuning": 0.0, "--phase": 0.5,
+                                            "--duration": None, "--samples": 5,
+                                            "--three-level": False}),
+        ("gate --gate phase:1.0", {"--gate": "phase:1.0", "--mode": "rwa", "--tol": 1e-9,
+                                   "--leakage": False}),
+        ("fidelity --scan dE --range 0:0.01:3 --samples 100",
+         {"--gate": "hadamard", "--mode": "rwa", "--scan": "dE", "--range": "0:0.01:3",
+          "--samples": 100, "--check-window": False}),
+        ("mitigate --e0-range 100:1000:2 --samples 10",
+         {"--gate": "hadamard", "--mode": "rwa", "--delta-b": 0.005, "--delta-e": 0.0,
+          "--sweep": "E0", "--e0-range": "100:1000:2", "--b0-range": "0.4:0.9:6",
+          "--spacing": "log", "--samples": 10}),
+    ], ids=["potential", "spectrum", "sweep-b", "window", "qubit-params", "evolve", "gate",
+           "fidelity", "mitigate"])
+    def test_manifest_records_the_subcommand_options(self, tmp_path, line, options):
+        # every subcommand option after defaults, keyed by its flag; the global options
+        # are the config, and --config, --preset and --output-dir are not options of a run
+        out = run_cli(f"--preset fig5 {line}", tmp_path).dir
+        for manifest in out.glob("*.manifest.json"):
+            assert json.loads(manifest.read_text())["options"] == options
+
     def test_qubit_params_reports_both_sources(self, tmp_path):
-        code, out = run(["--preset", "fig5", "qubit-params"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig5", "qubit-params"], tmp_path).dir
         payload = json.loads((out / "qubit_params.json").read_text())
         assert payload["default_source"] == "numerical_taylor"
         assert set(payload["sources"]) == {"numerical_taylor", "closed_form"}
@@ -900,23 +887,19 @@ class TestArtifacts:
         assert abs(ratio - 1.0) > 0.5  # the two routes genuinely disagree
 
     def test_gate_hadamard(self, tmp_path):
-        code, out = run(["--preset", "fig5", "gate", "--gate", "hadamard"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig5", "gate", "--gate", "hadamard"], tmp_path).dir
         payload = json.loads((out / "gate.json").read_text())
         assert payload["fidelity_to_ideal"] >= 1.0 - 1e-9
         assert len(payload["sequence"]["pulses"]) == 1
 
     def test_gate_prep(self, tmp_path):
-        code, out = run(["--preset", "fig5", "gate", "--gate", "prep:1.2,0.7"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig5", "gate", "--gate", "prep:1.2,0.7"], tmp_path).dir
         payload = json.loads((out / "gate.json").read_text())
         assert payload["fidelity_to_ideal"] >= 1.0 - 1e-9
 
     def test_evolve_trajectory(self, tmp_path):
-        code, out = run(
-            ["--preset", "fig5", "evolve", "--samples", "20", "--phase", "0.5"], tmp_path
-        )
-        assert code == 0
+        out = run_cli(
+            ["--preset", "fig5", "evolve", "--samples", "20", "--phase", "0.5"], tmp_path).dir
         header, data = read_csv(out / "trajectory.csv")
         assert header == ["t", "x", "y", "z", "p0", "p1"]
         assert len(data) == 20
@@ -926,16 +909,14 @@ class TestArtifacts:
         assert abs(last[3]) < 1e-9  # default duration pi/(2 Omega) lands on equator
 
     def test_spectrum_bound_count(self, tmp_path):
-        code, out = run(["--preset", "fig3a", "spectrum", "--m", "0"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig3a", "spectrum", "--m", "0"], tmp_path).dir
         header, data = read_csv(out / "spectrum.csv")
         bound = [r for r in data if r[4] == "true"]
         assert len(bound) == 1
 
     def test_spectrum_dump_wavefunctions(self, checks, tmp_path):
-        code, out = run(["--preset", "fig3a", "--n-points", "256", "spectrum", "--levels", "4",
-                         "--dump-wavefunctions"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig3a", "--n-points", "256", "spectrum", "--levels", "4",
+                       "--dump-wavefunctions"], tmp_path).dir
         payload = checks.load_json(out / "spectrum_states.json")
         theta = np.array(payload["theta"])
         _, data = read_csv(out / "spectrum.csv")
@@ -948,29 +929,22 @@ class TestArtifacts:
             assert inner[np.argmax(np.abs(inner))] > 0  # README's half-ring sign rule
 
     def test_sweep_b(self, tmp_path):
-        code, out = run(
+        out = run_cli(
             ["--preset", "fig3a", "--n-points", "256", "sweep-b",
-             "--b-range", "0:0.1:3", "--m-list", "0,1", "--levels", "2"],
-            tmp_path,
-        )
-        assert code == 0
+             "--b-range", "0:0.1:3", "--m-list", "0,1", "--levels", "2"], tmp_path).dir
         header, data = read_csv(out / "sweep_b.csv")
         assert header == ["B", "m", "n", "energy", "bound", "localization"]
         assert len(data) == 3 * 2 * 2
 
     def test_window_fig3a(self, tmp_path):
-        code, out = run(["--preset", "fig3a", "--n-points", "512", "window"], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig3a", "--n-points", "512", "window"], tmp_path).dir
         payload = json.loads((out / "window.json").read_text())
         assert payload["B_min_T"] < 0.45 < payload["B_max_T"]
 
     def test_fidelity_scan_shape(self, tmp_path):
-        code, out = run(
+        out = run_cli(
             ["--preset", "fig5", "fidelity", "--scan", "dB",
-             "--range", "0:0.01:3", "--samples", "400"],
-            tmp_path,
-        )
-        assert code == 0
+             "--range", "0:0.01:3", "--samples", "400"], tmp_path).dir
         header, data = read_csv(out / "fidelity.csv")
         assert header == ["delta", "mean_infidelity", "max_infidelity"]
         means = [float(r[1]) for r in data]
@@ -978,12 +952,9 @@ class TestArtifacts:
         assert means[2] > means[1] > 0.0
 
     def test_mitigate(self, tmp_path):
-        code, out = run(
+        out = run_cli(
             ["--preset", "fig5", "mitigate", "--e0-range", "100:10000:3",
-             "--samples", "400"],
-            tmp_path,
-        )
-        assert code == 0
+             "--samples", "400"], tmp_path).dir
         header, data = read_csv(out / "mitigate.csv")
         means = [float(r[1]) for r in data]
         assert means[-1] <= means[0]
@@ -992,14 +963,13 @@ class TestArtifacts:
 
 
 class TestWarningsInManifest:
-    def test_physics_warning_recorded_once(self, tmp_path, capsys):
-        code, out = run(["--preset", "fig3b", "--B", "0", "qubit-params"], tmp_path)
-        assert code == 0
+    def test_physics_warning_recorded_once(self, tmp_path):
+        run = run_cli(["--preset", "fig3b", "--B", "0", "qubit-params"], tmp_path)
         # the location is the line that warns, which no edit of cli.py moves
-        located = re.search(r"^(\S+):\d+: UserWarning: zero-point angular spread",
-                            capsys.readouterr().err, re.MULTILINE)
+        located = re.search(r"^(\S+):\d+: UserWarning: zero-point angular spread", run.err,
+                            re.MULTILINE)
         assert located and Path(located[1]).name == "reduction.py"
-        manifest = json.loads((out / "qubit_params.json.manifest.json").read_text())
+        manifest = json.loads((run.dir / "qubit_params.json.manifest.json").read_text())
         spread = [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
         assert len(spread) == 1
 
@@ -1011,20 +981,16 @@ class TestWarningsInManifest:
                                "--preset", "fig3b", "--B", "0", "qubit-params",
                                "--output-dir", str(tmp_path)],
                               env=source_env(), capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        check_success(done.returncode, done.stdout, done.stderr, tmp_path)
         assert "Traceback" not in done.stderr
         manifest = json.loads((tmp_path / "qubit_params.json.manifest.json").read_text())
         assert [w for w in manifest["warnings"] if w.startswith("zero-point angular spread")]
 
-    def test_window_exit_flags_recorded(self, tmp_path, capsys):
-        code, out = run(
-            ["--preset", "fig5", "--n-points", "256", "fidelity", "--check-window",
-             "--B", "0.95", "--range", "0:0.05:2", "--samples", "50"],
-            tmp_path,
-        )
-        assert code == 0
-        assert "UserWarning: perturbed field" in capsys.readouterr().err
-        manifest = json.loads((out / "fidelity.csv.manifest.json").read_text())
+    def test_window_exit_flags_recorded(self, tmp_path):
+        run = run_cli(["--preset", "fig5", "--n-points", "256", "fidelity", "--check-window",
+                       "--B", "0.95", "--range", "0:0.05:2", "--samples", "50"], tmp_path)
+        assert "UserWarning: perturbed field" in run.err
+        manifest = json.loads((run.dir / "fidelity.csv.manifest.json").read_text())
         assert len(manifest["warnings"]) == 1
         assert "leaves the two-bound-state window" in manifest["warnings"][0]
 
@@ -1033,20 +999,8 @@ class TestReproducibility:
     def test_identical_config_identical_bytes(self, tmp_path):
         args = ["--preset", "fig5", "--seed", "42", "fidelity",
                 "--scan", "dB", "--range", "0:0.005:3", "--samples", "500"]
-        _, out_a = run(args, tmp_path, "a")
-        _, out_b = run(args, tmp_path, "b")
+        out_a, out_b = (run_cli(args, tmp_path).dir for _ in range(2))
         assert (out_a / "fidelity.csv").read_bytes() == (out_b / "fidelity.csv").read_bytes()
-
-    def test_every_artifact_has_manifest(self, tmp_path):
-        run(["--preset", "fig5", "qubit-params"], tmp_path)
-        run(["--preset", "fig5", "gate"], tmp_path)
-        artifacts = [
-            p for p in tmp_path.iterdir()
-            if p.suffix in (".csv", ".json") and not p.name.endswith(".manifest.json")
-        ]
-        assert artifacts
-        for artifact in artifacts:
-            assert artifact.with_suffix(artifact.suffix + ".manifest.json").exists()
 
     @pytest.mark.parametrize("before, after", [(None, "4"), ("20", "20")])
     def test_openblas_worker_timeout_default(self, tmp_path, monkeypatch, before, after):
@@ -1057,7 +1011,7 @@ class TestReproducibility:
             environ["OPENBLAS_THREAD_TIMEOUT"] = before
         monkeypatch.setattr(os, "environ", environ)
         expected = {**environ, "OPENBLAS_THREAD_TIMEOUT": after}
-        assert run(["--preset", "fig5", "qubit-params"], tmp_path)[0] == 0
+        run_cli(["--preset", "fig5", "qubit-params"], tmp_path)
         assert environ == expected
 
     @pytest.mark.skipif(not openblas_dynamic_arch(),
@@ -1085,9 +1039,7 @@ class TestNewSurfaces:
             return 0.0
 
         monkeypatch.setattr(dynamics, "leakage_probe", probe)
-        code, _ = run(["--preset", "fig5", "gate", "--gate", "prep:1.2,0.7", "--leakage",
-                       "--tol", "1e-10"], tmp_path)
-        assert code == 0
+        run_cli("--preset fig5 gate --gate prep:1.2,0.7 --leakage --tol 1e-10", tmp_path)
         assert seen == [1e-10]
 
     def test_phase_gate_leakage_needs_no_probe(self, tmp_path, monkeypatch):
@@ -1096,8 +1048,7 @@ class TestNewSurfaces:
             raise AssertionError("leakage_probe called for a pulse-free sequence")
 
         monkeypatch.setattr(dynamics, "leakage_probe", probe)
-        code, out = run(["--preset", "fig5", "gate", "--gate", "phase:1.0", "--leakage"], tmp_path)
-        assert code == 0
+        out = run_cli("--preset fig5 gate --gate phase:1.0 --leakage", tmp_path).dir
         assert '"max_leakage": 0.0' in (out / "gate.json").read_text()
 
     def test_dense_reference_solve_loads_no_scipy(self):
@@ -1153,10 +1104,8 @@ class TestNewSurfaces:
         assert scalar_runs[tuple(args)] == (exit_code, [])
 
     def test_evolve_three_level(self, tmp_path):
-        code, out = run(
-            ["--preset", "fig5", "evolve", "--three-level", "--samples", "25"], tmp_path
-        )
-        assert code == 0
+        out = run_cli(
+            ["--preset", "fig5", "evolve", "--three-level", "--samples", "25"], tmp_path).dir
         header, data = read_csv(out / "trajectory.csv")
         assert header == ["t", "x", "y", "z", "p0", "p1", "p2"]
         assert len(data) == 25
@@ -1164,13 +1113,10 @@ class TestNewSurfaces:
         assert max(p2) < 1e-3  # leakage stays small at the operating point
 
     def test_mitigate_b0_sweep(self, tmp_path):
-        code, out = run(
+        out = run_cli(
             ["--preset", "fig5", "--E0", "1000", "mitigate", "--sweep", "B0",
              "--b0-range", "0.4:0.6:3", "--delta-b", "0", "--delta-e", "0.005",
-             "--samples", "300"],
-            tmp_path,
-        )
-        assert code == 0
+             "--samples", "300"], tmp_path).dir
         header, data = read_csv(out / "mitigate.csv")
         assert header == ["B0", "mean_infidelity", "max_infidelity"]
         means = [float(r[1]) for r in data]
@@ -1196,15 +1142,14 @@ class TestExactHaarMean:
     ])
     def test_oracles_lie_in_unit_interval(self, tmp_path, args, zero_error_rows):
         # at zero error M = U^dag U carries roundoff, which once gave -4.4e-16
-        code, out = run(["--preset", "fig5", *args], tmp_path)
-        assert code == 0
+        out = run_cli(["--preset", "fig5", *args], tmp_path).dir
         results = json.loads((out / f"{args[0]}.csv.manifest.json").read_text())["results"]
         for key in ("haar_mean_exact", "worst_case_exact"):
             assert all(0.0 <= value <= 1.0 for value in results[key])
             assert all(value <= 1e-15 for value in results[key][:zero_error_rows])
 
     @pytest.mark.parametrize("case", sorted(ERROR_STUDY_SELECTORS))
-    def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch, capsys):
+    def test_manifest_row_matches_monte_carlo(self, case, tmp_path, monkeypatch):
         # the README error-study commands, each row recomputed by the public
         # single-point average with its per-sample values kept: the data file
         # holds that report's mean and max bit for bit, and the manifest's
@@ -1216,12 +1161,10 @@ class TestExactHaarMean:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(errors, "field_error_sweep", recording)
-        for index, line in enumerate(readme_commands(ERROR_STUDY_SELECTORS[case])):
-            args = shlex.split(line)
+        for line in readme_commands(ERROR_STUDY_SELECTORS[case]):
             sweeps.clear()
-            command = "fidelity" if "fidelity" in args else "mitigate"
-            code, out = run(args, tmp_path, str(index))
-            assert code == 0
+            command = "fidelity" if "fidelity" in line.split() else "mitigate"
+            out = run_cli(line, tmp_path).dir
             [((synthesize, qubit_fn, point, axis, grid, n, seed, mode, window), kwargs)] = sweeps
             assert kwargs == {}
             reports = []

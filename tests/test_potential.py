@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusqubit.cli import main
 from torusqubit.model import Discretization, energy_scale_of
 from torusqubit.potential import PotentialParams, internal_terms, total_internal
 
+from conftest import run_cli
 from oracles import E_CHARGE_SI, ELECTRON_MASS_SI, HBAR_SI
 
 ANGSTROM = 1e-10
@@ -152,9 +152,8 @@ class TestProfile:
 
     @staticmethod
     def _profile(tmp_path, *args):
-        code = main(["--preset", "fig3a", *args, "--output-dir", str(tmp_path)])
-        assert code == 0
-        return (tmp_path / "potential.csv").read_text().splitlines()
+        return (run_cli(["--preset", "fig3a", *args], tmp_path).dir
+                / "potential.csv").read_text().splitlines()
 
     def test_grid_shape(self, tmp_path):
         rows = self._profile(tmp_path, "--n-points", "128", "potential")[2:]
@@ -174,11 +173,7 @@ class TestProfile:
         np.testing.assert_array_equal(columns[1:4], terms)
         np.testing.assert_array_equal(columns[4], sum(terms))
 
-    def test_non_finite_total_rejected(self, tmp_path, capsys):
+    def test_non_finite_total_rejected(self, tmp_path):
         # b^2 overflows: the magnetic term and the total are inf, which the CSV writer refuses
-        out = tmp_path / "out"
-        code = main(["--preset", "fig3a", "--B", "1e200", "potential", "--output-dir", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: CSV column V_B must be finite at theta=0.0, got inf"]
-        assert not out.exists()
+        run_cli("--preset fig3a --B 1e200 potential", tmp_path, 1,
+                r"CSV column V_B must be finite at theta=0\.0, got inf")

@@ -8,24 +8,23 @@ same way.
 
 import ast
 import gc
-import shlex
 from pathlib import Path
 
 import pytest
 
+from conftest import run_cli
 from torusqubit import cli
-from torusqubit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def garbage_after(line: str, out: Path) -> int:
+def garbage_after(line: str, parent: Path) -> int:
     """The objects a collection finds after one in-process run of line with
     the collector off; the garbage of earlier runs is collected first."""
     gc.collect()
     gc.disable()
     try:
-        assert main([*shlex.split(line), "--output-dir", str(out)]) == 0
+        run_cli(line, parent)
         return gc.collect()
     finally:
         gc.enable()
@@ -36,19 +35,19 @@ def garbage_after(line: str, out: Path) -> int:
     ("--preset fig5 fidelity --range 0:0.01:3 --samples {}", 1000, 10000),
     ("--preset fig5 evolve --three-level --samples {}", 200, 2000),
 ], ids=["sweep-b-points", "fidelity-samples", "evolve-samples"])
-def test_no_cycles_grow_with_the_input(tmp_path, capsys, line, small, large):
-    garbage_after(line.format(small), tmp_path / "warm")  # the first run's imports leave some
-    counts = [garbage_after(line.format(size), tmp_path / str(size)) for size in (small, large)]
+def test_no_cycles_grow_with_the_input(tmp_path, line, small, large):
+    garbage_after(line.format(small), tmp_path)  # the first run's imports leave some
+    counts = [garbage_after(line.format(size), tmp_path) for size in (small, large)]
     assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_in_process_main_leaves_the_collector_as_it_was(tmp_path, capsys, enabled):
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path, enabled):
     frozen = gc.get_freeze_count()
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert main(["--preset", "fig5", "qubit-params", "--output-dir", str(tmp_path)]) == 0
+        run_cli("--preset fig5 qubit-params", tmp_path)
         assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()

@@ -11,6 +11,7 @@ physics cannot also hide there.
 """
 
 import ast
+import functools
 import math
 import re
 import shlex
@@ -19,11 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import README, check_failure, readme_commands
+from conftest import README, readme_commands, run_cli
 from oracles import ICOSAHEDRON
-from torusqubit.cli import build_parser, main
+from torusqubit.cli import build_parser
 from torusqubit.model import E_CHARGE, HBAR, Discretization, TorusGeometry, UnitSystem
-from torusqubit.potential import PotentialParams
+from torusqubit.potential import PotentialParams, total_internal
 from torusqubit.reduction import coefficients_closed_form, coefficients_numerical, qubit_for
 from torusqubit.spectral import initialization_window, solve_sector
 
@@ -33,24 +34,20 @@ COMMANDS = readme_commands()
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
-    """Each README command's exit code and artifact directory, keyed by its line."""
+    """A README command's artifact directory, from its line: run once, on first
+    use, through the runner, which holds it to the success contract."""
     root = tmp_path_factory.mktemp("study")
-    return {line: (main([*shlex.split(line), "--output-dir", str(root / str(i))]), root / str(i))
-            for i, line in enumerate(COMMANDS)}
+    return functools.cache(lambda line: run_cli(line, root).dir)
 
 
 def artifacts(study, selector: str) -> list[Path]:
     """The artifact directories of the README commands that hold selector."""
-    runs = [study[line] for line in readme_commands(selector)]
-    assert all(code == 0 for code, _ in runs), selector
-    return [out for _, out in runs]
+    return [study(line) for line in readme_commands(selector)]
 
 
 @pytest.mark.parametrize("line", COMMANDS)
-def test_readme_command_runs(checks, study, line):
-    code, out = study[line]
-    assert code == 0
-    checks.check_artifacts(out)
+def test_readme_command_runs(study, line):
+    study(line)
 
 
 def test_level_diagram(checks, study):
@@ -83,7 +80,7 @@ def test_infidelity_rises_from_zero(checks, study, scan):
 def test_de_scan_is_the_closed_form(checks, study):
     for line in readme_commands("fidelity --scan dE"):
         samples = build_parser().parse_args(shlex.split(line)).samples
-        checks.check_de_scan(checks.load_csv(study[line][1] / "fidelity.csv"), samples)
+        checks.check_de_scan(checks.load_csv(study(line) / "fidelity.csv"), samples)
 
 
 def test_stronger_drive_mitigates(checks, study):
@@ -158,6 +155,32 @@ def test_edge_states(geometries, disc1024, windows, preset, upper_weights):
     (before, low), (after, under) = (level(b_max + d, 2) for d in (-2e-3, 2e-3))
     assert (low, under, before.bound, after.bound) == (True, True, False, True)
     assert [f"{s.localization:.3f}" for s in (before, after)] == upper_weights
+
+
+@pytest.mark.parametrize("preset, B, below, ground_m", [
+    ("fig3a", 0.3695, 2, 1), ("fig3a", 0.45, 3, 1), ("fig3a", 0.9867, 14, 3),
+    ("fig3b", 0.2148, 44, 20), ("fig3b", 0.5109, 108, 45)])
+def test_window_is_a_statement_about_m0(geometries, disc1024, preset, B, below, ground_m):
+    # every field term depends on theta alone, so m is conserved; the kinetic eigenvalues are
+    # >= 0, so a sector's lowest level is at least min V_m, and the scan in each direction
+    # stops at the first sector whose min V_m exceeds E_0(m = 0)
+    def params(m):
+        return PotentialParams(geom=geometries[preset], B=B, m_orbital=m)
+
+    def floor(m):
+        return total_internal(disc1024.theta, params(m)).min()
+
+    e0, ground = solve_sector(params(0), disc1024, k=1).states[0].energy, {}
+    for step in (1, -1):
+        m = step
+        while floor(m) <= e0:
+            ground[m] = solve_sector(params(m), disc1024, k=1).states[0].energy
+            assert ground[m] >= floor(m)
+            m += step
+        assert all(floor(past) > e0 for past in range(m, m + 200 * step, step))
+    lower = {m: energy for m, energy in ground.items() if energy < e0}
+    assert sorted(lower) == list(range(1, below + 1))
+    assert min(lower, key=lower.get) == ground_m
 
 
 def test_zero_field_ground_state_weight(fig3a_geom, disc1024):
@@ -243,7 +266,7 @@ def error_rows(checks, study, line):
     a form that keeps its relative accuracy as M nears the identity.
     """
     args = build_parser().parse_args(shlex.split(line))
-    out = study[line][1]
+    out = study(line)
     manifest = checks.load_json(out / f"{args.command}.csv.manifest.json")
     config = manifest["config"]
     geom = TorusGeometry(config["r_minor"], config["R_major"], config["mass_ratio"])
@@ -317,12 +340,12 @@ def readme_exit_examples(code: int) -> list[tuple[str, list[str]]]:
 @pytest.mark.parametrize("code, line, errors", [
     pytest.param(code, line, errors, id=line)
     for code in (2, 1) for line, errors in readme_exit_examples(code)])
-def test_readme_exit_example(tmp_path, monkeypatch, capsys, code, line, errors):
+def test_readme_exit_example(tmp_path, monkeypatch, code, line, errors):
     # run as written, in a directory of its own: `…` in a quoted line stands for any text
     [error] = errors or ["error: …"]
     pattern = ".*".join(map(re.escape, error.removeprefix("error: ").split("…")))
     monkeypatch.chdir(tmp_path)
-    check_failure(main(shlex.split(line)), capsys.readouterr(), code, pattern, tmp_path)
+    run_cli(line, tmp_path, code, pattern)
 
 
 def test_claims_name_existing_tests():
