@@ -10,10 +10,10 @@ subcommand imports the layers it runs, so a cold process loads only those,
 and checks each option against the bounds in `model` before its first layer
 import.  Checks that need a layer follow its import, and `_named` turns the
 layer's ValueError into one naming the option: `--gate`, read by
-`control.Gate.parse`; a driven gate's Rabi rate, from its synthesizer, in
-`gate` and at each point of `fidelity` and `mitigate`; `evolve`'s default
-Rabi rate and duration, from the reduction; and, from `dynamics`, `evolve`'s
-rotation angle and the length of a lab-frame drive in `evolve` or `gate`.
+`control.Gate.parse`; `evolve`'s default Rabi rate and duration, from the
+reduction, and its rotation angle; and every drive a subcommand propagates,
+named by the option that set it: its Rabi rate, from a gate's synthesizer, and
+its length, from a lab-frame propagation in `dynamics`.
 Importing this module loads `model` and no numpy; numpy is imported where
 arrays are made, so `qubit-params` (scalar algebra on `math`), `--help` and
 every configuration error run without it.  `main` sets
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -500,9 +499,9 @@ def _error_study(args, config: RunConfig, key: str, point: dict, axis: str, grid
 
         window = initialization_window(config.geometry(), config.discretization(),
                                        loc_threshold=config.loc_threshold)
-    synthesize = functools.partial(_named, "--e0-range" if axis == "E0" else "--E0", gate.sequence)
-    reports = field_error_sweep(synthesize, config.qubit, point, axis, grid, args.samples,
-                                config.seed, args.mode, window)
+    config.qubit(float(grid[0]) if axis == "B0" else point["B0"])  # outside _named: not the drive's
+    reports = _named("--e0-range" if axis == "E0" else "--E0", field_error_sweep, gate.sequence,
+                     config.qubit, point, axis, grid, args.samples, config.seed, args.mode, window)
     rows = [(value, r.mean_infidelity, r.max_infidelity) for value, r in zip(grid, reports)]
     return Output({f"{args.command}.csv": _csv([key, "mean_infidelity", "max_infidelity"], rows)},
                   {"haar_mean_exact": [r.haar_mean_exact for r in reports],

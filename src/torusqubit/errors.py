@@ -209,10 +209,10 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
     it is in cache, clipped to [0, 1], and reduced to the chunk's max and
     pairwise sum; the mean is the pairwise sum of the chunk sums over n,
     capped at the max.  Memory is a few chunks plus 16 B per chunk and
-    point; only keep_samples, for a single point, keeps all n values.
+    point; only keep_samples keeps all n values, in one row per point.
     """
     check_count(n_samples, "n_samples", 1)
-    per_sample = np.empty(n_samples) if keep_samples else None
+    per_sample = np.empty((len(points), n_samples)) if keep_samples else [None] * len(points)
     terms = [_exact_terms(m) for m in points]
     kernels = [_infidelity_kernel(m, s) for m, (s, _) in zip(points, terms)]
     sums, maxima = np.empty((2, len(points), -(-n_samples // _CHUNK)))
@@ -222,10 +222,10 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
             np.clip(out, 0.0, 1.0, out=out)
             maxima[i, k] = out.max()
             sums[i, k] = np.add.reduce(out)
-            if per_sample is not None:
-                per_sample[k * _CHUNK : k * _CHUNK + out.size] = out
+            if keep_samples:
+                per_sample[i, k * _CHUNK : k * _CHUNK + out.size] = out
     reports = []
-    for (s, exact), chunk_sums, chunk_maxima in zip(terms, sums, maxima):
+    for (s, exact), chunk_sums, chunk_maxima, samples in zip(terms, sums, maxima, per_sample):
         peak = float(chunk_maxima.max())
         reports.append(InfidelityReport(
             # the pairwise mean of n equal samples can round an ulp above their max
@@ -233,7 +233,7 @@ def _monte_carlo(points: Sequence[np.ndarray], n_samples: int, seed: int,
             max_infidelity=peak,
             haar_mean_exact=min(max(exact, 0.0), 1.0),  # roundoff in M can carry them past 0
             worst_case_exact=min(max(s, 0.0), 1.0),
-            per_sample=per_sample,
+            per_sample=samples,
         ))
     return reports
 

@@ -5,12 +5,22 @@ import re
 import shlex
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# When a property test fails, hypothesis's pytest plugin imports this module to
+# write a patch of the failing example.  Its imports raise a DeprecationWarning,
+# which `filterwarnings = ["error"]` would turn into an INTERNALERROR that ends
+# the run; imported once here, with the warning ignored, the plugin finds it
+# loaded.  Where hypothesis has no such module, or it cannot import, this skips.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching
 
 from torusqubit.cli import main
 from torusqubit.model import TorusGeometry

@@ -458,6 +458,7 @@ TOL = r"--tol must be finite and in \[1e-12, 1e-06\], got "
 RELATIVE = r" must be finite and in \[-0\.1, 0\.1\], got "
 INCREASING = r" must be positive and increasing, got "
 MONOTONE = r"--b-range must be non-negative and monotone, got "
+BETA_SQ = r"beta_sq must be finite and positive, got 0\.0"  # the curvature underflows at every B
 
 # every input that must fail, each held to the README's contract by check_failure
 FAILURES = [Failure(*row) for row in [
@@ -612,10 +613,17 @@ FAILURES = [Failure(*row) for row in [
     ("--preset fig5 --E0 1e-30 evolve --three-level", 2, DEFAULT_DURATION + r"2\.6\d*e\+33"),
     ("--preset fig5 --E0 1e-30 gate --mode labframe", 2, "--E0: " + PERIODS + r"3\.8\d*e\+33"),
     ("--preset fig5 --E0 1e-30 gate --leakage", 2, "--E0: " + PERIODS + r"3\.8\d*e\+33"),
-    # runtime errors: the error study's propagation names no option
-    ("--preset fig5 --E0 1e-30 fidelity --mode labframe --range 0:0.01:2 --samples 2", 1,
-     PERIODS + r"3\.8\d*e\+33"),
-    ("--preset fig5 mitigate --mode labframe --e0-range 1e-30:1:2", 1, PERIODS + r"3\.8\d*e\+33"),
+    # the error study's propagation names the option that set its drive
+    ("--preset fig5 --E0 1e-30 fidelity --mode labframe --range 0:0.01:2 --samples 2", 2,
+     "--E0: " + PERIODS + r"3\.8\d*e\+33"),
+    ("--preset fig5 mitigate --mode labframe --e0-range 1e-30:1:2", 2,
+     "--e0-range: " + PERIODS + r"3\.8\d*e\+33"),
+    ("--preset fig5 --E0 1e-30 mitigate --sweep B0 --mode labframe --samples 2", 2,
+     "--E0: " + PERIODS + r"3\.69\d*e\+33"),
+    # runtime errors: a reduction that fails in a driven subcommand names no drive option
+    ("--r 1e-9 --R 1e100 --B 0.45 gate", 1, BETA_SQ),
+    ("--r 1e-9 --R 1e100 --B 0.45 fidelity --samples 10", 1, BETA_SQ),
+    ("--r 1e-9 --R 1e100 --B 0.45 mitigate --sweep B0 --samples 10", 1, BETA_SQ),
     # ~3e18 drive periods: the per-period roundoff compounds far past the guard
     ("--preset fig5 evolve --three-level --duration 5e7", 1,
      r"propagator departs from unitarity by \S+ over 2\.82e\+18 drive periods: "
@@ -664,6 +672,8 @@ FAILURES = [Failure(*row) for row in [
     ("--preset fig5 --B 1e160 evolve", 1, r"numerical_taylor coefficients overflow at B=1e\+160"),
     ("--preset fig5 --B 1e160 fidelity --samples 10 --range 0:0.01:2", 1,
      r"numerical_taylor coefficients overflow at B=1e\+160"),
+    ("--r 1e-100 --R 1e100 mitigate --sweep B0 --b0-range 0.4:1e100:2 --samples 2", 1,
+     r"numerical_taylor coefficients overflow at B=0\.4"),
     ("--r 1e-100 --R 2e-100 qubit-params", 1, r"closed_form coefficients underflow at B=0\.0"),
     ("--r 1e100 --R 2e100 --mass-ratio 1e-250 qubit-params", 1,
      r"closed_form coefficients overflow at B=0\.0"),
@@ -689,6 +699,14 @@ class TestFailingInputs:
         if row.option:  # an option's bounds live in model, so no layer is needed to check it
             runs = request.getfixturevalue("option_error_runs")
             assert runs[tuple(shlex.split(row.line))] == (2, [])
+
+    def test_a_drive_too_long_names_the_option_that_set_it(self):
+        # one rule wherever a drive is propagated: exit 2, its option before the rule
+        rows = [row for row in FAILURES if PERIODS in row.pattern]
+        assert rows
+        for row in rows:
+            named = row.pattern.split(PERIODS)[0]
+            assert row.code == 2 and re.match(r"--[a-zA-Z]", named) and named.endswith(": "), row
 
     # each case breaks one clause of a clean failure: exit 2, no stdout, the one line
     # `error: eigensolve failed` and an empty run directory

@@ -217,6 +217,19 @@ class TestEnsembleKernel:
         [report] = _monte_carlo([m], n, seed=29, keep_samples=True)
         assert np.array_equal(report.per_sample, want)
 
+    def test_kept_samples_are_each_points_own(self):
+        # I leaves every input as it is and X flips all but the equator; over two
+        # chunks, each point's row is what a run of that point alone keeps
+        n = errors._CHUNK + 1000
+        points = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
+        reports = _monte_carlo(points, n, seed=5, keep_samples=True)
+        for m, report in zip(points, reports):
+            [alone] = _monte_carlo([m], n, seed=5, keep_samples=True)
+            assert np.array_equal(report.per_sample, alone.per_sample)
+            assert report.max_infidelity == report.per_sample.max()
+            assert report.mean_infidelity == pytest.approx(report.per_sample.mean(), abs=1e-15)
+        assert not reports[0].per_sample.any() and reports[1].per_sample.mean() > 0.6
+
     def test_exact_haar_mean_is_the_trace_formula(self):
         rng = np.random.default_rng(3)
         m = _random_unitary(rng) * (1.0 + 1e-9)
